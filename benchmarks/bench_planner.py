@@ -29,11 +29,9 @@ from repro.storage.rdbms.planner import (
     ORDER_INDEX,
     ORDER_TOP_K,
     STATS_COST,
-    STATS_HEURISTIC,
 )
 from repro.storage.rdbms.query import Query
 from repro.storage.rdbms.schema import Column, TableSchema
-from repro.storage.rdbms.stats import StatsPolicy
 from repro.storage.rdbms.table import Table
 from repro.storage.rdbms.types import ColumnType
 
@@ -166,14 +164,13 @@ def test_equality_plus_topk(indexed_table, plain_table):
     assert speedup >= 3.0
 
 
-def _build_skewed_table(with_stats: bool) -> Table:
+def _build_skewed_table() -> Table:
     """A skewed-selectivity workload for the cost-model gate.
 
     One rare outlet owns ~120 of 60k rows while the reactions range predicate
     keeps ~95% of the table — exactly the shape where intersecting every
     usable index wastes a 57k-row index sweep that the equality probe makes
-    irrelevant.  ``with_stats=False`` pins the table to the historical
-    intersect-all heuristic (no statistics, no auto-analyze).
+    irrelevant.
     """
     schema = TableSchema(
         name="articles",
@@ -184,7 +181,7 @@ def _build_skewed_table(with_stats: bool) -> Table:
             Column("reactions", ColumnType.INTEGER, nullable=False),
         ),
     )
-    table = Table(schema, stats_policy=StatsPolicy(auto_analyze=with_stats))
+    table = Table(schema)
     rng = random.Random(777)
     rows = [
         {
@@ -205,31 +202,35 @@ def _build_skewed_table(with_stats: bool) -> Table:
 
 
 def test_planner_cost_skewed_workload():
-    """Cost-based plan vs forced intersect-all on a skewed workload.
+    """Cost-based plan vs intersect-all on a skewed workload.
 
     The selectivity estimates must recognise that the unselective reactions
     range cannot pay for its probe, keep only the rare-outlet equality, and
     beat the intersect-everything baseline >=5x with identical rows.
     """
-    cost_table = _build_skewed_table(with_stats=True)
-    heuristic_table = _build_skewed_table(with_stats=False)
-    predicate = (col("outlet") == "rare-outlet.example.com") & (col("reactions") < 95_000)
+    table = _build_skewed_table()
+    outlet, bound = "rare-outlet.example.com", 95_000
+    predicate = (col("outlet") == outlet) & (col("reactions") < bound)
 
-    cost_plan = cost_table.plan_access(predicate)
+    cost_plan = table.plan_access(predicate)
     assert cost_plan.stats_mode == STATS_COST
     assert cost_plan.path == INDEX_EQ  # the 95%-range probe was rejected
     assert any(alt.path == INDEX_INTERSECT for alt in cost_plan.alternatives if not alt.chosen)
-    heuristic_plan = heuristic_table.plan_access(predicate)
-    assert heuristic_plan.stats_mode == STATS_HEURISTIC
-    assert heuristic_plan.path == INDEX_INTERSECT  # both indexes, blindly
 
-    fast_rows = Query(cost_table).where(predicate).execute().rows
-    slow_rows = Query(heuristic_table).where(predicate).execute().rows
-    oracle_rows = [r for r in cost_table.rows() if r["outlet"] == "rare-outlet.example.com" and r["reactions"] < 95_000]
-    assert fast_rows == slow_rows == oracle_rows and fast_rows  # identical, non-empty
+    def intersect_all() -> list[dict]:
+        """The slow side: probe both indexes, intersect, re-check every candidate."""
+        candidates = table.index("outlet").lookup(outlet) & set(
+            table.index("reactions").range(high=bound, include_high=False)
+        )
+        rows = (table.row_by_id(row_id) for row_id in sorted(candidates))
+        return [r for r in rows if r["outlet"] == outlet and r["reactions"] < bound]
 
-    fast = _best_seconds(lambda: Query(cost_table).where(predicate).execute())
-    slow = _best_seconds(lambda: Query(heuristic_table).where(predicate).execute())
+    fast_rows = Query(table).where(predicate).execute().rows
+    oracle_rows = [r for r in table.rows() if r["outlet"] == outlet and r["reactions"] < bound]
+    assert fast_rows == intersect_all() == oracle_rows and fast_rows  # identical, non-empty
+
+    fast = _best_seconds(lambda: Query(table).where(predicate).execute())
+    slow = _best_seconds(intersect_all)
     speedup = _report("cost-based vs intersect-all (skewed)", slow, fast, gate="planner_cost")
     assert speedup >= REQUIRED_SPEEDUP
 

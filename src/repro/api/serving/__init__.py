@@ -42,30 +42,26 @@ def build_serving_tier(platform, serving_config=None, api_config=None, attach: b
     """Build the sharded serving front door for ``platform``.
 
     Each shard is a fully-mounted gateway from :func:`repro.api.build_gateway`
-    (its own response cache, shared platform backend).  Admission and
-    coalescing follow ``serving_config`` (defaulting to the platform's
-    ``config.serving`` section).  When ``attach`` is true the front door is
+    (its own response cache, shared platform backend).  Sharding and
+    admission limits follow ``serving_config`` (defaulting to the platform's
+    ``config.serving`` section); coalescing is always on.  When ``attach`` is true the front door is
     registered on the platform so ``status()["serving"]`` reports it.
     """
     from .. import build_gateway
 
     serving = serving_config or platform.config.serving
     serving.validate()
-    admission = None
-    if serving.admission_enabled:
-        admission = AdmissionController(
+    front = ShardedGateway(
+        shard_factory=lambda index: build_gateway(platform, api_config),
+        n_shards=serving.shards,
+        ring_replicas=serving.ring_replicas,
+        admission=AdmissionController(
             rate_per_s=serving.admission_rate_per_s,
             burst=serving.admission_burst,
             max_concurrent=serving.max_concurrency,
             route_costs=dict(serving.route_cost_weights),
             default_cost=serving.default_route_cost,
-        )
-    front = ShardedGateway(
-        shard_factory=lambda index: build_gateway(platform, api_config),
-        n_shards=serving.shards,
-        ring_replicas=serving.ring_replicas,
-        admission=admission,
-        coalesce=serving.coalesce_enabled,
+        ),
     )
     if attach:
         platform.attach_serving(front)

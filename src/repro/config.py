@@ -1,9 +1,16 @@
 """Platform-wide configuration objects.
 
-The configuration mirrors the knobs of the operational SciLens deployment:
-how the streaming layer is partitioned, where the data layer keeps its files,
-how often the daily migration and periodic model training run, and how the
+The configuration holds the deployment settings of the operational SciLens
+platform: how the streaming layer is partitioned, where the data layer keeps
+its files, how the serving tier is sharded and rate-limited, and how the
 indicator fusion weighs each indicator family.
+
+The platform runs in one storage mode — write-ahead log on, continuous
+change-data capture into the warehouse, segment-backed full-text search,
+standing materialized roll-ups, cost-based planning with automatic
+re-analyze — so nothing here switches a subsystem off, and component tunables
+(block size, retry/backoff, breaker thresholds, statistics policy, …) live
+with the component that owns them as its constructor default.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ class StreamingConfig:
 
     postings_topic: str = "postings"
     reactions_topic: str = "reactions"
-    articles_topic: str = "articles"
     partitions: int = 4
     max_batch_size: int = 500
 
@@ -37,129 +43,33 @@ class StorageConfig:
 
     data_dir: Path | None = None
     warehouse_replication: int = 2
-    warehouse_block_rows: int = 4096
-    #: zlib level for warehouse block wire compression (0 stores raw bytes).
-    warehouse_compression_level: int = 6
-    #: Partitions holding at least this many blocks are rewritten by the
-    #: scheduled warehouse compaction job.
-    warehouse_compaction_min_blocks: int = 8
-    #: Register the standing materialized roll-ups (daily article counts,
-    #: per-outlet totals, per-outlet topic totals) and refresh them from the
-    #: migration job.  Disabled, every dashboard read falls back to the live
-    #: grouped-aggregation scan — same results, no materialized state.
-    warehouse_rollups_enabled: bool = True
     #: Topic key the standing topic-filtered roll-up is materialized for.
     warehouse_rollup_topic: str = "covid19"
-    wal_enabled: bool = True
-    #: Continuous change-data capture: tail the WAL, publish row deltas onto
-    #: per-table broker topics and land them as warehouse delta blocks.
-    #: Disabled, warehouse freshness falls back to batch full refreshes.
-    cdc_enabled: bool = True
-    #: Broker topic prefix for the per-table CDC topics (``cdc.articles``, …).
-    cdc_topic_prefix: str = "cdc."
-    #: Delta rows the CDC applier lands per warehouse write batch.
-    cdc_batch_rows: int = 500
-    #: Shared retry discipline for transient storage/streaming faults
-    #: (DFS reads/writes, broker publish/poll, checkpoint saves).
-    retry_max_attempts: int = 4
-    retry_base_delay_s: float = 0.01
-    retry_max_delay_s: float = 1.0
     #: Serve base blocks (stale but correct) when the merge-on-read path
     #: fails transiently, instead of failing the query.
     warehouse_degraded_reads: bool = True
-    #: Consecutive CDC landing failures that open the applier's circuit
-    #: breaker, and the cooldown before a half-open probe.
-    cdc_breaker_threshold: int = 5
-    cdc_breaker_cooldown_s: float = 30.0
     #: Quarantine a batch the warehouse keeps rejecting (commit its offsets,
     #: keep it on ``DeltaApplier.quarantined``) instead of blocking the topic.
     cdc_skip_poisoned: bool = False
-    #: Full-text search: declare the articles FTS index (planner MATCH
-    #: pushdown) and, when CDC is enabled, tail the article delta topic into
-    #: a persistent BM25 segment index serving ``search_articles``.
-    fts_enabled: bool = True
-    #: Article columns the FTS indexes cover.
-    fts_columns: tuple[str, ...] = ("title", "text")
-    #: Buffered documents that trigger an automatic FTS segment flush.
-    fts_flush_docs: int = 512
-    #: Cost-based planner statistics: re-analyze a table transparently at
-    #: plan time when its statistics are missing or stale.  Disabled, the
-    #: planner degrades to the heuristic intersect-every-index plan until
-    #: ``Database.analyze()`` is called explicitly.
-    rdbms_auto_analyze: bool = True
-    #: Fraction of a table's analyzed rows that may be rewritten before its
-    #: statistics count as stale (absolute floor below).
-    rdbms_stale_fraction: float = 0.2
-    #: Writes a table always absorbs before its statistics can go stale —
-    #: keeps tiny hot tables from re-analyzing on every handful of writes.
-    rdbms_min_stale_writes: int = 64
-    #: Equi-depth histogram buckets collected per analyzed column.
-    rdbms_histogram_buckets: int = 32
 
     def validate(self) -> None:
         if self.warehouse_replication < 1:
             raise ConfigurationError("storage.warehouse_replication must be >= 1")
-        if self.warehouse_block_rows < 1:
-            raise ConfigurationError("storage.warehouse_block_rows must be >= 1")
-        if not 0 <= self.warehouse_compression_level <= 9:
-            raise ConfigurationError(
-                "storage.warehouse_compression_level must be in [0, 9]"
-            )
-        if self.warehouse_compaction_min_blocks < 2:
-            raise ConfigurationError(
-                "storage.warehouse_compaction_min_blocks must be >= 2"
-            )
         if not self.warehouse_rollup_topic:
             raise ConfigurationError(
                 "storage.warehouse_rollup_topic must be a non-empty topic key"
             )
-        if not self.cdc_topic_prefix:
-            raise ConfigurationError(
-                "storage.cdc_topic_prefix must be a non-empty prefix"
-            )
-        if self.cdc_batch_rows < 1:
-            raise ConfigurationError("storage.cdc_batch_rows must be >= 1")
-        if self.retry_max_attempts < 1:
-            raise ConfigurationError("storage.retry_max_attempts must be >= 1")
-        if self.retry_base_delay_s < 0:
-            raise ConfigurationError("storage.retry_base_delay_s must be >= 0")
-        if self.retry_max_delay_s < self.retry_base_delay_s:
-            raise ConfigurationError(
-                "storage.retry_max_delay_s must be >= retry_base_delay_s"
-            )
-        if self.cdc_breaker_threshold < 1:
-            raise ConfigurationError("storage.cdc_breaker_threshold must be >= 1")
-        if self.cdc_breaker_cooldown_s < 0:
-            raise ConfigurationError("storage.cdc_breaker_cooldown_s must be >= 0")
-        if not self.fts_columns:
-            raise ConfigurationError(
-                "storage.fts_columns must name at least one column"
-            )
-        if self.fts_flush_docs < 1:
-            raise ConfigurationError("storage.fts_flush_docs must be >= 1")
-        if self.rdbms_stale_fraction <= 0:
-            raise ConfigurationError("storage.rdbms_stale_fraction must be > 0")
-        if self.rdbms_min_stale_writes < 0:
-            raise ConfigurationError("storage.rdbms_min_stale_writes must be >= 0")
-        if self.rdbms_histogram_buckets < 1:
-            raise ConfigurationError("storage.rdbms_histogram_buckets must be >= 1")
 
 
 @dataclass(frozen=True)
 class AnalyticsConfig:
     """Configuration of the analytics layer (segmentation + model training)."""
 
-    migration_interval_days: int = 1
-    training_interval_days: int = 7
     topic_tree_depth: int = 2
     topic_branching: int = 4
     min_topic_probability: float = 0.2
 
     def validate(self) -> None:
-        if self.migration_interval_days < 1:
-            raise ConfigurationError("analytics.migration_interval_days must be >= 1")
-        if self.training_interval_days < 1:
-            raise ConfigurationError("analytics.training_interval_days must be >= 1")
         if not 0.0 <= self.min_topic_probability <= 1.0:
             raise ConfigurationError(
                 "analytics.min_topic_probability must be in [0, 1]"
@@ -224,9 +134,6 @@ class ServingConfig:
     #: smooth the key distribution; adding/removing a shard still moves only
     #: ~1/N of the keys.
     ring_replicas: int = 64
-    #: Per-tenant token-bucket admission control.  Disabled, every request
-    #: is admitted (the global concurrency limiter still applies).
-    admission_enabled: bool = True
     #: Steady-state tokens (requests) per second granted to each tenant.
     admission_rate_per_s: float = 200.0
     #: Bucket capacity: the burst a previously-idle tenant may send at once.
@@ -234,10 +141,6 @@ class ServingConfig:
     #: Requests allowed in flight across all shards; excess load is shed
     #: with a 429 instead of queueing unboundedly (bounds tail latency).
     max_concurrency: int = 64
-    #: Single-flight coalescing of identical in-flight cacheable reads.
-    coalesce_enabled: bool = True
-    #: Executor threads the asyncio front end uses to drive sync shards.
-    async_workers: int = 8
     #: Per-route admission cost weights: how many tokens one request of a
     #: route spends from its tenant's bucket.  Heavy analytical reads should
     #: cost proportionally more than a point lookup so a tenant's rate limit
@@ -262,8 +165,6 @@ class ServingConfig:
             raise ConfigurationError("serving.admission_burst must be >= 1")
         if self.max_concurrency < 1:
             raise ConfigurationError("serving.max_concurrency must be >= 1")
-        if self.async_workers < 1:
-            raise ConfigurationError("serving.async_workers must be >= 1")
         for route, weight in self.route_cost_weights:
             if not route:
                 raise ConfigurationError(

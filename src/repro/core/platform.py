@@ -23,7 +23,7 @@ from datetime import datetime
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import PlatformConfig
-from ..errors import ArticleNotFound, CircuitOpenError, StorageError
+from ..errors import ArticleNotFound, CircuitOpenError
 from ..experts.aggregation import ReviewAggregator
 from ..experts.reviews import ReviewStore
 from ..ml.clustering import HierarchicalTopicModel
@@ -44,7 +44,6 @@ from ..storage.faults import (
 from ..storage.migration import MigrationJob, MigrationReport
 from ..storage.rdbms.database import Database
 from ..storage.rdbms.expressions import col
-from ..storage.rdbms.stats import StatsPolicy
 from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
@@ -76,6 +75,10 @@ SUPERVISED_TOPIC_KEYWORDS: dict[str, tuple[str, ...]] = {
     "science": ("study", "researchers", "experiment", "laboratory", "genome", "telescope"),
 }
 
+#: Article columns both full-text indexes cover (the table-attached one the
+#: planner probes for MATCH and the segment index ``search_articles`` reads).
+ARTICLE_FTS_COLUMNS = ("title", "text")
+
 
 class SciLensPlatform:
     """The running platform: ingestion, storage, analytics and serving."""
@@ -95,11 +98,7 @@ class SciLensPlatform:
         # armed run replay identically.
         self.health = HealthMonitor()
         self.fault_injector = FaultInjector(seed=self.config.random_seed)
-        self.retry_policy = RetryPolicy(
-            max_attempts=self.config.storage.retry_max_attempts,
-            base_delay=self.config.storage.retry_base_delay_s,
-            max_delay=self.config.storage.retry_max_delay_s,
-        )
+        self.retry_policy = RetryPolicy()
 
         # --- data collection ------------------------------------------------
         self.site_store = site_store if site_store is not None else SiteStore()
@@ -117,22 +116,14 @@ class SciLensPlatform:
 
         # --- data layer -----------------------------------------------------
         # Without a data directory the WAL runs in memory: no durability, but
-        # CDC can still tail the committed mutations.  It is only absent when
-        # explicitly disabled (and then CDC is too).
-        self.database = Database(
-            data_dir=self.config.storage.data_dir,
-            wal_enabled=self.config.storage.wal_enabled
-            and (
-                self.config.storage.data_dir is not None
-                or self.config.storage.cdc_enabled
-            ),
-            stats_policy=StatsPolicy(
-                auto_analyze=self.config.storage.rdbms_auto_analyze,
-                stale_fraction=self.config.storage.rdbms_stale_fraction,
-                min_stale_writes=self.config.storage.rdbms_min_stale_writes,
-                histogram_buckets=self.config.storage.rdbms_histogram_buckets,
-            ),
-        )
+        # CDC still tails the committed mutations.
+        data_dir = self.config.storage.data_dir
+
+        def durable(file_name: str):
+            """Where a cursor/offsets file lives (``None``: keep it in memory)."""
+            return data_dir / file_name if data_dir is not None else None
+
+        self.database = Database(data_dir=data_dir)
         for schema in all_schemas():
             self.database.create_table(schema, if_not_exists=True)
         # Equality indexes on the foreign-key-style lookup columns, plus
@@ -147,10 +138,7 @@ class SciLensPlatform:
         # Full-text index over the article text columns: backs the planner's
         # ``fts_index_scan`` access path for MATCH predicates (maintained
         # synchronously by every table write, so it is never stale).
-        if self.config.storage.fts_enabled:
-            self.database.create_fts_index(
-                "articles", self.config.storage.fts_columns
-            )
+        self.database.create_fts_index("articles", ARTICLE_FTS_COLUMNS)
 
         self.dfs = DistributedFileSystem(
             n_nodes=3,
@@ -161,17 +149,10 @@ class SciLensPlatform:
         )
         self.warehouse = Warehouse(
             self.dfs,
-            block_rows=self.config.storage.warehouse_block_rows,
-            compression_level=self.config.storage.warehouse_compression_level,
             degraded_reads=self.config.storage.warehouse_degraded_reads,
             health=self.health.subsystem("warehouse"),
         )
-        self.migration = MigrationJob(
-            self.database,
-            self.warehouse,
-            compaction_min_blocks=self.config.storage.warehouse_compaction_min_blocks,
-            refresh_rollups=self.config.storage.warehouse_rollups_enabled,
-        )
+        self.migration = MigrationJob(self.database, self.warehouse)
         # Freshness follows ingestion time; partitions follow event time
         # (articles by publication day, social objects and reviews by their
         # own timestamps).  Articles are additionally clustered inside each
@@ -188,97 +169,64 @@ class SciLensPlatform:
         # are materialised per partition and kept incrementally consistent by
         # the migration job (only changed partitions re-aggregate).  Readers
         # fall back to the live grouped-pushdown path whenever the state is
-        # stale, so disabling this changes cost, never results.
-        if self.config.storage.warehouse_rollups_enabled:
-            for spec in standing_rollup_specs(self.config.storage.warehouse_rollup_topic):
-                self.warehouse.register_rollup(spec)
+        # stale, so the roll-ups change cost, never results.
+        for spec in standing_rollup_specs(self.config.storage.warehouse_rollup_topic):
+            self.warehouse.register_rollup(spec)
 
         # Continuous change-data capture: the publisher tails the RDBMS WAL
         # onto per-table broker topics, the applier lands those row deltas as
         # warehouse delta blocks.  The migration job above keeps only the
         # bootstrap backfill and the compaction schedule.
-        self.cdc_publisher: CdcPublisher | None = None
-        self.cdc_applier: DeltaApplier | None = None
+        self.cdc_publisher = CdcPublisher(
+            self.database,
+            self.broker,
+            cursor_path=durable("cdc-cursor.json"),
+            retry_policy=self.retry_policy,
+            health=self.health.subsystem("cdc-publisher"),
+        )
+        for mapping in self.migration.mappings():
+            self.cdc_publisher.add_mapping(mapping)
+        self.cdc_checkpoints = CheckpointStore(
+            path=durable("cdc-offsets.json"),
+            fault_injector=self.fault_injector,
+            retry_policy=self.retry_policy,
+        )
+        self.cdc_applier = DeltaApplier(
+            self.warehouse,
+            self.broker,
+            self.migration.mappings(),
+            checkpoints=self.cdc_checkpoints,
+            retry_policy=self.retry_policy,
+            health=self.health.subsystem("cdc-applier"),
+            breaker=CircuitBreaker(),
+            skip_poisoned=self.config.storage.cdc_skip_poisoned,
+        )
         # Segment-backed search index: a second consumer group over the same
         # CDC topics keeps the BM25 posting lists fresh incrementally — no
         # batch rebuild, exactly-once via per-document LSN checks.
-        self.fts_index: FtsIndex | None = None
-        self.fts_indexer: FtsIndexer | None = None
-        if self.config.storage.cdc_enabled and self.database.wal is not None:
-            cursor_path = (
-                self.config.storage.data_dir / "cdc-cursor.json"
-                if self.config.storage.data_dir is not None
-                else None
-            )
-            offsets_path = (
-                self.config.storage.data_dir / "cdc-offsets.json"
-                if self.config.storage.data_dir is not None
-                else None
-            )
-            self.cdc_publisher = CdcPublisher(
-                self.database,
-                self.broker,
-                topic_prefix=self.config.storage.cdc_topic_prefix,
-                cursor_path=cursor_path,
-                retry_policy=self.retry_policy,
-                health=self.health.subsystem("cdc-publisher"),
-            )
-            for mapping in self.migration.mappings():
-                self.cdc_publisher.add_mapping(mapping)
-            self.cdc_checkpoints = CheckpointStore(
-                path=offsets_path,
+        self.fts_index = FtsIndex(
+            "articles", dfs=self.dfs, health=self.health.subsystem("fts")
+        )
+        self.fts_index.recover()
+        self.fts_indexer = FtsIndexer(
+            self.fts_index,
+            self.broker,
+            table="articles",
+            columns=ARTICLE_FTS_COLUMNS,
+            primary_key="article_id",
+            checkpoints=CheckpointStore(
+                path=durable("fts-offsets.json"),
                 fault_injector=self.fault_injector,
                 retry_policy=self.retry_policy,
-            )
-            self.cdc_applier = DeltaApplier(
-                self.warehouse,
-                self.broker,
-                self.migration.mappings(),
-                topic_prefix=self.config.storage.cdc_topic_prefix,
-                checkpoints=self.cdc_checkpoints,
-                batch_rows=self.config.storage.cdc_batch_rows,
-                retry_policy=self.retry_policy,
-                health=self.health.subsystem("cdc-applier"),
-                breaker=CircuitBreaker(
-                    failure_threshold=self.config.storage.cdc_breaker_threshold,
-                    cooldown=self.config.storage.cdc_breaker_cooldown_s,
-                ),
-                skip_poisoned=self.config.storage.cdc_skip_poisoned,
-            )
-            if self.config.storage.fts_enabled:
-                fts_offsets_path = (
-                    self.config.storage.data_dir / "fts-offsets.json"
-                    if self.config.storage.data_dir is not None
-                    else None
-                )
-                self.fts_index = FtsIndex(
-                    "articles",
-                    dfs=self.dfs,
-                    flush_docs=self.config.storage.fts_flush_docs,
-                    compression_level=self.config.storage.warehouse_compression_level,
-                    health=self.health.subsystem("fts"),
-                )
-                self.fts_index.recover()
-                self.fts_indexer = FtsIndexer(
-                    self.fts_index,
-                    self.broker,
-                    table="articles",
-                    columns=self.config.storage.fts_columns,
-                    primary_key="article_id",
-                    topic_prefix=self.config.storage.cdc_topic_prefix,
-                    checkpoints=CheckpointStore(
-                        path=fts_offsets_path,
-                        fault_injector=self.fault_injector,
-                        retry_policy=self.retry_policy,
-                    ),
-                    retry_policy=self.retry_policy,
-                    health=self.health.subsystem("fts"),
-                )
-            # A restart over an existing data directory leaves a durable
-            # cursor (and offsets file) behind; reconcile them with the WAL
-            # and broker this process actually holds before the first sync.
-            if self.config.storage.data_dir is not None:
-                self.recover_storage()
+            ),
+            retry_policy=self.retry_policy,
+            health=self.health.subsystem("fts"),
+        )
+        # A restart over an existing data directory leaves a durable cursor
+        # (and offsets file) behind; reconcile them with the WAL and broker
+        # this process actually holds before the first sync.
+        if data_dir is not None:
+            self.recover_storage()
 
         # --- analytics ------------------------------------------------------
         self.models = ModelRegistry()
@@ -492,32 +440,22 @@ class SciLensPlatform:
     ) -> list[tuple[Article, float]]:
         """BM25-ranked full-text search over article titles and bodies.
 
-        Served from the segment-backed FTS index when CDC is enabled
-        (``sync=True`` drains pending WAL records into the index first, so a
-        just-stored article is searchable immediately); otherwise from the
-        table-attached index the planner uses for MATCH.  Query semantics
-        match the SQL ``MATCH`` operator: every term must appear, a trailing
-        ``*`` makes the last term of that chunk a prefix.  Returns
-        ``(article, score)`` pairs, best first.
+        Served from the segment-backed FTS index (``sync=True`` drains
+        pending WAL records into the index first, so a just-stored article is
+        searchable immediately).  Query semantics match the SQL ``MATCH``
+        operator: every term must appear, a trailing ``*`` makes the last
+        term of that chunk a prefix.  Returns ``(article, score)`` pairs,
+        best first.
         """
-        if self.fts_index is not None and self.fts_indexer is not None:
-            if sync and self.cdc_publisher is not None:
-                self.cdc_publisher.publish()
-                self.fts_indexer.run()
-            results: list[tuple[Article, float]] = []
-            for doc_id, score in self.fts_index.search(query, limit=limit):
-                row = self.database.get("articles", doc_id)
-                if row is not None:
-                    results.append((_row_to_article(row), score))
-            return results
-        table = self.database.table("articles")
-        fts = table.fts_index
-        if fts is None:
-            raise StorageError("full-text search is disabled (storage.fts_enabled)")
-        return [
-            (_row_to_article(table.row_by_id(row_id)), score)
-            for row_id, score in fts.search(query, limit=limit)
-        ]
+        if sync:
+            self.cdc_publisher.publish()
+            self.fts_indexer.run()
+        results: list[tuple[Article, float]] = []
+        for doc_id, score in self.fts_index.search(query, limit=limit):
+            row = self.database.get("articles", doc_id)
+            if row is not None:
+                results.append((_row_to_article(row), score))
+        return results
 
     def posts_for_article(self, article_url: str) -> list[SocialPost]:
         rows = (
@@ -668,20 +606,9 @@ class SciLensPlatform:
         return result.result
 
     def _run_migration_job(self, now: datetime | None = None) -> MigrationReport:
-        if self.cdc_publisher is None or self.cdc_applier is None:
-            # CDC disabled: batch fallback — re-copy registered tables
-            # wholesale whenever the warehouse already holds data.
-            return self.migration.run(
-                now=now, full_refresh=self.warehouse.total_rows() > 0
-            )
-        # Bootstrap pass first; the roll-up refresh is deferred until the
-        # CDC deltas have landed so it sees the post-sync block identity.
-        refresh = self.migration.refresh_rollups
-        self.migration.refresh_rollups = False
-        try:
-            bootstrap = self.migration.run(now=now)
-        finally:
-            self.migration.refresh_rollups = refresh
+        # Bootstrap pass first; the roll-ups are refreshed once the CDC
+        # deltas have landed, so they see the post-sync block identity.
+        bootstrap = self.migration.run(now=now)
         if set(bootstrap.bootstrapped) == set(self.migration.registered_tables()):
             # Every registered table was copied wholesale, so the WAL records
             # up to the pre-copy LSN are already reflected — skip them instead
@@ -691,15 +618,13 @@ class SciLensPlatform:
             # ``skip_to`` means the copied rows never reach the CDC topics,
             # so the search index backfills straight from the table at the
             # bootstrap LSN (later CDC messages carry higher LSNs and win).
-            if self.fts_indexer is not None and "articles" in bootstrap.bootstrapped:
+            if "articles" in bootstrap.bootstrapped:
                 self.fts_indexer.bootstrap(
                     self.database.table("articles").rows(),
                     lsn=bootstrap.cursor_lsn,
                 )
         sync = self.process_cdc(refresh_rollups=False)
-        rollups_refreshed: dict[str, int] = {}
-        if refresh:
-            rollups_refreshed = self.migration.refresh_standing_rollups()
+        rollups_refreshed = self.migration.refresh_standing_rollups()
         migrated = dict(bootstrap.migrated_rows)
         for rdbms_table, rows in sync["applied_tables"].items():
             migrated[rdbms_table] = migrated.get(rdbms_table, 0) + rows
@@ -721,18 +646,11 @@ class SciLensPlatform:
         messages published, rows applied per RDBMS table and the worst
         write→visible latency observed (seconds).
         """
-        if self.cdc_publisher is None or self.cdc_applier is None:
-            return {
-                "enabled": False, "published": 0, "applied_rows": 0,
-                "applied_tables": {}, "max_latency_s": 0.0, "fts": None,
-            }
         published = self.cdc_publisher.publish()
         # The search index drains its own consumer group first: it never
         # shares the applier's breaker, so search freshness survives a
         # quarantined warehouse batch.
-        fts_report: dict[str, Any] | None = None
-        if self.fts_indexer is not None:
-            fts_report = self.fts_indexer.run()
+        fts_report = self.fts_indexer.run()
         try:
             report = self.cdc_applier.apply()
         except CircuitOpenError as exc:
@@ -742,19 +660,18 @@ class SciLensPlatform:
             # cooldown lets a probe through.
             self.health.subsystem("cdc-applier").degrade(exc)
             return {
-                "enabled": True, "published": published, "applied_rows": 0,
+                "published": published, "applied_rows": 0,
                 "applied_tables": {}, "max_latency_s": 0.0, "fts": fts_report,
                 "breaker_open": True,
             }
         for rdbms_table, stamp in report.synced.items():
             self.migration.note_synced(rdbms_table, stamp)
-        if refresh_rollups and report.rows and self.migration.refresh_rollups:
+        if refresh_rollups and report.rows:
             self.migration.refresh_standing_rollups()
         by_rdbms_table = {
             m.warehouse_table: m.rdbms_table for m in self.migration.mappings()
         }
         return {
-            "enabled": True,
             "published": published,
             "applied_rows": report.rows,
             "applied_tables": {
@@ -778,16 +695,12 @@ class SciLensPlatform:
         restoring state by hand.  Returns the publisher and applier recovery
         reports.
         """
-        report: dict[str, Any] = {"publisher": None, "applier": None, "fts": None}
-        if self.cdc_publisher is not None:
-            report["publisher"] = self.cdc_publisher.recover()
-        if self.cdc_applier is not None:
-            report["applier"] = self.cdc_applier.recover(redeliver=redeliver)
-        if self.fts_index is not None:
-            fts_report = self.fts_index.recover()
-            if self.fts_indexer is not None:
-                fts_report["indexer"] = self.fts_indexer.recover(redeliver=redeliver)
-            report["fts"] = fts_report
+        report: dict[str, Any] = {
+            "publisher": self.cdc_publisher.recover(),
+            "applier": self.cdc_applier.recover(redeliver=redeliver),
+            "fts": self.fts_index.recover(),
+        }
+        report["fts"]["indexer"] = self.fts_indexer.recover(redeliver=redeliver)
         return report
 
     def run_warehouse_compaction(self, now: datetime | None = None):
@@ -969,29 +882,19 @@ class SciLensPlatform:
                 "compressed_bytes": totals["compressed_bytes"],
                 "compression_ratio": round(totals["compression_ratio"], 3),
             }
-        cdc: dict[str, Any] = {"enabled": self.cdc_publisher is not None}
-        if self.cdc_publisher is not None and self.cdc_applier is not None:
-            cdc.update(
-                {
-                    "wal_lsn": self.database.wal_lsn(),
-                    "published_lsn": self.cdc_publisher.cursor,
-                    "pending_records": self.cdc_publisher.pending(),
-                    "apply_lag": self.cdc_applier.lag(),
-                    "applied_rows": self.cdc_applier.applied_rows,
-                    # Write→visible freshness: worst latency ever / last pass.
-                    "max_latency_s": round(self.cdc_applier.max_latency_s, 6),
-                    "last_latency_s": round(self.cdc_applier.last_latency_s, 6),
-                    "breaker": (
-                        self.cdc_applier.breaker.state
-                        if self.cdc_applier.breaker is not None else None
-                    ),
-                    "quarantined_batches": len(self.cdc_applier.quarantined),
-                }
-            )
-        fts: dict[str, Any] = {"enabled": self.config.storage.fts_enabled}
-        if self.fts_index is not None and self.fts_indexer is not None:
-            fts.update(self.fts_index.stats())
-            fts["lag"] = self.fts_indexer.lag()
+        cdc = {
+            "wal_lsn": self.database.wal_lsn(),
+            "published_lsn": self.cdc_publisher.cursor,
+            "pending_records": self.cdc_publisher.pending(),
+            "apply_lag": self.cdc_applier.lag(),
+            "applied_rows": self.cdc_applier.applied_rows,
+            # Write→visible freshness: worst latency ever / last pass.
+            "max_latency_s": round(self.cdc_applier.max_latency_s, 6),
+            "last_latency_s": round(self.cdc_applier.last_latency_s, 6),
+            "breaker": self.cdc_applier.breaker.state,
+            "quarantined_batches": len(self.cdc_applier.quarantined),
+        }
+        fts = {**self.fts_index.stats(), "lag": self.fts_indexer.lag()}
         return {
             "articles": self.database.table("articles").row_count(),
             "posts": self.database.table("posts").row_count(),

@@ -515,6 +515,3 @@ class TableFtsIndex:
 
     def match_row_ids(self, query: str) -> set[int]:
         return self._index.match_ids(query)
-
-    def search(self, query: str, limit: int | None = None) -> list[tuple[int, float]]:
-        return self._index.search(query, limit)

@@ -18,11 +18,11 @@ everything CDC cannot do by construction:
   cost and restoring the clustered layout that scans prune best.
 
 The job is also the scheduled owner of the warehouse's **materialized
-roll-ups** (:mod:`repro.storage.warehouse.rollups`): after a backfill (and
-after a compaction rewrite) it refreshes every registered roll-up, which
-re-aggregates only the partitions whose block identity actually changed —
-landed delta blocks are part of that identity, so roll-ups consume CDC
-deltas for free.
+roll-ups** (:mod:`repro.storage.warehouse.rollups`):
+:meth:`MigrationJob.refresh_standing_rollups` — which every compaction pass
+ends with, and the platform calls once a CDC drain has landed — re-aggregates
+only the partitions whose block identity actually changed.  Landed delta
+blocks are part of that identity, so roll-ups consume CDC deltas for free.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from .cdc import TableMapping
 from .rdbms.database import Database
 from .rdbms.expressions import col
 from .warehouse.warehouse import Warehouse
-
-#: Backwards-compatible alias — the mapping now lives with the CDC pipeline,
-#: which shares it (same transforms for bootstrap copies and delta messages).
-_TableMapping = TableMapping
 
 logger = get_logger("storage.migration")
 
@@ -73,15 +69,16 @@ class MigrationReport:
 
     run_at: datetime
     migrated_rows: dict[str, int] = field(default_factory=dict)
-    #: RDBMS tables that were (re)copied wholesale this run — their warehouse
-    #: tables were empty (or a full refresh was forced).
+    #: RDBMS tables that were copied wholesale this run — their warehouse
+    #: tables were empty.
     bootstrapped: tuple[str, ...] = ()
     #: The database's WAL LSN captured when the copy started.  When *every*
     #: registered table bootstrapped, the CDC cursor can skip to this LSN:
     #: the copied rows already reflect all mutations up to it.
     cursor_lsn: int = 0
     #: Materialized roll-up name → number of partitions re-aggregated by the
-    #: post-migration refresh (only roll-ups where something changed appear).
+    #: refresh that followed the CDC drain (only roll-ups where something
+    #: changed appear; filled in by the platform's migration job).
     rollups_refreshed: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -139,7 +136,6 @@ class MigrationJob:
         database: Database,
         warehouse: Warehouse,
         compaction_min_blocks: int = 8,
-        refresh_rollups: bool = True,
     ) -> None:
         if compaction_min_blocks < 2:
             raise StorageError("compaction_min_blocks must be >= 2")
@@ -149,10 +145,6 @@ class MigrationJob:
         #: scheduled compaction pass — once it holds this many blocks.
         #: (Partitions with outstanding CDC deltas are always folded.)
         self.compaction_min_blocks = compaction_min_blocks
-        #: Refresh the warehouse's registered materialized roll-ups after each
-        #: backfill / compaction pass (incremental: only changed partitions
-        #: are re-aggregated; a no-op when nothing is registered).
-        self.refresh_rollups = refresh_rollups
         self._mappings: list[TableMapping] = []
         #: Newest timestamp-column value known to be visible in the warehouse,
         #: per RDBMS table (fed by bootstrap copies and by the CDC applier via
@@ -216,24 +208,18 @@ class MigrationJob:
             )
         )
 
-    def run(
-        self,
-        now: datetime | None = None,
-        compact: bool = False,
-        full_refresh: bool = False,
-    ) -> MigrationReport:
+    def run(self, now: datetime | None = None, compact: bool = False) -> MigrationReport:
         """Bootstrap-backfill registered tables and return a report.
 
         Each registered table whose warehouse table is still **empty** is
         copied wholesale — the seed the CDC delta stream merges against.
         Tables that already hold rows are left alone: their increments arrive
         as deltas (:mod:`repro.storage.cdc`), not as copies.  With
-        ``full_refresh=True`` every table is dropped and re-copied (the
-        batch fallback when CDC is disabled).  With ``compact=True`` a
-        compaction pass (:meth:`run_compaction`) follows, so one scheduled
-        job keeps the warehouse both folded and defragmented.  Registered
-        materialized roll-ups are refreshed incrementally afterwards (see
-        :attr:`refresh_rollups`).
+        ``compact=True`` a compaction pass (:meth:`run_compaction`) follows,
+        so one scheduled job keeps the warehouse both folded and
+        defragmented.  The copy itself does not refresh the materialized
+        roll-ups (they read through to the live scan until
+        :meth:`refresh_standing_rollups` or a compaction pass runs).
         """
         now = now or _utcnow()
         cursor_lsn = self.database.wal_lsn()
@@ -242,10 +228,7 @@ class MigrationJob:
 
         for mapping in self._mappings:
             table = self.warehouse.table(mapping.warehouse_table)
-            if full_refresh:
-                for partition in list(table.partitions()):
-                    table.drop_partition(partition)
-            elif table.row_count() > 0:
+            if table.row_count() > 0:
                 migrated[mapping.rdbms_table] = 0
                 continue
             rows = self.database.query(mapping.rdbms_table).execute().rows
@@ -261,15 +244,9 @@ class MigrationJob:
             if stamps:
                 self.note_synced(mapping.rdbms_table, max(stamps))
 
-        rollups_refreshed: dict[str, int] = {}
-        if self.refresh_rollups and not compact:
-            # With compact=True the refresh runs once, after the rewrite —
-            # re-aggregating partitions that compaction is about to replace
-            # would be wasted work.
-            rollups_refreshed = self._refresh_registered_rollups()
         report = MigrationReport(
             run_at=now, migrated_rows=migrated, bootstrapped=tuple(bootstrapped),
-            cursor_lsn=cursor_lsn, rollups_refreshed=rollups_refreshed,
+            cursor_lsn=cursor_lsn,
         )
         self.history.append(report)
         if compact:
@@ -291,7 +268,7 @@ class MigrationJob:
             if report.changed
         }
 
-    # Backwards-compatible internal alias.
+    # benchmarks/e2e/layers.py wraps the refresh under both names; keep them.
     _refresh_registered_rollups = refresh_standing_rollups
 
     def run_compaction(
@@ -334,11 +311,10 @@ class MigrationJob:
                 )
                 continue
             compacted.update(result)
-        rollups_refreshed: dict[str, int] = {}
-        if self.refresh_rollups:
-            rollups_refreshed = self._refresh_registered_rollups()
         report = CompactionReport(
-            run_at=now, compacted=compacted, rollups_refreshed=rollups_refreshed
+            run_at=now,
+            compacted=compacted,
+            rollups_refreshed=self._refresh_registered_rollups(),
         )
         self.compaction_history.append(report)
         return report

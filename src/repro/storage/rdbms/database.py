@@ -170,9 +170,9 @@ class Database:
         """Collect planner statistics (ANALYZE) for one table or all of them.
 
         Returns the fresh :class:`~.stats.TableStats` snapshots by table
-        name.  Explicit analysis is only needed when the database was built
-        with ``StatsPolicy(auto_analyze=False)`` — by default the planner
-        re-analyzes stale tables transparently at plan time.
+        name.  Explicit analysis is never required — the planner re-analyzes
+        a table with missing or stale statistics transparently at plan time —
+        but it moves that cost off the first query after a bulk load.
         """
         names = [table_name] if table_name is not None else self.table_names()
         return {name: self.table(name).analyze() for name in names}

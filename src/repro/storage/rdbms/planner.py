@@ -10,11 +10,8 @@ ordered most-selective-first — costs each one, and probes only the steps of
 the cheapest.  ``Query.explain()`` reports the chosen plan together with the
 considered-but-rejected alternatives.
 
-When statistics are missing or stale and the table's
-:class:`~.stats.StatsPolicy` does not auto-analyze, the planner degrades to
-the historical heuristic — intersect *every* usable index — which is always
-correct, just not cost-ranked (``AccessPlan.stats_mode`` tells which mode
-produced the plan).
+Statistics are always available at plan time: a table whose snapshot is
+missing or stale re-analyzes on the spot (:meth:`Table.planning_stats`).
 
 Access paths
 ------------
@@ -98,11 +95,9 @@ ORDER_SORT = "sort"
 ORDER_TOP_K = "top-k"
 ORDER_INDEX = "index-ordered"
 
-#: How the plan was produced: no indexable constraints at all, the heuristic
-#: intersect-everything fallback (statistics missing/stale, auto-analyze
-#: off), or the statistics-driven cost model.
+#: How the plan was produced: no indexable constraints at all, or the
+#: statistics-driven cost model.
 STATS_NONE = "none"
-STATS_HEURISTIC = "heuristic"
 STATS_COST = "cost"
 
 # Cost model units: examining one stored row during the residual predicate
@@ -237,28 +232,24 @@ class _Step:
     probe: Callable[[], set[int]]
 
 
-def _column_stats(stats: TableStats | None, column: str):
-    return stats.column(column) if stats is not None else None
-
-
-def _est_eq(stats: TableStats | None, column: str, value: Any, total: int) -> float:
-    cs = _column_stats(stats, column)
+def _est_eq(stats: TableStats, column: str, value: Any, total: int) -> float:
+    cs = stats.column(column)
     if cs is None:
         return DEFAULT_EQ_SELECTIVITY * total
     return cs.eq_rows(value)
 
 
-def _est_in(stats: TableStats | None, column: str, values: tuple, total: int) -> float:
-    cs = _column_stats(stats, column)
+def _est_in(stats: TableStats, column: str, values: tuple, total: int) -> float:
+    cs = stats.column(column)
     if cs is None:
         return min(float(total), DEFAULT_EQ_SELECTIVITY * total * len(values))
     return cs.in_rows(values)
 
 
 def _est_range(
-    stats: TableStats | None, column: str, interval: RangeConstraint, total: int
+    stats: TableStats, column: str, interval: RangeConstraint, total: int
 ) -> float:
-    cs = _column_stats(stats, column)
+    cs = stats.column(column)
     if cs is None:
         return DEFAULT_RANGE_SELECTIVITY * total
     return cs.range_rows(
@@ -269,8 +260,8 @@ def _est_range(
     )
 
 
-def _est_prefix(stats: TableStats | None, column: str, prefix: str, total: int) -> float:
-    cs = _column_stats(stats, column)
+def _est_prefix(stats: TableStats, column: str, prefix: str, total: int) -> float:
+    cs = stats.column(column)
     if cs is None:
         return DEFAULT_PREFIX_SELECTIVITY * total
     return cs.prefix_rows(prefix)
@@ -303,7 +294,7 @@ def _prefix_probe(index: SortedIndex, prefix: str) -> set[int]:
 def _union_step(
     table: "Table",
     atoms: list[BranchAtom],
-    stats: TableStats | None,
+    stats: TableStats,
     total: int,
 ) -> _Step | None:
     """Build the indexed-union step of one OR conjunct (``None`` when any
@@ -369,7 +360,7 @@ def _union_step(
 def _discover_steps(
     table: "Table",
     constraints: PredicateConstraints,
-    stats: TableStats | None,
+    stats: TableStats,
     total: int,
 ) -> list[_Step]:
     """Every index-answerable conjunct as a candidate step with an estimate."""
@@ -452,25 +443,6 @@ def _discover_steps(
 
 def _single_or_intersect(kinds: set[str], count: int) -> str:
     return kinds.copy().pop() if len(kinds) == 1 and count == 1 else INDEX_INTERSECT
-
-
-def _heuristic_plan(steps: list[_Step]) -> AccessPlan:
-    """The historical plan: probe and intersect *every* usable step."""
-    candidate: set[int] | None = None
-    labels: list[str] = []
-    kinds: set[str] = set()
-    for step in steps:
-        matches = step.probe()
-        candidate = matches if candidate is None else candidate & matches
-        labels.append(step.label)
-        kinds.add(step.kind)
-    assert candidate is not None
-    return AccessPlan(
-        path=_single_or_intersect(kinds, len(labels)),
-        steps=tuple(labels),
-        row_ids=candidate,
-        stats_mode=STATS_HEURISTIC,
-    )
 
 
 def _cost_plan(steps: list[_Step], total: int) -> AccessPlan:
@@ -558,10 +530,10 @@ def _cost_plan(steps: list[_Step], total: int) -> AccessPlan:
 def plan_access(table: "Table", predicate: Any) -> AccessPlan:
     """Choose an access path for ``predicate`` against ``table``.
 
-    With fresh statistics (see :meth:`Table.planning_stats`) the cost model
-    picks the cheapest subset of index-answerable conjuncts; without them it
-    degrades to intersecting every usable index.  Either way the candidate
-    set is a superset of the true matches and the executor re-checks.
+    The cost model picks the cheapest subset of index-answerable conjuncts
+    from the table's statistics (see :meth:`Table.planning_stats`).  The
+    candidate set is a superset of the true matches and the executor
+    re-checks.
     """
     if not isinstance(predicate, Expression):
         return AccessPlan()
@@ -574,8 +546,6 @@ def plan_access(table: "Table", predicate: Any) -> AccessPlan:
     steps = _discover_steps(table, constraints, stats, total)
     if not steps:
         return AccessPlan()
-    if stats is None:
-        return _heuristic_plan(steps)
     return _cost_plan(steps, total)
 
 

@@ -10,9 +10,8 @@ of indexes instead of blindly intersecting every usable one.
 Statistics are a snapshot: :meth:`~repro.storage.rdbms.table.Table.analyze`
 builds a :class:`TableStats`, and the table counts subsequent writes.  Once
 the write counter passes the staleness threshold of the table's
-:class:`StatsPolicy` the snapshot is considered stale; with ``auto_analyze``
-enabled the next plan re-analyzes transparently, otherwise the planner
-degrades to the historical heuristic plan (intersect every usable index).
+:class:`StatsPolicy` the snapshot is considered stale and the next plan
+re-analyzes transparently.
 Estimates are *advisory only* — the executor re-evaluates the predicate on
 every candidate row, so a wildly wrong histogram can cost time, never
 correctness.
@@ -38,10 +37,6 @@ DEFAULT_MATCH_SELECTIVITY = 0.1
 class StatsPolicy:
     """How a table builds and refreshes its planner statistics."""
 
-    #: Re-analyze transparently at plan time when statistics are missing or
-    #: stale.  Disabled, stale/missing statistics degrade the planner to the
-    #: heuristic intersect-every-index plan (same results, no cost choice).
-    auto_analyze: bool = True
     #: Statistics count as stale once writes since the last analyze exceed
     #: this fraction of the analyzed row count (see also ``min_stale_writes``).
     stale_fraction: float = 0.2

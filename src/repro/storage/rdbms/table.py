@@ -32,8 +32,8 @@ class Table:
     The table also owns its planner statistics (:mod:`.stats`): every write
     bumps a staleness counter, :meth:`analyze` snapshots per-column
     histograms/NDV over the indexed columns, and :meth:`planning_stats`
-    hands the planner a fresh snapshot (re-analyzing on demand when the
-    :class:`~.stats.StatsPolicy` allows it).
+    hands the planner a fresh snapshot (re-analyzing on demand once the
+    :class:`~.stats.StatsPolicy` staleness threshold is passed).
     """
 
     def __init__(self, schema: TableSchema, stats_policy: StatsPolicy | None = None) -> None:
@@ -339,19 +339,12 @@ class Table:
         threshold = self.stats_policy.stale_threshold(self._stats.row_count)
         return "stale" if self._writes_since_analyze > threshold else "fresh"
 
-    def planning_stats(self) -> TableStats | None:
-        """Statistics the planner may rely on right now.
-
-        Fresh snapshots are returned as-is; missing/stale ones trigger a
-        transparent re-analyze when the policy auto-analyzes, and otherwise
-        return ``None`` — degrading the planner to the heuristic plan.
-        """
-        state = self.stats_state()
-        if state == "fresh":
+    def planning_stats(self) -> TableStats:
+        """Statistics the planner may rely on right now: the fresh snapshot,
+        or a transparent re-analyze when it is missing or stale."""
+        if self.stats_state() == "fresh":
             return self._stats
-        if self.stats_policy.auto_analyze:
-            return self.analyze()
-        return None
+        return self.analyze()
 
     # ------------------------------------------------------------- internals
 

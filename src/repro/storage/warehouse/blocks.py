@@ -4,40 +4,27 @@ Rows are grouped into blocks; inside a block each column is stored as its own
 array together with min/max/null statistics, enabling column pruning and
 predicate push-down during scans.
 
-Blocks serialise to a **versioned** byte format (the full wire layout is
-documented in ``docs/warehouse-format.md``):
+Blocks serialise to one **versioned** byte format, format 4 (the full wire
+layout is documented in ``docs/warehouse-format.md``): ``RWB4`` magic + a
+codec byte + the block payload, zlib-compressed on the wire by default.  The
+payload itself is a small JSON header (statistics, sort key, per-column
+encoding specs) followed by a binary body holding the bulk column data as
+fixed-width typed arrays: dictionary codes and integer columns as
+narrowest-fitting signed integers, float columns as C doubles.  The expensive
+part of decode (``zlib.decompress`` plus ``array.frombytes``) runs outside the
+GIL, so executor workers genuinely overlap block decode — not just DFS fetch
+latency — during parallel scans.  Incompressible payloads fall back to a
+stored (uncompressed) codec rather than growing on the wire.
 
-* **Format 4** (current) frames the whole block as ``RWB4`` magic + a codec
-  byte + the block payload, zlib-compressed on the wire by default.  The
-  payload itself is a small JSON header (statistics, sort key, per-column
-  encoding specs) followed by a binary body holding the bulk column data as
-  fixed-width typed arrays: dictionary codes and integer columns as
-  narrowest-fitting signed integers, float columns as C doubles.  Two wins
-  over format 3: the wire shrinks by the zlib ratio, and the expensive part
-  of decode (``zlib.decompress`` plus ``array.frombytes``) runs outside the
-  GIL, so executor workers genuinely overlap block decode — not just DFS
-  fetch latency — during parallel scans.  Incompressible payloads fall back
-  to a stored (uncompressed) codec rather than growing on the wire.
-* **Format 3** adds two things on top of format 2:
-
-  - an optional **sort key**: rows may be sorted by one or more columns before
-    encoding, and the applied key is recorded in the payload.  Sorted blocks
-    have tight, often disjoint zone maps on the sort column and support
-    binary-search range filtering (:func:`sorted_range`) instead of a full
-    column pass.
-  - **run-length encoding** for sorted / low-change columns: a column whose
-    equal values cluster into few runs is stored as ``[count, value]`` pairs.
-
-* **Format 2** encodes each column as a whole unit rather than value-at-a-time.
-  Low-cardinality columns are dictionary-encoded (distinct values once, plus an
-  integer code per row), timestamp columns are encoded as one ISO-string array,
-  and plain JSON-safe columns are stored as-is with no per-value transform.
-  Dictionary codes are type-tagged while encoding so ``1``, ``1.0`` and
-  ``True`` never collapse onto one dictionary slot.
-* **Format 1** (the seed format: ``{"n_rows", "columns", "stats"}`` with
-  per-value ``{"__ts__": ...}`` timestamp wrappers) is still read by
-  :meth:`ColumnarBlock.from_bytes`, so blocks written before the format bumps
-  keep deserialising.
+Per column the header picks an encoding: **run-length** (``[count, value]``
+pairs) for sorted / low-change columns, **dictionary** (distinct values once,
+plus an integer code per row) for low-cardinality ones — codes are type-tagged
+while encoding so ``1``, ``1.0`` and ``True`` never collapse onto one slot —
+whole-column **int/float** segments, and header-resident ``typed`` (timestamps
+as ISO strings) / ``plain`` arrays for everything else.  Rows may be sorted by
+a **sort key** before encoding; sorted blocks have tight, often disjoint zone
+maps on the sort column and support binary-search range filtering
+(:func:`sorted_range`) instead of a full column pass.
 
 The column arrays inside a decoded block (``ColumnarBlock.columns``) are the
 unit of vectorised execution: :mod:`repro.storage.warehouse.warehouse` builds
@@ -60,11 +47,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ...errors import WarehouseError
 
-#: Current serialisation format version (legacy blocks carry no version key).
+#: The serialisation format version; the only one read or written.
 BLOCK_FORMAT_VERSION = 4
 
-#: Leading magic of the format-4 wire frame; legacy formats (1-3) are bare
-#: JSON and therefore start with ``{``, so the two never collide.
+#: Leading magic of the format-4 wire frame.
 WIRE_MAGIC = b"RWB4"
 
 #: Codec byte following the magic: zlib-compressed or stored payload.
@@ -198,27 +184,18 @@ def _rle_runs(values: list[Any]) -> list[list[Any]] | None:
     return runs
 
 
-def _decode_dictionary(
-    spec: dict[str, Any]
-) -> tuple[list[Any], list[int | None]]:
-    """Decoded ``(values, codes)`` of a ``dict``-encoded column spec."""
-    return [_decode_value(v) for v in spec["values"]], spec["codes"]
-
-
 def _expand_dictionary(values: list[Any], codes: list[int | None]) -> list[Any]:
     """Materialise a dictionary column back into its per-row value array."""
     return [None if code is None else values[code] for code in codes]
 
 
 def _decode_column(spec: dict[str, Any]) -> list[Any]:
-    """Decode one format-2/3 column specification back into a value array."""
+    """Decode one header-resident column specification into a value array."""
     enc = spec.get("enc")
     if enc == "plain":
         return list(spec["data"])
     if enc == "typed":
         return [_decode_value(v) for v in spec["data"]]
-    if enc == "dict":
-        return _expand_dictionary(*_decode_dictionary(spec))
     if enc == "rle":
         out: list[Any] = []
         for count, value in spec["runs"]:
@@ -287,20 +264,14 @@ def unwrap_payload(data: bytes) -> bytes:
 
 
 def wire_payload(data: bytes) -> dict[str, Any]:
-    """Decoded JSON header/payload of a block in any wire format.
+    """Decoded JSON header of a block's wire frame.
 
-    Introspection helper for tests, tools and storage statistics.  Legacy
-    formats (1-3) are bare JSON, so this is the whole payload; for format-4
-    frames it is the payload *header* — body-backed columns reference their
-    binary segment through a ``seg`` spec instead of inlining values.
+    Introspection helper for tests, tools and storage statistics.
+    Body-backed columns reference their binary segment through a ``seg``
+    spec instead of inlining values.
     """
-    if data[:4] == WIRE_MAGIC:
-        header, _base = _split_payload(unwrap_payload(data))
-        return header
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise WarehouseError(f"corrupt block data: {exc}") from exc
+    header, _base = _split_payload(unwrap_payload(data))
+    return header
 
 
 def _split_payload(payload: bytes) -> tuple[dict[str, Any], int]:
@@ -526,9 +497,10 @@ class ColumnarBlock:
     """One block of a warehouse table: column arrays + per-column statistics.
 
     ``sort_key`` names the columns the rows are physically sorted by (``None``
-    when unsorted); ``dictionaries`` maps dictionary-encoded column names to
-    their ``(values, codes)`` pair as read off the wire, giving aggregation a
-    code-level fast path (it is empty for blocks built straight from rows).
+    when unsorted); ``dictionaries`` caches the ``(values, codes)`` pair of
+    each dictionary-encoded column :meth:`dictionary` has resolved off the
+    wire, giving aggregation a code-level fast path (it stays empty for
+    blocks built straight from rows).
     ``role`` distinguishes ordinary ``"base"`` blocks from CDC ``"delta"``
     blocks (row versions merged into the base at read time); it rides in the
     JSON header, leaving the format-4 wire layout unchanged.
@@ -573,10 +545,16 @@ class ColumnarBlock:
         stats: dict[str, dict[str, Any]] = {}
         for name, values in columns.items():
             comparable = _comparable(values)
+            low = high = None
+            if comparable:
+                try:
+                    low, high = min(comparable), max(comparable)
+                except TypeError:  # same-typed but unordered values (dicts)
+                    pass
             stats[name] = {
                 "nulls": sum(1 for v in values if v is None),
-                "min": min(comparable) if comparable else None,
-                "max": max(comparable) if comparable else None,
+                "min": low,
+                "max": high,
             }
         return cls(
             columns=columns, n_rows=len(rows), stats=stats, sort_key=applied, role=role
@@ -692,96 +670,65 @@ class ColumnarBlock:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ColumnarBlock":
-        """Deserialise a block in the current *or* any legacy format."""
-        if data[:4] == WIRE_MAGIC:
-            payload_bytes = unwrap_payload(data)
-            header, base = _split_payload(payload_bytes)
-            stats = {
-                name: {key: _decode_value(value) for key, value in stat.items()}
-                for name, stat in header.get("stats", {}).items()
-            }
-            sort_key = header.get("sort_key")
-
-            # Columns materialise lazily: each loader closes over the payload
-            # bytes and its header spec, so a scan touching two columns never
-            # expands the rest.  Dictionary columns share one cached
-            # ``(values, codes)`` pair between :meth:`dictionary` (the grouped
-            # fast path) and the expanded value array.
-            column_loaders: dict[str, Callable[[], list[Any]]] = {}
-            dict_loaders: dict[str, Callable[[], tuple[list[Any], Sequence[int | None]]]] = {}
-            block_cell: list[ColumnarBlock] = []
-
-            def make_loaders(name: str, spec: dict[str, Any]) -> Callable[[], list[Any]]:
-                enc = spec.get("enc")
-                if enc == "dict":
-                    def load_pair() -> tuple[list[Any], Sequence[int | None]]:
-                        values = [_decode_value(v) for v in spec["values"]]
-                        if "seg" in spec:
-                            arr = _read_segment(spec["seg"], payload_bytes, base)
-                            # -1 codes mark nulls (flagged at write time); a
-                            # null-free array is kept as-is — grouping hashes
-                            # its small ints directly.
-                            codes: Sequence[int | None] = (
-                                [None if c < 0 else c for c in arr]
-                                if spec.get("has_nulls") else arr
-                            )
-                        else:  # header-resident dictionary (hand-built payloads)
-                            codes = spec["codes"]
-                        return values, codes
-
-                    dict_loaders[name] = load_pair
-                    return lambda: _expand_dictionary(*block_cell[0].dictionary(name))
-                if enc in ("int", "float"):
-                    def load_numeric() -> list[Any]:
-                        decoded = list(_read_segment(spec["seg"], payload_bytes, base))
-                        for position in spec.get("nulls", ()):
-                            decoded[position] = None
-                        return decoded
-
-                    return load_numeric
-                return lambda: _decode_column(spec)
-
-            for name, spec in header["columns"].items():
-                column_loaders[name] = make_loaders(name, spec)
-            block = cls(
-                columns=_LazyColumns(column_loaders),
-                n_rows=int(header["n_rows"]),
-                stats=stats,
-                sort_key=tuple(sort_key) if sort_key else None,
-                role=str(header.get("role", "base")),
-                _dict_loaders=dict_loaders,
+        """Deserialise a format-4 wire frame (anything else is rejected)."""
+        payload_bytes = unwrap_payload(data)
+        header, base = _split_payload(payload_bytes)
+        if header.get("format") != BLOCK_FORMAT_VERSION:
+            raise WarehouseError(
+                f"unsupported block format {header.get('format')!r} "
+                f"(only format {BLOCK_FORMAT_VERSION} is read)"
             )
-            block_cell.append(block)
-            return block
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise WarehouseError(f"corrupt block data: {exc}") from exc
-        dictionaries: dict[str, tuple[list[Any], list[int | None]]] = {}
-        if payload.get("format", 1) >= 2:
-            columns: dict[str, list[Any]] = {}
-            for name, spec in payload["columns"].items():
-                if spec.get("enc") == "dict":
-                    values, codes = _decode_dictionary(spec)
-                    dictionaries[name] = (values, codes)
-                    columns[name] = _expand_dictionary(values, codes)
-                else:
-                    columns[name] = _decode_column(spec)
-        else:
-            columns = {
-                name: [_decode_value(v) for v in values]
-                for name, values in payload["columns"].items()
-            }
         stats = {
             name: {key: _decode_value(value) for key, value in stat.items()}
-            for name, stat in payload.get("stats", {}).items()
+            for name, stat in header.get("stats", {}).items()
         }
-        sort_key = payload.get("sort_key")
-        return cls(
-            columns=columns,
-            n_rows=int(payload["n_rows"]),
+        sort_key = header.get("sort_key")
+
+        # Columns materialise lazily: each loader closes over the payload
+        # bytes and its header spec, so a scan touching two columns never
+        # expands the rest.  Dictionary columns share one cached
+        # ``(values, codes)`` pair between :meth:`dictionary` (the grouped
+        # fast path) and the expanded value array.
+        column_loaders: dict[str, Callable[[], list[Any]]] = {}
+        dict_loaders: dict[str, Callable[[], tuple[list[Any], Sequence[int | None]]]] = {}
+        block_cell: list[ColumnarBlock] = []
+
+        def make_loaders(name: str, spec: dict[str, Any]) -> Callable[[], list[Any]]:
+            enc = spec.get("enc")
+            if enc == "dict":
+                def load_pair() -> tuple[list[Any], Sequence[int | None]]:
+                    values = [_decode_value(v) for v in spec["values"]]
+                    arr = _read_segment(spec["seg"], payload_bytes, base)
+                    # -1 codes mark nulls (flagged at write time); a
+                    # null-free array is kept as-is — grouping hashes its
+                    # small ints directly.
+                    codes: Sequence[int | None] = (
+                        [None if c < 0 else c for c in arr]
+                        if spec.get("has_nulls") else arr
+                    )
+                    return values, codes
+
+                dict_loaders[name] = load_pair
+                return lambda: _expand_dictionary(*block_cell[0].dictionary(name))
+            if enc in ("int", "float"):
+                def load_numeric() -> list[Any]:
+                    decoded = list(_read_segment(spec["seg"], payload_bytes, base))
+                    for position in spec.get("nulls", ()):
+                        decoded[position] = None
+                    return decoded
+
+                return load_numeric
+            return lambda: _decode_column(spec)
+
+        for name, spec in header["columns"].items():
+            column_loaders[name] = make_loaders(name, spec)
+        block = cls(
+            columns=_LazyColumns(column_loaders),
+            n_rows=int(header["n_rows"]),
             stats=stats,
             sort_key=tuple(sort_key) if sort_key else None,
-            role=str(payload.get("role", "base")),
-            dictionaries=dictionaries,
+            role=str(header.get("role", "base")),
+            _dict_loaders=dict_loaders,
         )
+        block_cell.append(block)
+        return block

@@ -421,7 +421,6 @@ class TestServingConfig:
             {"admission_rate_per_s": 0.0},
             {"admission_burst": 0.0},
             {"max_concurrency": 0},
-            {"async_workers": 0},
             {"route_cost_weights": (("articles.list", 0.0),)},
             {"route_cost_weights": (("", 2.0),)},
             {"default_route_cost": 0.0},

@@ -1,5 +1,7 @@
 """Tests for the platform configuration objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -7,6 +9,7 @@ from repro.config import (
     ApiConfig,
     IndicatorConfig,
     PlatformConfig,
+    ServingConfig,
     StorageConfig,
     StreamingConfig,
 )
@@ -28,38 +31,18 @@ def test_streaming_config_rejects_bad_partitions():
 def test_storage_config_rejects_bad_replication():
     with pytest.raises(ConfigurationError):
         StorageConfig(warehouse_replication=0).validate()
-    with pytest.raises(ConfigurationError):
-        StorageConfig(warehouse_block_rows=0).validate()
 
 
 def test_storage_config_rollup_knobs():
-    # Defaults: standing roll-ups on, materialized for the paper's topic.
+    # Default: the standing topic roll-up is materialized for the paper's topic.
     config = StorageConfig()
     config.validate()
-    assert config.warehouse_rollups_enabled is True
     assert config.warehouse_rollup_topic == "covid19"
-    StorageConfig(warehouse_rollups_enabled=False).validate()
     with pytest.raises(ConfigurationError):
         StorageConfig(warehouse_rollup_topic="").validate()
 
 
-def test_storage_config_planner_stats_knobs():
-    config = StorageConfig()
-    config.validate()
-    assert config.rdbms_auto_analyze is True
-    assert config.rdbms_histogram_buckets >= 1
-    StorageConfig(rdbms_auto_analyze=False).validate()
-    with pytest.raises(ConfigurationError):
-        StorageConfig(rdbms_stale_fraction=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        StorageConfig(rdbms_min_stale_writes=-1).validate()
-    with pytest.raises(ConfigurationError):
-        StorageConfig(rdbms_histogram_buckets=0).validate()
-
-
 def test_analytics_config_rejects_bad_values():
-    with pytest.raises(ConfigurationError):
-        AnalyticsConfig(migration_interval_days=0).validate()
     with pytest.raises(ConfigurationError):
         AnalyticsConfig(min_topic_probability=1.5).validate()
 
@@ -86,3 +69,32 @@ def test_nested_validation_runs_from_platform_config():
     config = PlatformConfig(streaming=StreamingConfig(partitions=0))
     with pytest.raises(ConfigurationError):
         config.validate()
+
+
+def test_config_sections_hold_exactly_the_documented_fields():
+    # The platform runs in one storage mode and components own their tunables,
+    # so the config is deployment settings and policy only.  A new field has to
+    # be argued for here (and in the config.py docstring), not slipped in.
+    documented = {
+        StreamingConfig: ["postings_topic", "reactions_topic", "partitions", "max_batch_size"],
+        StorageConfig: [
+            "data_dir", "warehouse_replication", "warehouse_rollup_topic",
+            "warehouse_degraded_reads", "cdc_skip_poisoned",
+        ],
+        AnalyticsConfig: ["topic_tree_depth", "topic_branching", "min_topic_probability"],
+        IndicatorConfig: [
+            "content_weight", "context_weight", "social_weight", "expert_weight",
+            "expert_half_life_days",
+        ],
+        ApiConfig: ["cache_capacity", "cache_ttl_seconds"],
+        ServingConfig: [
+            "shards", "ring_replicas", "admission_rate_per_s", "admission_burst",
+            "max_concurrency", "route_cost_weights", "default_route_cost",
+        ],
+    }
+    for section, names in documented.items():
+        assert [f.name for f in dataclasses.fields(section)] == names
+    assert [f.name for f in dataclasses.fields(PlatformConfig)] == [
+        "streaming", "storage", "analytics", "indicators", "api", "serving", "random_seed",
+    ]
+    assert sum(map(len, documented.values())) + 1 == 27

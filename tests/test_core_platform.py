@@ -128,6 +128,30 @@ class TestAnalyticsJobs:
         # High-quality articles cite scientific sources more (Figure 5 right).
         assert not insights.evidence_seeking.low_mean_higher()
 
+    def test_two_reviews_of_one_day_share_a_block(self):
+        # Regression: ``scores`` is a dict column; two of them in one block
+        # used to crash the zone-map min/max (dicts are same-typed, unordered).
+        from repro import SciLensPlatform
+
+        platform = SciLensPlatform()
+        day = datetime(2020, 3, 14, 9)
+        reviews = [
+            ExpertReview(
+                review_id=f"rev-{reviewer}", article_id="a0", reviewer_id=reviewer,
+                created_at=day.replace(hour=hour), scores={"factual_accuracy": score},
+            )
+            for reviewer, hour, score in (("e1", 9, 4), ("e2", 17, 2))
+        ]
+        for review in reviews:
+            platform.add_expert_review(review)
+        # Both land in one delta block of the day's partition ...
+        assert platform.process_cdc()["applied_tables"]["reviews"] == 2
+        platform.run_warehouse_compaction()  # ... and fold into one base block
+        table = platform.warehouse.table("reviews")
+        stored = {row["review_id"]: row["scores"] for row in table.scan()}
+        assert stored == {review.review_id: dict(review.scores) for review in reviews}
+        assert table.block_count() == 1
+
     def test_topic_insights_require_articles(self):
         from repro import PlatformConfig, SciLensPlatform
 

@@ -159,5 +159,5 @@ class TestEndToEnd:
         )
         assert platform.warehouse.total_rows() == operational_rows
         assert total_migrated >= operational_rows
-        assert status["cdc"]["enabled"] and status["cdc"]["pending_records"] == 0
+        assert status["cdc"]["pending_records"] == 0
         assert platform.article_count() <= platform.warehouse.total_rows()

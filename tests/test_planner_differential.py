@@ -1,14 +1,12 @@
 """Property-based differential tests for the cost-based query planner.
 
-Three tables hold identical rows and differ only in how the planner may
+Two tables hold identical rows and differ only in how the planner may
 touch them:
 
 * **plain** — no secondary indexes: every query is a forced full scan, the
   executor evaluates the predicate row by row.  This is the oracle.
-* **cost** — indexed, with fresh statistics (``auto_analyze`` on): the
+* **cost** — indexed, statistics re-analyzed whenever they go stale: the
   planner estimates selectivities and picks the cheapest access path.
-* **heuristic** — indexed, statistics disabled (``auto_analyze`` off): the
-  planner degrades to the historical intersect-every-index plan.
 
 Whatever access path the cost model picks — an index probe, a union, a
 LIKE-prefix range, or rejecting every index — the rows returned must be
@@ -26,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.rdbms.expressions import col
-from repro.storage.rdbms.planner import STATS_COST, STATS_HEURISTIC
+from repro.storage.rdbms.planner import STATS_COST
 from repro.storage.rdbms.query import Query
 from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.stats import StatsPolicy
@@ -51,20 +49,22 @@ SCHEMA = TableSchema(
 )
 
 
+def create_indexes(table):
+    table.create_index("category", kind="hash")
+    table.create_index("reactions", kind="sorted")
+    table.create_index("domain", kind="sorted")
+    table.create_index("score", kind="sorted")
+
+
 def build_tables(rows):
-    """(plain, cost, heuristic) tables holding identical ``rows``."""
+    """(plain, cost) tables holding identical ``rows``."""
     plain = Table(SCHEMA)
-    cost = Table(SCHEMA, stats_policy=StatsPolicy(auto_analyze=True, min_stale_writes=8))
-    heuristic = Table(SCHEMA, stats_policy=StatsPolicy(auto_analyze=False))
-    for table in (plain, cost, heuristic):
+    cost = Table(SCHEMA, stats_policy=StatsPolicy(min_stale_writes=8))
+    for table in (plain, cost):
         for row in rows:
             table.insert(dict(row))
-    for table in (cost, heuristic):
-        table.create_index("category", kind="hash")
-        table.create_index("reactions", kind="sorted")
-        table.create_index("domain", kind="sorted")
-        table.create_index("score", kind="sorted")
-    return plain, cost, heuristic
+    create_indexes(cost)
+    return plain, cost
 
 
 # --------------------------------------------------------------- strategies
@@ -135,16 +135,15 @@ class TestCostPlanEquivalence:
     @relaxed
     @given(rows=rows_strategy(), predicate=predicate_strategy())
     def test_any_plan_matches_forced_full_scan(self, rows, predicate):
-        plain, cost, heuristic = build_tables(rows)
+        plain, cost = build_tables(rows)
         oracle = sorted(r["id"] for r in plain.select(predicate))
         assert sorted(r["id"] for r in cost.select(predicate)) == oracle
-        assert sorted(r["id"] for r in heuristic.select(predicate)) == oracle
         assert Query(cost).where(predicate).count() == len(oracle)
 
     @relaxed
     @given(rows=rows_strategy(), predicate=predicate_strategy())
     def test_ordered_limited_pipeline_matches(self, rows, predicate):
-        plain, cost, _ = build_tables(rows)
+        plain, cost = build_tables(rows)
         slow = Query(plain).where(predicate).order_by("reactions").limit(7).execute().rows
         fast = Query(cost).where(predicate).order_by("reactions").limit(7).execute().rows
         assert fast == slow
@@ -152,17 +151,23 @@ class TestCostPlanEquivalence:
     @relaxed
     @given(rows=rows_strategy(max_rows=25), predicate=predicate_strategy(depth=1))
     def test_with_and_without_statistics_agree(self, rows, predicate):
-        _, cost, heuristic = build_tables(rows)
+        _, cost = build_tables(rows)
+        # "Without": analyzed while still empty and never past the staleness
+        # threshold, so the planner costs every step from statistics that
+        # describe none of the rows.  Estimates are advisory: same results.
+        blind = Table(SCHEMA, stats_policy=StatsPolicy(min_stale_writes=1000))
+        create_indexes(blind)
+        blind.analyze()
+        for row in rows:
+            blind.insert(dict(row))
+        assert blind.stats_state() == "fresh" and blind.statistics().row_count == 0
         with_stats = sorted(r["id"] for r in cost.select(predicate))
-        without = sorted(r["id"] for r in heuristic.select(predicate))
+        without = sorted(r["id"] for r in blind.select(predicate))
         assert with_stats == without
-        if rows:
-            # Auto-analyze means the indexed-with-stats table never degrades.
-            assert cost.plan_access(predicate).stats_mode != STATS_HEURISTIC
 
 
 class TestStaleStatisticsDegradation:
-    """Stale or absent statistics must never change results, only plans."""
+    """Stale or absent statistics are refreshed at plan time, never planned from."""
 
     def make_rows(self, n):
         return [
@@ -176,28 +181,9 @@ class TestStaleStatisticsDegradation:
             for i in range(n)
         ]
 
-    def test_stale_stats_fall_back_to_heuristic_plan(self):
-        rows = self.make_rows(120)
-        plain, _, stale = build_tables(rows)
-        stale.analyze()
-        for i in range(120, 200):  # 80 writes > max(64, 0.2 * 120): stale
-            stale.insert(
-                {"id": i, "category": "a", "domain": "zzz.example", "score": None, "reactions": 1}
-            )
-            plain.insert(
-                {"id": i, "category": "a", "domain": "zzz.example", "score": None, "reactions": 1}
-            )
-        assert stale.stats_state() == "stale"
-        predicate = (col("category") == "a") & (col("reactions") < 500)
-        plan = stale.plan_access(predicate)
-        assert plan.stats_mode == STATS_HEURISTIC  # auto_analyze off: no refresh
-        assert sorted(r["id"] for r in stale.select(predicate)) == sorted(
-            r["id"] for r in plain.select(predicate)
-        )
-
     def test_auto_analyze_refreshes_instead_of_degrading(self):
         rows = self.make_rows(120)
-        _, fresh, _ = build_tables(rows)
+        _, fresh = build_tables(rows)
         fresh.analyze()
         for i in range(120, 200):
             fresh.insert(
@@ -208,7 +194,6 @@ class TestStaleStatisticsDegradation:
         assert fresh.stats_state() == "fresh"
 
     def test_empty_table_stats_are_harmless(self):
-        plain, cost, heuristic = build_tables([])
+        plain, cost = build_tables([])
         predicate = (col("category") == "a") | (col("reactions") > 10)
-        for table in (cost, heuristic):
-            assert table.select(predicate) == plain.select(predicate) == []
+        assert cost.select(predicate) == plain.select(predicate) == []

@@ -11,10 +11,9 @@ import json
 
 import pytest
 
-from repro.config import PlatformConfig, StorageConfig
+from repro.config import PlatformConfig
 from repro.errors import (
     CircuitOpenError,
-    ConfigurationError,
     RetryExhaustedError,
     StorageError,
     TransientFaultError,
@@ -373,16 +372,3 @@ class TestFaultToleranceConfig:
     def test_defaults_validate(self):
         PlatformConfig().validate()
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"retry_max_attempts": 0},
-            {"retry_base_delay_s": -0.1},
-            {"retry_base_delay_s": 2.0, "retry_max_delay_s": 1.0},
-            {"cdc_breaker_threshold": 0},
-            {"cdc_breaker_cooldown_s": -1.0},
-        ],
-    )
-    def test_invalid_knobs_are_rejected(self, overrides):
-        with pytest.raises(ConfigurationError):
-            StorageConfig(**overrides).validate()

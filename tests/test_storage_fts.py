@@ -11,7 +11,6 @@ from datetime import datetime
 
 import pytest
 
-from repro.config import PlatformConfig, StorageConfig
 from repro.core.platform import SciLensPlatform
 from repro.errors import FtsError, StorageError
 from repro.models import Article
@@ -343,25 +342,7 @@ class TestPlatformSearch:
         report = platform.process_cdc()
         assert report["fts"]["indexed"] == 1
         status = platform.status()
-        assert status["fts"]["enabled"] is True
         assert status["fts"]["docs"] == 1 and status["fts"]["lag"] == 0
-
-    def test_cdc_disabled_falls_back_to_table_index(self):
-        config = PlatformConfig(storage=StorageConfig(cdc_enabled=False))
-        platform = SciLensPlatform(config)
-        assert platform.fts_index is None
-        platform.store_article(article(0, "measles vaccine trial"))
-        hits = platform.search_articles("vaccine")
-        assert [a.article_id for a, _ in hits] == ["a0"]
-
-    def test_fts_disabled_raises(self):
-        config = PlatformConfig(
-            storage=StorageConfig(cdc_enabled=False, fts_enabled=False)
-        )
-        platform = SciLensPlatform(config)
-        platform.store_article(article(0, "measles vaccine trial"))
-        with pytest.raises(StorageError):
-            platform.search_articles("vaccine")
 
     def test_recover_storage_reports_fts(self):
         platform = SciLensPlatform()

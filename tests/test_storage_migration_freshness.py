@@ -83,22 +83,6 @@ class TestBootstrap:
         assert second.bootstrapped == ()
         assert warehouse.table("articles").row_count() == 2
 
-    def test_full_refresh_recopies_everything(self):
-        ts = datetime(2020, 2, 1, 12)
-        db = _db([_row("a0", ts)])
-        warehouse = Warehouse()
-        job = MigrationJob(db, warehouse)
-        job.add_table("articles")
-        job.run()
-        db.insert("articles", _row("a1", ts + timedelta(hours=1)))
-
-        report = job.run(full_refresh=True)
-        assert report.migrated_rows["articles"] == 2
-        assert report.bootstrapped == ("articles",)
-        assert warehouse.table("articles").row_count() == 2
-        ids = sorted(warehouse.table("articles").read_column("article_id"))
-        assert ids == ["a0", "a1"]
-
     def test_bootstrap_records_sync_marker(self):
         ts = datetime(2020, 2, 1, 12, 30)
         db = _db([_row("a0", ts - timedelta(hours=1)), _row("a1", ts)])

@@ -19,9 +19,7 @@ from repro.storage.rdbms.planner import (
     ORDER_SORT,
     ORDER_TOP_K,
     STATS_COST,
-    STATS_HEURISTIC,
 )
-from repro.storage.rdbms.stats import StatsPolicy
 from repro.storage.rdbms.query import Query
 from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.table import Table
@@ -240,37 +238,6 @@ class TestCostBasedSelection:
         assert plan.stats_mode == STATS_COST
         assert plan.candidate_rows is None
         assert any(alt.path == INDEX_RANGE for alt in plan.alternatives if not alt.chosen)
-
-    def test_missing_stats_degrade_to_heuristic_intersect(self):
-        schema = TableSchema(
-            name="events",
-            primary_key="id",
-            columns=(
-                Column("id", ColumnType.INTEGER, nullable=False),
-                Column("category", ColumnType.TEXT),
-                Column("reactions", ColumnType.INTEGER, default=0),
-            ),
-        )
-        table = Table(schema, stats_policy=StatsPolicy(auto_analyze=False))
-        rng = random.Random(7)
-        for i in range(100):
-            table.insert({"id": i, "category": rng.choice("ab"), "reactions": i})
-        table.create_index("category", kind="hash")
-        table.create_index("reactions", kind="sorted")
-        plan = (
-            Query(table)
-            .where((col("category") == "a") & (col("reactions") < 95))
-            .explain()
-        )
-        assert plan.stats_mode == STATS_HEURISTIC
-        assert plan.access_path == INDEX_INTERSECT
-        table.analyze()
-        plan = (
-            Query(table)
-            .where((col("category") == "a") & (col("reactions") < 95))
-            .explain()
-        )
-        assert plan.stats_mode == STATS_COST
 
     def test_like_prefix_uses_sorted_text_index(self):
         schema = TableSchema(
@@ -524,7 +491,7 @@ class TestAggregateProjection:
 class TestFtsAccessPath:
     """MATCH predicates served from the table-attached FTS index."""
 
-    def build_docs(self, with_fts: bool = True, auto_analyze: bool = True) -> Table:
+    def build_docs(self, with_fts: bool = True) -> Table:
         schema = TableSchema(
             name="docs",
             primary_key="id",
@@ -535,7 +502,7 @@ class TestFtsAccessPath:
                 Column("rank", ColumnType.INTEGER, default=0),
             ),
         )
-        table = Table(schema, stats_policy=StatsPolicy(auto_analyze=auto_analyze))
+        table = Table(schema)
         corpus = [
             ("measles vaccine trial", "efficacy results published"),
             ("quantum computing advance", "qubits entangled"),
@@ -557,17 +524,20 @@ class TestFtsAccessPath:
         assert plan.candidate_rows == 2
 
     def test_fts_composes_with_range_index(self):
-        # On a 4-row table the cost model rightly decides one probe is enough;
-        # heuristic mode (no statistics) still intersects every usable index.
-        table = self.build_docs(auto_analyze=False)
-        predicate = match(("title", "body"), "vaccine") & (col("rank") >= 20)
+        # On the 4-row corpus one probe is enough; with 400 rows and two
+        # conjuncts that each keep ~10%, the second probe pays for itself.
+        table = self.build_docs()
+        for i in range(4, 400):
+            title = "vaccine update" if i % 10 == 0 else "council meeting"
+            table.insert({"id": i, "title": title, "body": "minutes", "rank": i})
+        predicate = match(("title", "body"), "vaccine") & (col("rank") >= 360)
         plan = Query(table).where(predicate).explain()
         assert plan.access_path == INDEX_INTERSECT
-        assert plan.stats_mode == STATS_HEURISTIC
+        assert plan.stats_mode == STATS_COST
         assert "fts_index_scan(title,body)" in plan.access_steps
         assert "index-range(rank)" in plan.access_steps
         rows = Query(table).where(predicate).execute().rows
-        assert [row["id"] for row in rows] == [2]
+        assert sorted(row["id"] for row in rows) == [360, 370, 380, 390]
 
     def test_subset_columns_use_the_covering_index(self):
         # The index covers (title, body); MATCH on title alone is a subset,

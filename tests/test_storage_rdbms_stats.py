@@ -180,12 +180,6 @@ class TestTableStatisticsLifecycle:
         assert refreshed is not None and refreshed.row_count == 241
         assert table.stats_state() == "fresh"
 
-    def test_auto_analyze_off_returns_no_planning_stats(self):
-        table = build_events(policy=StatsPolicy(auto_analyze=False))
-        assert table.planning_stats() is None
-        table.analyze()  # explicit ANALYZE still works
-        assert table.planning_stats() is not None
-
     def test_create_index_and_truncate_invalidate_stats(self):
         table = build_events()
         table.analyze()

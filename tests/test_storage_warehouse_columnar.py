@@ -17,7 +17,8 @@ from repro.storage.warehouse.warehouse import Warehouse, value_partitioner
 
 
 def _legacy_bytes(rows: list[dict], column_names: list[str]) -> bytes:
-    """Serialise rows exactly as the seed (format-1) encoder did."""
+    """Value-at-a-time JSON, as the seed encoder wrote it: the size baseline
+    the dictionary-encoding test compares against (nothing reads it)."""
 
     def encode(value):
         if isinstance(value, datetime):
@@ -53,16 +54,6 @@ class TestBlockFormat:
         restored = ColumnarBlock.from_bytes(data)
         assert restored.to_rows() == self.ROWS
         assert restored.stats == block.stats
-
-    def test_legacy_format_still_deserialises(self):
-        legacy = _legacy_bytes(self.ROWS, self.COLS)
-        restored = ColumnarBlock.from_bytes(legacy)
-        assert restored.to_rows() == self.ROWS
-        assert restored.stats["n"]["min"] == 1 and restored.stats["n"]["max"] == 5
-        # Re-serialising a legacy block produces a current-format block with
-        # identical contents.
-        again = ColumnarBlock.from_bytes(restored.to_bytes())
-        assert again.to_rows() == self.ROWS
 
     def test_dictionary_encoding_is_smaller_than_seed_format(self):
         rows = [
@@ -522,26 +513,6 @@ class TestRunLengthEncoding:
         assert wire_payload(block.to_bytes())["columns"]["topics"]["enc"] == "plain"
         decoded = ColumnarBlock.from_bytes(block.to_bytes()).column("topics")
         assert decoded == [["a"]] * 30 and decoded[0] is not decoded[1]
-
-    def test_format2_payload_still_deserialises(self):
-        # A block written before the format-3 bump (no sort_key, no rle).
-        payload = {
-            "format": 2,
-            "n_rows": 3,
-            "columns": {
-                "k": {"enc": "dict", "values": ["x", "y"], "codes": [0, 1, 0]},
-                "n": {"enc": "plain", "data": [1, 2, None]},
-                "ts": {"enc": "typed", "data": [{"__ts__": "2020-01-01T00:00:00"}] * 3},
-            },
-            "stats": {},
-        }
-        block = ColumnarBlock.from_bytes(json.dumps(payload).encode())
-        assert block.sort_key is None
-        assert block.column("k") == ["x", "y", "x"]
-        assert block.column("n") == [1, 2, None]
-        assert block.column("ts") == [datetime(2020, 1, 1)] * 3
-        assert block.dictionary("k") == (["x", "y"], [0, 1, 0])
-        assert block.dictionary("n") is None
 
 
 class TestSortKeys:

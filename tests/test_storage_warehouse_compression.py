@@ -20,6 +20,7 @@ from repro.storage.warehouse.blocks import (
     DEFAULT_COMPRESSION_LEVEL,
     WIRE_MAGIC,
     ColumnarBlock,
+    split_payload,
     unwrap_payload,
     wire_payload,
     wrap_payload,
@@ -152,59 +153,24 @@ class TestFormat4Wire:
         assert restored.columns == eager and eager == restored.columns
 
     def test_corrupt_v4_frames_raise_warehouse_error(self):
-        good = ColumnarBlock.from_rows(self.ROWS, self.COLS).to_bytes()
+        block = ColumnarBlock.from_rows(self.ROWS, self.COLS)
+        good = block.to_bytes()
+        payload = block.to_payload()
+        header, body_offset = split_payload(payload)
+        old_header = json.dumps(dict(header, format=3), sort_keys=True).encode()
         for bad in (
             WIRE_MAGIC + b"?" + good[5:],          # unknown codec
             WIRE_MAGIC + b"z" + b"not zlib data",  # corrupt compression
             WIRE_MAGIC + b"0" + b"\x00\x00\xff\xff",  # header length out of range
+            # Formats 1-3 were bare JSON; nothing writes or reads them any more.
+            json.dumps({"n_rows": 1, "columns": {"a": [7]}, "stats": {}}).encode(),
+            # A well-formed frame whose header claims another format version.
+            wrap_payload(
+                len(old_header).to_bytes(4, "big") + old_header + payload[body_offset:]
+            ),
         ):
             with pytest.raises(WarehouseError):
                 ColumnarBlock.from_bytes(bad)
-
-
-class TestLegacyFormatsStillDeserialise:
-    def test_format1_seed_payload(self):
-        payload = {
-            "n_rows": 3,
-            "columns": {
-                "ts": [{"__ts__": "2020-01-01T00:00:00"}, None, {"__ts__": "2020-01-02T12:30:00"}],
-                "n": [1, 2, 3],
-            },
-            "stats": {"n": {"nulls": 0, "min": 1, "max": 3}},
-        }
-        block = ColumnarBlock.from_bytes(json.dumps(payload).encode())
-        assert block.column("ts") == [datetime(2020, 1, 1), None, datetime(2020, 1, 2, 12, 30)]
-        assert block.column("n") == [1, 2, 3]
-
-    def test_format2_dictionary_payload(self):
-        payload = {
-            "format": 2,
-            "n_rows": 4,
-            "columns": {"k": {"enc": "dict", "values": ["x", "y"], "codes": [0, 1, None, 0]}},
-            "stats": {},
-        }
-        block = ColumnarBlock.from_bytes(json.dumps(payload).encode())
-        assert block.column("k") == ["x", "y", None, "x"]
-        assert block.dictionary("k") == (["x", "y"], [0, 1, None, 0])
-
-    def test_format3_rle_and_sort_key_payload(self):
-        payload = {
-            "format": 3,
-            "n_rows": 5,
-            "columns": {"k": {"enc": "rle", "runs": [[2, "a"], [3, "b"]]}},
-            "stats": {},
-            "sort_key": ["k"],
-        }
-        block = ColumnarBlock.from_bytes(json.dumps(payload).encode())
-        assert block.column("k") == ["a", "a", "b", "b", "b"]
-        assert block.sort_key == ("k",) and block.is_sorted_by("k")
-
-    def test_legacy_reserialises_as_format_4(self):
-        legacy = json.dumps({"n_rows": 1, "columns": {"a": [7]}, "stats": {}}).encode()
-        block = ColumnarBlock.from_bytes(legacy)
-        data = block.to_bytes()
-        assert data[:4] == WIRE_MAGIC
-        assert ColumnarBlock.from_bytes(data).column("a") == [7]
 
 
 # ======================================================================

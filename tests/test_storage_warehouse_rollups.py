@@ -13,7 +13,6 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.config import PlatformConfig, StorageConfig
 from repro.core.analytics import (
     ARTICLES_PER_OUTLET_ROLLUP,
     DAILY_ARTICLE_COUNTS_ROLLUP,
@@ -321,7 +320,7 @@ class TestMigrationRefresh:
         rollup = warehouse.register_rollup(spec)
         return db, warehouse, job, rollup
 
-    def test_migration_run_refreshes_rollups(self):
+    def test_refresh_after_run_is_incremental(self):
         db, warehouse, job, rollup = self._job()
         base = datetime(2020, 2, 1, 9)
         for i in range(6):
@@ -329,14 +328,18 @@ class TestMigrationRefresh:
                 "article_id": f"a{i}", "outlet": f"o{i % 2}",
                 "created_at": base + timedelta(days=i % 2, hours=i),
             })
-        report = job.run()
-        assert report.rollups_refreshed == {"articles_by_outlet": 2}
+        # The bootstrap copy leaves the roll-ups to the explicit refresh (the
+        # platform defers it until the CDC drain behind the copy has landed).
+        assert job.run().rollups_refreshed == {}
+        assert not rollup.is_fresh()
+        assert job.refresh_standing_rollups() == {"articles_by_outlet": 2}
         assert rollup.is_fresh()
         served = rollup.result_if_fresh()
         assert served is not None
         assert {k: v["articles"] for k, v in served.items()} == {"o0": 3, "o1": 3}
-        # A second run with no new rows is a metadata-only refresh.
-        assert job.run().rollups_refreshed == {}
+        # A second refresh with no new rows is metadata-only.
+        job.run()
+        assert job.refresh_standing_rollups() == {}
 
     def test_run_with_compaction_refreshes_after_the_rewrite(self):
         db, warehouse, job, rollup = self._job()
@@ -361,48 +364,35 @@ class TestMigrationRefresh:
                 applier.apply()
         table = warehouse.table("articles")
         assert table.block_count() > 1
-        report = job.run(compact=True)
-        # The migration itself deferred its refresh to the compaction pass.
-        assert report.rollups_refreshed == {}
+        job.run(compact=True)
         assert job.compaction_history[-1].rollups_refreshed == {
             "articles_by_outlet": 1
         }
         assert rollup.is_fresh()
         _assert_parity(table, rollup)
 
-    def test_refresh_can_be_disabled(self):
-        db, warehouse, job, rollup = self._job()
-        job.refresh_rollups = False
-        db.insert("articles", {
-            "article_id": "a0", "outlet": "o0",
-            "created_at": datetime(2020, 2, 1, 9),
-        })
-        report = job.run()
-        assert report.rollups_refreshed == {}
-        assert not rollup.is_fresh()
-
 
 class TestPlatformStandingRollups:
-    def _platform(self, enabled=True):
-        config = PlatformConfig(
-            storage=StorageConfig(warehouse_rollups_enabled=enabled)
+    @staticmethod
+    def _article(i):
+        domain = f"outlet-{i % 4}.example.com"
+        return Article(
+            article_id=f"a{i}", url=f"https://{domain}/a{i}",
+            outlet_domain=domain, title=f"title {i}",
+            published_at=datetime(2020, 2, 1, 9) + timedelta(days=i % 5, hours=i % 11),
+            text="covid coronavirus pandemic study",
+            topics=("covid19",) if i % 3 else ("politics",),
         )
-        platform = SciLensPlatform(config)
-        base = datetime(2020, 2, 1, 9)
+
+    def _platform(self):
+        platform = SciLensPlatform()
         ratings = list(RatingClass)
         for i in range(36):
-            domain = f"outlet-{i % 4}.example.com"
             platform.register_outlet(Outlet(
-                domain=domain, name=f"Outlet {i % 4}",
+                domain=f"outlet-{i % 4}.example.com", name=f"Outlet {i % 4}",
                 rating_class=ratings[i % len(ratings)],
             ))
-            platform.store_article(Article(
-                article_id=f"a{i}", url=f"https://{domain}/a{i}",
-                outlet_domain=domain, title=f"title {i}",
-                published_at=base + timedelta(days=i % 5, hours=i % 11),
-                text="covid coronavirus pandemic study",
-                topics=("covid19",) if i % 3 else ("politics",),
-            ))
+            platform.store_article(self._article(i))
         platform.run_daily_migration()
         return platform
 
@@ -418,26 +408,32 @@ class TestPlatformStandingRollups:
         assert set(overview) == expected
         assert all(entry["fresh"] for entry in overview.values())
 
-    def test_disabled_config_registers_nothing(self):
-        platform = self._platform(enabled=False)
-        assert platform.warehouse.rollups.names() == []
-
     def test_analytics_results_identical_with_and_without_rollups(self):
-        with_rollups = self._platform(enabled=True)
-        without = self._platform(enabled=False)
-        a_on = with_rollups.warehouse_analytics()
-        a_off = without.warehouse_analytics()
+        platform = self._platform()
+        analytics = platform.warehouse_analytics()
 
-        assert repr(a_on.daily_article_counts()) == repr(a_off.daily_article_counts())
-        assert repr(a_on.articles_per_outlet()) == repr(a_off.articles_per_outlet())
-        summary_on = a_on.rating_class_summary(with_rollups.outlet_ratings, "covid19")
-        summary_off = a_off.rating_class_summary(without.outlet_ratings, "covid19")
-        assert repr(summary_on) == repr(summary_off)
-        # Topic-filtered daily counts bypass the roll-up (it only covers the
-        # unfiltered view) and must agree too.
-        assert repr(a_on.daily_article_counts("covid19")) == repr(
-            a_off.daily_article_counts("covid19")
-        )
+        def reads():
+            return [
+                repr(analytics.daily_article_counts()),
+                repr(analytics.articles_per_outlet()),
+                repr(analytics.rating_class_summary(platform.outlet_ratings, "covid19")),
+                # Topic-filtered daily counts bypass the roll-up (it only
+                # covers the unfiltered view) and must agree too.
+                repr(analytics.daily_article_counts("covid19")),
+            ]
+
+        def fresh():
+            return [e["fresh"] for e in platform.status()["warehouse_rollups"].values()]
+
+        assert all(fresh())
+        materialized = reads()
+        # Re-store one article unchanged and land the delta without the
+        # refresh: the block identity moves, the aggregates do not, so every
+        # roll-up is stale and the same reads run through the live fallback.
+        platform.store_article(self._article(0))
+        platform.process_cdc(refresh_rollups=False)
+        assert not any(fresh())
+        assert reads() == materialized
 
     def test_served_reads_touch_no_blocks(self):
         platform = self._platform()
