@@ -180,7 +180,7 @@ class TestFtsSearchGate:
 
         optimized_s = _best_seconds(run_indexed, repeats=3)
         baseline_s = _best_seconds(run_brute_force, repeats=2)
-        record_gate_timing("bench_warehouse_analytics", "fts_search", baseline_s, optimized_s)
+        record_gate_timing("bench_fts", "fts_search", baseline_s, optimized_s)
         speedup = baseline_s / optimized_s
         print(
             f"\n=== fts search gate: {len(queries)} queries over {N_DOCS} docs, "

@@ -112,7 +112,7 @@ class TestServingCoalescingGate:
 
         baseline_s = run_herd(single_gateway.handle)
         optimized_s = run_herd(serving_tier.handle)
-        record_gate_timing("bench_warehouse_analytics", "serving", baseline_s, optimized_s)
+        record_gate_timing("bench_serving", "serving", baseline_s, optimized_s)
 
         stats = serving_tier.stats()
         speedup = baseline_s / optimized_s

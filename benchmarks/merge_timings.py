@@ -7,15 +7,19 @@ Every benchmark suite writes its gate timings as::
 CI runs this script over the directory of downloaded per-job artifacts to
 produce a single merged file, and — when a committed trajectory seed such as
 ``BENCH_warehouse.json`` (schema: ``gate -> {baseline_s, optimized_s,
-speedup}``) is given — prints the speedup trajectory of every warehouse gate
+speedup}``) is given — prints the speedup trajectory of every seed gate
 against that seed, so a perf regression is visible right in the job log, and
 exits non-zero if any committed seed gate is absent from the merged output
 (a deleted or silently-skipped benchmark must fail the trajectory job).
+Seed gates are looked up in every untagged suite (each gate is recorded under
+the suite of the ``bench_*.py`` file that measures it); suites namespaced by
+``$BENCH_SUITE_TAG`` (``<suite>@<tag>``) are second runs of the same gates
+and never stand in for the untagged one.
 
 Usage::
 
     python benchmarks/merge_timings.py <timings-dir> <merged-output.json> \
-        [--seed BENCH_warehouse.json --seed-suite bench_warehouse_analytics]
+        [--seed BENCH_warehouse.json]
 """
 
 from __future__ import annotations
@@ -75,10 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=Path, default=None,
         help="committed trajectory seed (gate -> {baseline_s, optimized_s, speedup})",
     )
-    parser.add_argument(
-        "--seed-suite", default="bench_warehouse_analytics",
-        help="suite whose gates the seed tracks",
-    )
     args = parser.parse_args(argv)
 
     suites = load_suites(args.timings_dir)
@@ -96,7 +96,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.seed is not None and args.seed.exists():
         seed = json.loads(args.seed.read_text(encoding="utf-8"))
-        current = suites.get(args.seed_suite, {})
+        current = {
+            gate: timings
+            for suite, gates in suites.items() if "@" not in suite
+            for gate, timings in gates.items()
+        }
         print(f"\nperf trajectory vs {args.seed}:")
         print_trajectory(seed, current)
         # Every committed gate must keep reporting: a gate that vanished from

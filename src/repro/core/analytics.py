@@ -10,9 +10,7 @@ dicts are ever materialised.  The only remaining column scans build the
 url→outlet / post→outlet join maps, and those run vectorised
 (:meth:`WarehouseTable.scan_columns`).  Block decode + filter work fans out
 across the analytics executor's workers with a deterministic merge, so results
-are identical at any worker count.  :meth:`WarehouseAnalytics._table_dataset`
-remains the row-based on-ramp into the :mod:`repro.compute` engine for ad-hoc
-dataflows.
+are identical at any worker count.
 
 The standing dashboard roll-ups go one step further: the platform registers
 them as **materialized roll-ups** (:mod:`repro.storage.warehouse.rollups`,
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Mapping
 
-from ..compute.dataset import Dataset
 from ..compute.executor import LocalExecutor
 from ..errors import WarehouseError
 from ..models import RatingClass
@@ -124,22 +121,16 @@ class WarehouseAnalytics:
         self,
         warehouse: Warehouse,
         executor: LocalExecutor | None = None,
-        n_partitions: int = 4,
     ) -> None:
         self.warehouse = warehouse
         self.executor = executor or LocalExecutor()
-        self.n_partitions = n_partitions
 
-    # ------------------------------------------------------------- datasets
+    # --------------------------------------------------------------- tables
 
     def _table(self, table_name: str):
         if not self.warehouse.has_table(table_name):
             raise WarehouseError(f"warehouse has no table {table_name!r}")
         return self.warehouse.table(table_name)
-
-    def _table_dataset(self, table_name: str, columns: list[str] | None = None) -> Dataset:
-        rows = list(self._table(table_name).scan(columns=columns))
-        return Dataset.from_iterable(rows, n_partitions=self.n_partitions, executor=self.executor)
 
     @staticmethod
     def _partitioned_by_day_of(table, column: str) -> bool:
@@ -150,9 +141,12 @@ class WarehouseAnalytics:
         max timestamps share one date and that date's ISO form *is* the
         partition key.  Distinct partitions then correspond one-to-one to
         distinct ``column`` days, so partition membership can stand in for
-        distinct-day counting.
+        distinct-day counting.  Partitions with no visible rows (all deleted,
+        not yet compacted away) hold no day at all and are skipped.
         """
         for partition in table.partitions():
+            if not table.row_count(partition):
+                continue
             extremes = table.aggregate(
                 {"lo": ("min", column), "hi": ("max", column)},
                 partitions=[partition],

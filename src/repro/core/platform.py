@@ -204,9 +204,7 @@ class SciLensPlatform:
         # Segment-backed search index: a second consumer group over the same
         # CDC topics keeps the BM25 posting lists fresh incrementally — no
         # batch rebuild, exactly-once via per-document LSN checks.
-        self.fts_index = FtsIndex(
-            "articles", dfs=self.dfs, health=self.health.subsystem("fts")
-        )
+        self.fts_index = FtsIndex("articles", dfs=self.dfs)
         self.fts_index.recover()
         self.fts_indexer = FtsIndexer(
             self.fts_index,

@@ -8,7 +8,7 @@ The subsystem has four layers:
 * :mod:`.segments` — immutable typed-binary posting-list segments on the
   warehouse format-4 wire (tombstones travel inside segments);
 * :mod:`.index` — the buffer-over-segments index with last-writer-wins LSN
-  liveness, manifest-or-rescan recovery, and segment compaction;
+  liveness, recovery by segment rescan, and segment compaction;
 * :mod:`.indexer` — the CDC consumer group that keeps a DFS-backed index
   fresh from ``cdc.<table>`` topics, exactly-once.
 

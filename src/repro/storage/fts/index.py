@@ -1,18 +1,16 @@
 """The BM25 full-text index: an in-memory buffer over immutable segments.
 
 Writes go to a memtable-style buffer; :meth:`FtsIndex.flush` seals the buffer
-into an immutable posting-list segment (:mod:`.segments`) on the DFS and
-records the segment set in a ``_manifest.json``.  Reads merge buffer and
-segments under a **last-writer-wins liveness map**: every document carries the
-LSN of its latest version, exactly one location (buffer or one segment) is
-live per document, and stale or redelivered updates are dropped by LSN — the
-same exactly-once idiom the warehouse delta path uses.
+into an immutable posting-list segment (:mod:`.segments`) on the DFS.  Reads
+merge buffer and segments under a **last-writer-wins liveness map**: every
+document carries the LSN of its latest version, exactly one location (buffer
+or one segment) is live per document, and stale or redelivered updates are
+dropped by LSN — the same exactly-once idiom the warehouse delta path uses.
 
-Deletes write tombstones *into* segments (negative length), so recovery by
-directory rescan reconstructs exact liveness even when the manifest was lost:
-no ghost postings, no resurrected documents.  The manifest is adopted only
-when its segment list matches the DFS listing, mirroring the warehouse's
-adopt-or-rescan recovery contract.
+The segment files are the only durable state.  Deletes write tombstones
+*into* segments (negative length), so :meth:`FtsIndex.recover` — a rescan of
+the segment directory — reconstructs exact liveness: no ghost postings, no
+resurrected documents.
 
 Scoring is BM25 over AND-ed query terms with optional trailing-``*`` prefix
 expansion; results are ordered by ``(-score, doc_id)``.  The arithmetic lives
@@ -22,11 +20,9 @@ differential oracle in ``tests/fts_oracle.py``.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable, Sequence
 
-from ...errors import FtsError, StorageError
-from ..faults import SubsystemHealth
+from ...errors import FtsError
 from .analysis import analyze, bm25_term_score, document_text, parse_query
 from .segments import (
     TOMBSTONE_LEN,
@@ -62,14 +58,12 @@ class FtsIndex:
         prefix: str | None = None,
         flush_docs: int | None = 512,
         compression_level: int = 6,
-        health: SubsystemHealth | None = None,
     ) -> None:
         self.name = name
         self.dfs = dfs
         self.prefix = prefix if prefix is not None else f"/fts/{name}"
         self.flush_docs = flush_docs
         self.compression_level = compression_level
-        self.health = health
         #: Immutable segments by id (ascending ids = flush order).
         self._segments: dict[int, Segment] = {}
         #: The write buffer and its inverted view (term -> doc -> positions).
@@ -86,10 +80,6 @@ class FtsIndex:
 
     def _segment_path(self, segment_id: int) -> str:
         return f"{self.prefix}/seg-{segment_id:06d}.fts"
-
-    @property
-    def manifest_path(self) -> str:
-        return f"{self.prefix}/_manifest.json"
 
     # ----------------------------------------------------------------- writes
 
@@ -166,9 +156,7 @@ class FtsIndex:
     def flush(self) -> str | None:
         """Seal the buffer into an immutable segment; returns its path.
 
-        A failed segment write leaves the buffer intact (re-flushable); a
-        failed *manifest* write only degrades health — the next
-        :meth:`recover` rescans the directory and finds the segment anyway.
+        A failed segment write leaves the buffer intact (re-flushable).
         """
         if not self._buffer:
             return None
@@ -193,26 +181,7 @@ class FtsIndex:
             self._live[doc_id] = (doc.lsn, segment_id, doc.length)
         self._buffer.clear()
         self._buffer_terms.clear()
-        self._write_manifest()
         return path
-
-    def _write_manifest(self) -> None:
-        if self.dfs is None:
-            return
-        manifest = {
-            "segments": [self._segment_path(sid) for sid in sorted(self._segments)],
-            "next_segment_id": self._next_segment_id,
-            "last_lsn": self._next_lsn - 1,
-        }
-        try:
-            self.dfs.write_file(
-                self.manifest_path,
-                json.dumps(manifest, sort_keys=True).encode("utf-8"),
-                overwrite=True,
-            )
-        except StorageError as exc:
-            if self.health is not None:
-                self.health.degrade(exc)
 
     # ------------------------------------------------------------- compaction
 
@@ -223,9 +192,9 @@ class FtsIndex:
         serialisation path as a fresh flush, so merging preserves postings
         bit-identically and re-merging is idempotent.  Tombstones are carried
         over: liveness (and LSN idempotence) survives a post-compaction
-        rescan.  Crash-safe in the warehouse style: the merged segment is
-        written first, old segments deleted next, the manifest last — at
-        every intermediate point a rescan reconstructs the same live state.
+        rescan.  Crash-safe: the merged segment is written first, old
+        segments deleted next — at every intermediate point a rescan
+        reconstructs the same live state.
         """
         self.flush()
         if len(self._segments) <= 1:
@@ -244,7 +213,6 @@ class FtsIndex:
         self._next_segment_id = segment_id + 1
         for doc_id, lsn, length in doc_meta:
             self._live[doc_id] = (lsn, segment_id, length)
-        self._write_manifest()
         return {"merged": len(merged_from), "segments": 1, "segment_id": segment_id}
 
     def _live_postings(self) -> tuple[list[tuple[Any, int, int]], dict[str, dict[int, list[int]]]]:
@@ -265,26 +233,15 @@ class FtsIndex:
     # --------------------------------------------------------------- recovery
 
     def recover(self) -> dict[str, Any]:
-        """Rebuild state from the DFS: adopt the manifest or rescan.
+        """Rebuild state from the segment files on the DFS.
 
-        The manifest is trusted only when its segment list matches the DFS
-        listing exactly; otherwise (torn flush, lost manifest) every segment
-        found is loaded and liveness is reconstructed from the per-document
-        LSNs — tombstones included, so deleted documents stay deleted.
+        Every segment found is loaded and liveness is reconstructed from the
+        per-document LSNs — tombstones included, so deleted documents stay
+        deleted.  The next segment id and the next LSN resume past the
+        highest ones any segment carries.
         """
         if self.dfs is None:
             raise FtsError("recover() requires a DFS-backed index")
-        listing = sorted(
-            path for path in self.dfs.list_files(self.prefix) if path.endswith(".fts")
-        )
-        manifest = None
-        if self.dfs.exists(self.manifest_path):
-            try:
-                manifest = json.loads(self.dfs.read_file(self.manifest_path).decode("utf-8"))
-            except (StorageError, ValueError) as exc:
-                if self.health is not None:
-                    self.health.degrade(exc)
-        adopted = manifest is not None and sorted(manifest.get("segments", [])) == listing
         self._segments = {}
         self._buffer.clear()
         self._buffer_terms.clear()
@@ -292,9 +249,10 @@ class FtsIndex:
         self._n_docs = 0
         self._total_len = 0
         max_lsn = 0
-        for path in listing:
-            segment = Segment(self.dfs.read_file(path))
-            self._segments[segment.segment_id] = segment
+        for path in sorted(self.dfs.list_files(self.prefix)):
+            if path.endswith(".fts"):
+                segment = Segment(self.dfs.read_file(path))
+                self._segments[segment.segment_id] = segment
         for segment in self._ordered_segments():
             for doc_id, lsn, length in segment.doc_entries():
                 max_lsn = max(max_lsn, lsn)
@@ -308,17 +266,8 @@ class FtsIndex:
                 self._total_len += length
         self._next_segment_id = (max(self._segments) + 1) if self._segments else 0
         self._next_lsn = max_lsn + 1
-        if adopted:
-            self._next_segment_id = max(
-                self._next_segment_id, manifest.get("next_segment_id", 0)
-            )
-            self._next_lsn = max(self._next_lsn, manifest.get("last_lsn", 0) + 1)
-        if not adopted:
-            self._write_manifest()  # heal the manifest from the rescan
         return {
             "segments": len(self._segments),
-            "adopted": adopted,
-            "rescanned": not adopted,
             "docs": self._n_docs,
             "last_lsn": self._next_lsn - 1,
         }

@@ -27,10 +27,10 @@ frequency per posting, and ``pos_seg`` the concatenated token positions of
 every posting — a posting's positions are its next ``tf`` values, so no
 separate length array is needed.
 
-Tombstones travel *inside* segments (``lens`` entry of ``-1``) rather than
-only in the manifest: a full directory rescan after a torn manifest
-reconstructs exact liveness, so a crash can never resurrect a deleted
-document (no ghost postings).
+Tombstones travel *inside* segments (``lens`` entry of ``-1``): the segment
+files are the index's only durable state, and the directory rescan that
+recovers it reconstructs exact liveness from them, so a crash can never
+resurrect a deleted document (no ghost postings).
 
 Query-time decoding is lazy per term, like the warehouse's lazy columns:
 only the posting lists of the queried terms are materialised.

@@ -3,13 +3,15 @@
 A simulated block-replicated distributed file system (:class:`DistributedFileSystem`)
 plays the role of HDFS, and a partitioned columnar table format
 (:class:`WarehouseTable` inside a :class:`Warehouse`) plays the role of the
-Spark-managed warehouse tables the paper's analytics jobs read.  Tables expose
-both a row-at-a-time ``scan`` and the vectorised
-``scan_columns``/``scan_filtered``/``aggregate`` path (selection vectors over
-raw column arrays, stats-only aggregates, decoded-block LRU cache).  Standing
-grouped aggregations can additionally be registered as incremental
-materialized roll-ups (:mod:`.rollups`): materialised per partition, refreshed
-only where the partition's block set changed, served with zero DFS reads.
+Spark-managed warehouse tables the paper's analytics jobs read.  A table is
+three pieces behind one class: the block catalog (:mod:`.catalog` — physical
+blocks, block writer, decoded-block LRU cache, recovery manifest), the delta
+merge (:mod:`.delta` — last-writer-wins CDC state) and the scan/aggregate
+engine (:mod:`.engine` — selection vectors over raw column arrays, stats-only
+aggregates, grouped partial states).  Standing grouped aggregations can
+additionally be registered as incremental materialized roll-ups
+(:mod:`.rollups`): materialised per partition, refreshed only where the
+partition's block set changed, served with zero DFS reads.
 """
 
 from .dfs import DataNode, DistributedFileSystem

@@ -61,13 +61,13 @@ _CODEC_STORED = b"0"
 DEFAULT_COMPRESSION_LEVEL = 6
 
 
-def _encode_value(value: Any) -> Any:
+def encode_value(value: Any) -> Any:
     if isinstance(value, datetime):
         return {"__ts__": value.isoformat()}
     return value
 
 
-def _decode_value(value: Any) -> Any:
+def decode_value(value: Any) -> Any:
     if isinstance(value, dict) and set(value) == {"__ts__"}:
         return datetime.fromisoformat(value["__ts__"])
     return value
@@ -195,13 +195,13 @@ def _decode_column(spec: dict[str, Any]) -> list[Any]:
     if enc == "plain":
         return list(spec["data"])
     if enc == "typed":
-        return [_decode_value(v) for v in spec["data"]]
+        return [decode_value(v) for v in spec["data"]]
     if enc == "rle":
         out: list[Any] = []
         for count, value in spec["runs"]:
             # One decoded object per run, shared by every row of the run —
             # safe because only immutable scalars are RLE-encoded.
-            out.extend([_decode_value(value)] * count)
+            out.extend([decode_value(value)] * count)
         return out
     raise WarehouseError(f"unknown column encoding {enc!r}")
 
@@ -394,7 +394,7 @@ def _encode_column_v4(values: list[Any], body: bytearray) -> dict[str, Any]:
     if runs is not None:
         return {
             "enc": "rle",
-            "runs": [[count, _encode_value(value)] for count, value in runs],
+            "runs": [[count, encode_value(value)] for count, value in runs],
         }
 
     budget = _dictionary_budget(len(values))
@@ -422,7 +422,7 @@ def _encode_column_v4(values: list[Any], body: bytearray) -> dict[str, Any]:
         typecode = _int_typecode(-1, max(len(dictionary) - 1, 0))
         spec = {
             "enc": "dict",
-            "values": [_encode_value(v) for v in dictionary],
+            "values": [encode_value(v) for v in dictionary],
             "seg": _append_segment(body, typecode, codes),
         }
         if -1 in codes:
@@ -435,7 +435,7 @@ def _encode_column_v4(values: list[Any], body: bytearray) -> dict[str, Any]:
     if numeric is not None:
         return numeric
     if any(isinstance(v, datetime) for v in values):
-        return {"enc": "typed", "data": [_encode_value(v) for v in values]}
+        return {"enc": "typed", "data": [encode_value(v) for v in values]}
     return {"enc": "plain", "data": values}
 
 
@@ -653,7 +653,7 @@ class ColumnarBlock:
             "n_rows": self.n_rows,
             "columns": columns,
             "stats": {
-                name: {key: _encode_value(value) for key, value in stat.items()}
+                name: {key: encode_value(value) for key, value in stat.items()}
                 for name, stat in self.stats.items()
             },
         }
@@ -679,7 +679,7 @@ class ColumnarBlock:
                 f"(only format {BLOCK_FORMAT_VERSION} is read)"
             )
         stats = {
-            name: {key: _decode_value(value) for key, value in stat.items()}
+            name: {key: decode_value(value) for key, value in stat.items()}
             for name, stat in header.get("stats", {}).items()
         }
         sort_key = header.get("sort_key")
@@ -697,7 +697,7 @@ class ColumnarBlock:
             enc = spec.get("enc")
             if enc == "dict":
                 def load_pair() -> tuple[list[Any], Sequence[int | None]]:
-                    values = [_decode_value(v) for v in spec["values"]]
+                    values = [decode_value(v) for v in spec["values"]]
                     arr = _read_segment(spec["seg"], payload_bytes, base)
                     # -1 codes mark nulls (flagged at write time); a
                     # null-free array is kept as-is — grouping hashes its

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ...errors import WarehouseError
-from .warehouse import (
-    _AggState,
+from .engine import (
+    AggState,
     finalise_states,
     merge_states,
     validate_aggregate_functions,
 )
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
+if TYPE_CHECKING:  # warehouse.py imports this module
     from ...compute.executor import LocalExecutor
     from .warehouse import Warehouse, WarehouseTable
 
@@ -102,7 +102,7 @@ class _PartitionState:
     were computed from."""
 
     signature: tuple[str, ...]
-    states: dict[Any, dict[str, _AggState]]
+    states: dict[Any, dict[str, AggState]]
 
 
 class MaterializedRollup:
@@ -220,7 +220,7 @@ class MaterializedRollup:
         refresh invalidates it; callers receive their own copy.
         """
         if self._result_cache is None:
-            merged: dict[Any, dict[str, _AggState]] = {}
+            merged: dict[Any, dict[str, AggState]] = {}
             for partition in sorted(self._partitions):
                 merge_states(
                     merged, self._partitions[partition].states, self.spec.aggregates

@@ -2,107 +2,44 @@
 
 Each :class:`WarehouseTable` is partitioned by the value of one column
 (typically the calendar day of a timestamp); every partition holds one or more
-columnar blocks persisted as DFS files.  Tables may additionally declare a
-**sort key**: rows of each partition are then sorted by those columns before
-being cut into blocks, which clusters the layout — block zone maps on the sort
-column become tight and mostly disjoint, range scans early-exit as soon as the
-remaining blocks start past the filter bound, and inside each sorted block a
-range filter is a binary search instead of a column pass.
+columnar blocks persisted as DFS files.  Tables may declare a **sort key**:
+rows of each partition are then sorted by those columns before being cut into
+blocks, so block zone maps on the sort column become tight and mostly disjoint.
 
-Three access paths are offered:
-
-* **Row-at-a-time** — :meth:`WarehouseTable.scan` materialises row dicts and
-  applies an arbitrary row predicate.  This is the compatibility / streaming
-  path for one-shot full-row consumers (e.g. model training) and deliberately
-  bypasses the block cache so such streams don't churn it; the columnar reads
-  below — including :meth:`WarehouseTable.read_column` — are the repeated
-  analytics access pattern and are served through the cache.
-* **Vectorised** — :meth:`WarehouseTable.scan_columns`,
-  :meth:`WarehouseTable.scan_filtered` and :meth:`WarehouseTable.aggregate`
-  evaluate conjunctive range filters and per-column predicates as *selection
-  vectors* over the raw column arrays of each block.  Row dicts are only built
-  for surviving rows, and only when the caller asks for rows (late
-  materialisation).  Multi-column zone (min/max) statistics prune whole blocks
-  before any DFS read; pure ``count``/``min``/``max`` aggregates are answered
-  from block statistics without reading a single block; repeated reads are
-  served from a per-table LRU cache of decoded blocks that is invalidated on
-  :meth:`WarehouseTable.drop_partition` / :meth:`Warehouse.drop_table`.
-  :meth:`WarehouseTable.aggregate` supports grouped aggregation (GROUP BY one
-  or more columns) that buckets rows by dictionary *codes* — small integers —
-  whenever the group column is dictionary-encoded on the wire, instead of
-  hashing the decoded values row-by-row.
-* **Parallel** — the vectorised entry points accept an optional
-  :class:`~repro.compute.executor.LocalExecutor`; block fetch + decode +
-  filter then fan out across its workers (overlapping simulated DFS read
-  latency *and*, on compressed block-format-4 tables, the GIL-releasing
-  zlib decompression itself) while results are merged back in deterministic
-  block order, so the output is identical for any worker count, including
-  ``max_workers=1``.
-
-Tables compress their blocks on the wire (``compression_level``, default
-zlib level 6; 0 stores raw bytes) and keep per-block compressed /
-uncompressed byte counts in the name-node metadata
-(:meth:`WarehouseTable.storage_stats`).  Partitions that fragmented into
-many small blocks across appends are merged back into few large sorted
-blocks by :meth:`WarehouseTable.compact_partition` /
-:meth:`Warehouse.compact`.
-
-Standing grouped aggregations can be registered as **materialized roll-ups**
-(:mod:`repro.storage.warehouse.rollups`, reachable via
-:attr:`Warehouse.rollups`): :meth:`WarehouseTable.aggregate_states` hands out
-the mergeable per-group accumulators, :meth:`WarehouseTable.partition_signature`
-the block identity that drives their incremental refresh.
-
-**Restart recovery** — every state-changing operation also writes a small
-per-table *manifest* file next to the blocks (``_manifest.json`` under the
-table's DFS prefix) recording the block refs, the CDC per-key newest-LSN
-index, suppression epochs and folded flags.  :meth:`WarehouseTable.recover`
-(called automatically by :meth:`Warehouse.create_table` when the DFS already
-holds files for the table) rebuilds the in-memory state from that manifest in
-O(manifest) — falling back to a full block rescan when the manifest is
-missing, torn, or disagrees with the actual file listing — so
-:meth:`WarehouseTable.append_deltas` stays exactly-once across process
-restarts.
+:class:`WarehouseTable` orchestrates three pieces, each owning its own state:
+:mod:`.catalog` (physical blocks, block writer, decoded-block cache, recovery
+manifest), :mod:`.delta` (last-writer-wins reconciliation of CDC deltas) and
+:mod:`.engine` (stateless scan/aggregate functions).  Reads come in two kinds:
+:meth:`WarehouseTable.scan` streams row dicts for one-shot full-row consumers
+(e.g. model training) and deliberately bypasses the block cache so they don't
+churn it; ``scan_columns`` / ``scan_filtered`` / ``aggregate`` / ``read_column``
+are the repeated analytics pattern, run vectorised through the cache, and
+accept a :class:`~repro.compute.executor.LocalExecutor` to fan block work out
+across workers with results merged back in deterministic block order.
+:meth:`WarehouseTable.aggregate_states` and
+:meth:`WarehouseTable.partition_signature` feed the materialized roll-ups
+(:mod:`.rollups`, reachable via :attr:`Warehouse.rollups`).
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import re
-import threading
-from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...compute.executor import LocalExecutor
 from ...compute.shuffle import canonical_key
 from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
 from ..faults import SubsystemHealth
-from .blocks import (
-    DEFAULT_COMPRESSION_LEVEL,
-    ColumnarBlock,
-    _decode_value,
-    _encode_value,
-    ordering_token,
-    sort_rows,
-    sorted_range,
-    unwrap_payload,
-    validate_compression_level,
-    wrap_payload,
-)
+from . import engine
+from .blocks import DEFAULT_COMPRESSION_LEVEL, validate_compression_level
+from .catalog import BlockCatalog, BlockRef
+from .delta import DeltaMerge
 from .dfs import DistributedFileSystem
-
-#: ``(column, low, high)`` — inclusive bounds, ``None`` meaning unbounded.
-RangeFilter = tuple[str, Any, Any]
-
-
-def _unhashable_group(group_cols: Sequence[str], exc: TypeError) -> WarehouseError:
-    return WarehouseError(
-        f"group-by column(s) {list(group_cols)!r} have unhashable values "
-        f"(pass group_key to map them): {exc}"
-    )
+from .engine import AggState, RangeFilter
+from .rollups import RollupManager
 
 
 def _own_value(value: Any) -> Any:
@@ -162,174 +99,6 @@ def value_partitioner(column: str) -> Callable[[dict[str, Any]], str]:
     return partition
 
 
-@dataclass
-class _BlockRef:
-    path: str
-    n_rows: int
-    stats: dict[str, dict[str, Any]]
-    sort_key: tuple[str, ...] | None = None
-    #: Wire bytes actually stored on the DFS (post-compression) and the
-    #: uncompressed payload bytes they decode to — the per-block compression
-    #: accounting surfaced by :meth:`WarehouseTable.storage_stats`.
-    compressed_bytes: int = 0
-    uncompressed_bytes: int = 0
-    #: ``"base"`` or ``"delta"`` — mirrors the block-header role.
-    role: str = "base"
-    #: In-memory block of a *synthetic* ref (the merged base+delta view of a
-    #: partition).  Synthetic refs are never persisted: ``_load_block``
-    #: returns this object directly and the path is only an identity token.
-    block: ColumnarBlock | None = None
-
-
-@dataclass
-class _DeltaEntry:
-    """Latest CDC version of one primary key (last-writer-wins by LSN).
-
-    ``partition`` is where that version lives (for deletes: where the deleted
-    row lived); ``folded`` flips when a compaction folds the version into the
-    partition's base blocks, after which the base row *is* the latest version
-    and must no longer be suppressed at merge time.
-    """
-
-    lsn: int
-    partition: str
-    op: str  # "u" (upsert) | "d" (delete)
-    folded: bool = False
-
-
-#: Version stamp of the per-table manifest document.  Bump on layout changes:
-#: an unknown version makes :meth:`WarehouseTable.recover` fall back to the
-#: full block rescan, never misread a newer manifest.
-_MANIFEST_VERSION = 1
-
-
-def _encode_key(key: Any) -> Any:
-    """JSON-encode a canonical primary key (tuples and datetimes round-trip)."""
-    if isinstance(key, tuple):
-        return {"__tuple__": [_encode_key(item) for item in key]}
-    return _encode_value(key)
-
-
-def _decode_key(obj: Any) -> Any:
-    if isinstance(obj, dict) and set(obj) == {"__tuple__"}:
-        return tuple(_decode_key(item) for item in obj["__tuple__"])
-    return _decode_value(obj)
-
-
-def _encode_ref(ref: "_BlockRef") -> dict[str, Any]:
-    return {
-        "path": ref.path,
-        "n_rows": ref.n_rows,
-        "stats": {
-            column: {name: _encode_value(value) for name, value in stat.items()}
-            for column, stat in ref.stats.items()
-        },
-        "sort_key": list(ref.sort_key) if ref.sort_key else None,
-        "compressed_bytes": ref.compressed_bytes,
-        "uncompressed_bytes": ref.uncompressed_bytes,
-        "role": ref.role,
-    }
-
-
-def _decode_ref(obj: Mapping[str, Any]) -> "_BlockRef":
-    sort_key = obj["sort_key"]
-    return _BlockRef(
-        path=obj["path"],
-        n_rows=int(obj["n_rows"]),
-        stats={
-            column: {name: _decode_value(value) for name, value in stat.items()}
-            for column, stat in obj["stats"].items()
-        },
-        sort_key=tuple(sort_key) if sort_key else None,
-        compressed_bytes=int(obj["compressed_bytes"]),
-        uncompressed_bytes=int(obj["uncompressed_bytes"]),
-        role=obj["role"],
-    )
-
-
-def _block_file_counter(path: str) -> int:
-    """The allocation counter embedded in a block filename (0 if unparsable)."""
-    match = re.search(r"(?:block|delta)-(\d+)\.blk$", path)
-    return int(match.group(1)) if match else 0
-
-
-class _BlockCache:
-    """A small LRU cache of decoded :class:`ColumnarBlock` objects by DFS path.
-
-    Thread-safe: parallel scans load blocks from executor worker threads.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict[str, ColumnarBlock] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, path: str) -> ColumnarBlock | None:
-        with self._lock:
-            block = self._entries.get(path)
-            if block is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(path)
-            self.hits += 1
-            return block
-
-    def put(self, path: str, block: ColumnarBlock) -> None:
-        if self.capacity < 1:
-            return
-        with self._lock:
-            self._entries[path] = block
-            self._entries.move_to_end(path)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def invalidate(self, path: str) -> None:
-        with self._lock:
-            self._entries.pop(path, None)
-
-    def resident(self, paths: Iterable[str]) -> bool:
-        """Whether every path is currently cached (a scheduling heuristic:
-        eviction may race the answer, which costs only a suboptimal choice)."""
-        with self._lock:
-            return all(path in self._entries for path in paths)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: Aggregate functions answerable from block statistics alone.
-_STATS_ONLY_FUNCTIONS = {"count", "min", "max"}
-_AGGREGATE_FUNCTIONS = {"count", "count_distinct", "min", "max", "sum", "avg"}
-
-
-def validate_aggregate_functions(
-    aggregates: Mapping[str, tuple[str, str]], context: str = ""
-) -> None:
-    """Check every alias maps to a known function with a legal column spec.
-
-    The single source of the aggregate-function rules, shared by
-    :meth:`WarehouseTable.aggregate` / :meth:`WarehouseTable.aggregate_states`
-    and by :class:`~repro.storage.warehouse.rollups.RollupSpec` construction,
-    so a spec can never pass one check and fail the other.
-    """
-    for alias, (function, column) in aggregates.items():
-        if function not in _AGGREGATE_FUNCTIONS:
-            raise WarehouseError(
-                f"{context}unknown aggregate function {function!r} for {alias!r}"
-            )
-        if column == "*" and function != "count":
-            raise WarehouseError(
-                f"{context}aggregate {function!r} needs a column, not '*'"
-            )
-
-
 class WarehouseTable:
     """One partitioned columnar table (optionally clustered by a sort key)."""
 
@@ -344,7 +113,6 @@ class WarehouseTable:
         sort_key: Sequence[str] | None = None,
         compression_level: int = DEFAULT_COMPRESSION_LEVEL,
         primary_key: str | None = None,
-        durable_manifest: bool = True,
         degraded_reads: bool = False,
         health: SubsystemHealth | None = None,
     ) -> None:
@@ -357,10 +125,12 @@ class WarehouseTable:
         self.dfs = dfs
         self.partitioner = partitioner
         self.block_rows = block_rows
-        self._compression_level = validate_compression_level(compression_level)
-        self._sort_key: tuple[str, ...] | None = tuple(sort_key) if sort_key else None
-        if self._sort_key:
-            missing = [c for c in self._sort_key if c not in self.columns]
+        #: The zlib level newly written blocks are compressed at (0 = raw).
+        self.compression_level = validate_compression_level(compression_level)
+        #: The declared clustering columns (``None`` for unsorted tables).
+        self.sort_key: tuple[str, ...] | None = tuple(sort_key) if sort_key else None
+        if self.sort_key:
+            missing = [c for c in self.sort_key if c not in self.columns]
             if missing:
                 raise WarehouseError(
                     f"table {name!r} sort key references unknown column(s) {missing!r}"
@@ -369,35 +139,6 @@ class WarehouseTable:
             raise WarehouseError(
                 f"table {name!r} primary key {primary_key!r} is not a column"
             )
-        self.primary_key = primary_key
-        self._partitions: dict[str, list[_BlockRef]] = {}
-        self._block_counter = 0
-        self._cache = _BlockCache(cache_blocks)
-        # --- CDC delta state (only populated on tables receiving deltas) ---
-        #: Small sorted delta blocks per partition, merged into the base at
-        #: read time and folded into it by :meth:`compact_partition`.
-        self._delta_partitions: dict[str, list[_BlockRef]] = {}
-        #: Latest landed version per primary key (canonical form) — the
-        #: last-writer-wins index.  Never pruned: it is also the exactly-once
-        #: guard against redelivered deltas.
-        self._delta_info: dict[Any, _DeltaEntry] = {}
-        #: Current partition of each primary key (maintained once a primary
-        #: key is known), used to detect cross-partition row moves.
-        self._pk_partition: dict[Any, str] = {}
-        #: Bumped when a delta moves/updates a key *away* from a partition:
-        #: that partition's bytes did not change but its merged view did, so
-        #: the epoch is folded into its signature and merge-cache key.
-        self._suppression_epoch: dict[str, int] = {}
-        #: Cached merged view per partition: ``(cache key, synthetic refs)``.
-        self._merged_refs: dict[str, tuple[tuple, list[_BlockRef]]] = {}
-        self._merge_counter = 0
-        #: Per-partition read counters (how often a scan/aggregate touched the
-        #: partition) — drives hot-first compaction ordering.
-        self._read_counts: Counter[str] = Counter()
-        #: Write the per-table recovery manifest after every state change.
-        #: The manifest is an accelerator, not the source of truth — a failed
-        #: manifest write degrades health and the next open rescans blocks.
-        self.durable_manifest = durable_manifest
         #: With degraded reads enabled, a partition whose delta blocks cannot
         #: be read (after retries) serves its base blocks instead of raising —
         #: stale-but-available, surfaced through ``health``.
@@ -405,16 +146,21 @@ class WarehouseTable:
         #: Optional health record (usually the platform monitor's
         #: ``"warehouse"`` subsystem) fed by degraded reads + manifest faults.
         self.health = health
+        self._catalog = BlockCatalog(
+            name, self.columns, dfs, block_rows, cache_blocks,
+            self.sort_key, self.compression_level,
+        )
+        self._delta = DeltaMerge(self._catalog, primary_key)
 
     @property
-    def sort_key(self) -> tuple[str, ...] | None:
-        """The declared clustering columns (``None`` for unsorted tables)."""
-        return self._sort_key
+    def primary_key(self) -> str | None:
+        """The row-identity column CDC deltas are reconciled by."""
+        return self._delta.primary_key
 
     @property
-    def compression_level(self) -> int:
-        """The zlib level newly written blocks are compressed at (0 = raw)."""
-        return self._compression_level
+    def _cache(self):
+        # benchmarks/e2e/workloads.py clears the block cache by this name.
+        return self._catalog.cache
 
     # ---------------------------------------------------------------- writes
 
@@ -428,53 +174,16 @@ class WarehouseTable:
         (the blocks then simply carry no sort-key metadata).
         """
         grouped: dict[str, list[dict[str, Any]]] = {}
+        track = self._delta.track if self.primary_key is not None else None
         count = 0
         for row in rows:
             partition = self.partitioner(row)
             grouped.setdefault(partition, []).append(row)
-            if self.primary_key is not None:
-                self._pk_partition[canonical_key(row.get(self.primary_key))] = partition
+            if track is not None:
+                track(row, partition)
             count += 1
-        for partition, partition_rows in grouped.items():
-            applied: tuple[str, ...] | None = None
-            if self._sort_key:
-                partition_rows, applied = sort_rows(partition_rows, self._sort_key)
-            for start in range(0, len(partition_rows), self.block_rows):
-                chunk = partition_rows[start:start + self.block_rows]
-                self._write_block(partition, chunk, applied)
-        if count:
-            self._write_manifest()
+        self._land(grouped, "base")
         return count
-
-    def _write_block(
-        self,
-        partition: str,
-        rows: list[dict[str, Any]],
-        sort_key: tuple[str, ...] | None = None,
-    ) -> None:
-        self._partitions.setdefault(partition, []).append(
-            self._store_block(partition, rows, sort_key)
-        )
-
-    def _store_block(
-        self,
-        partition: str,
-        rows: list[dict[str, Any]],
-        sort_key: tuple[str, ...] | None = None,
-    ) -> _BlockRef:
-        """Encode + persist one block on the DFS and return its (unregistered)
-        reference — callers decide when the block becomes visible."""
-        block = ColumnarBlock.from_rows(rows, self.columns, sort_key=sort_key)
-        payload = block.to_payload()
-        data = wrap_payload(payload, self._compression_level)
-        self._block_counter += 1
-        path = f"/warehouse/{self.name}/{partition}/block-{self._block_counter:06d}.blk"
-        self.dfs.write_file(path, data)
-        return _BlockRef(
-            path=path, n_rows=block.n_rows, stats=block.stats,
-            sort_key=block.sort_key,
-            compressed_bytes=len(data), uncompressed_bytes=len(payload),
-        )
 
     def append_deltas(
         self,
@@ -493,124 +202,31 @@ class WarehouseTable:
         across broker partitions.
 
         Reads merge these deltas into the base blocks with last-writer-wins
-        by primary key/LSN (see :meth:`_effective_refs`);
-        :meth:`compact_partition` folds them into the base for good.
+        by primary key/LSN; :meth:`compact_partition` folds them into the
+        base for good.
         """
-        if primary_key is not None:
-            if self.primary_key is None:
-                if primary_key not in self.columns:
-                    raise WarehouseError(
-                        f"table {self.name!r} primary key {primary_key!r} is not a column"
-                    )
-                self.primary_key = primary_key
-            elif primary_key != self.primary_key:
-                raise WarehouseError(
-                    f"table {self.name!r} primary key is {self.primary_key!r}, "
-                    f"not {primary_key!r}"
-                )
-        if self.primary_key is None:
-            raise WarehouseError(
-                f"table {self.name!r} needs a primary key to apply CDC deltas"
-            )
-        fresh: dict[str, list[tuple[int, str, dict[str, Any]]]] = {}
-        applied = 0
-        for lsn, op, row in sorted(entries, key=lambda entry: entry[0]):
-            opcode = "d" if op in ("d", "delete") else "u"
-            key = canonical_key(row.get(self.primary_key))
-            existing = self._delta_info.get(key)
-            if existing is not None and lsn <= existing.lsn:
-                continue  # duplicate or stale redelivery
-            target = self.partitioner(row)
-            previous = self._pk_partition.get(key)
-            if previous is not None and previous != target:
-                # The key's old partition keeps its bytes but loses the row
-                # from its merged view — bump its epoch so signatures and
-                # cached merges notice.
-                self._suppression_epoch[previous] = (
-                    self._suppression_epoch.get(previous, 0) + 1
-                )
-                self._merged_refs.pop(previous, None)
-            self._delta_info[key] = _DeltaEntry(lsn=lsn, partition=target, op=opcode)
-            if opcode == "d":
-                self._pk_partition.pop(key, None)
-            else:
-                self._pk_partition[key] = target
-            fresh.setdefault(target, []).append((lsn, opcode, row))
-            applied += 1
-        for partition, items in fresh.items():
-            delta_rows = [
-                {
-                    **{name: row.get(name) for name in self.columns},
-                    "_cdc_lsn": lsn,
-                    "_cdc_op": opcode,
-                }
-                for lsn, opcode, row in items
-            ]
-            applied_key: tuple[str, ...] | None = None
-            if self._sort_key:
-                delta_rows, applied_key = sort_rows(delta_rows, self._sort_key)
-            for start in range(0, len(delta_rows), self.block_rows):
-                chunk = delta_rows[start:start + self.block_rows]
-                self._delta_partitions.setdefault(partition, []).append(
-                    self._store_delta_block(partition, chunk, applied_key)
-                )
-            self._merged_refs.pop(partition, None)
-        if applied:
-            self._write_manifest()
-        return applied
+        self._delta.require_primary_key(primary_key)
+        fresh = self._delta.admit(entries, self.partitioner)
+        self._land(fresh, "delta")
+        return sum(len(rows) for rows in fresh.values())
 
-    def _store_delta_block(
-        self,
-        partition: str,
-        rows: list[dict[str, Any]],
-        sort_key: tuple[str, ...] | None = None,
-    ) -> _BlockRef:
-        block = ColumnarBlock.from_rows(
-            rows, self.columns + ["_cdc_lsn", "_cdc_op"],
-            sort_key=sort_key, role="delta",
-        )
-        payload = block.to_payload()
-        data = wrap_payload(payload, self._compression_level)
-        self._block_counter += 1
-        path = f"/warehouse/{self.name}/{partition}/delta-{self._block_counter:06d}.blk"
-        self.dfs.write_file(path, data)
-        return _BlockRef(
-            path=path, n_rows=block.n_rows, stats=block.stats,
-            sort_key=block.sort_key,
-            compressed_bytes=len(data), uncompressed_bytes=len(payload),
-            role="delta",
-        )
+    def _land(self, grouped: dict[str, list[dict[str, Any]]], role: str) -> None:
+        """Write each partition's rows as ``role`` blocks, visible one by one
+        as they land, then persist the manifest."""
+        for partition, rows in grouped.items():
+            self._catalog.append_blocks(partition, rows, role)
+        if grouped:
+            self._write_manifest()
 
     def delta_block_count(self, partition: str | None = None) -> int:
         """Physical delta blocks awaiting a fold (optionally of one partition)."""
-        if partition is not None:
-            return len(self._delta_partitions.get(partition, []))
-        return sum(len(refs) for refs in self._delta_partitions.values())
+        return self._catalog.delta_block_count(partition)
 
-    def _effective_refs(self, partition: str) -> list[_BlockRef]:
-        """The partition's readable block refs: base blocks as stored, or the
-        merged base+delta view when deltas (or away-moves) are outstanding.
-
-        The merged view is rebuilt from rows and cut into ``block_rows``
-        chunks exactly like an append of the same rows, so its blocks — and
-        therefore zone statistics, stats-only aggregates and float fold order
-        — are indistinguishable from a fresh batch copy of the merged data.
-        """
-        base = self._partitions.get(partition, [])
-        deltas = self._delta_partitions.get(partition, [])
-        epoch = self._suppression_epoch.get(partition, 0)
-        if not deltas and not epoch:
-            return base
-        cache_key = (
-            tuple(ref.path for ref in base),
-            tuple(ref.path for ref in deltas),
-            epoch,
-        )
-        cached = self._merged_refs.get(partition)
-        if cached is not None and cached[0] == cache_key:
-            return cached[1]
+    def _effective_refs(self, partition: str) -> list[BlockRef]:
+        """The partition's readable block refs (merged view when deltas are
+        outstanding, see :meth:`DeltaMerge.effective_refs`)."""
         try:
-            refs = self._build_merged_refs(partition, base, deltas)
+            return self._delta.effective_refs(partition)
         except (TransientFaultError, RetryExhaustedError, WarehouseError) as exc:
             if not self.degraded_reads:
                 raise
@@ -619,108 +235,12 @@ class WarehouseTable:
             # consistent, and surface the downgrade instead of dying.
             if self.health is not None:
                 self.health.degrade(exc)
-            return base
-        self._merged_refs[partition] = (cache_key, refs)
-        return refs
-
-    def _merged_rows(
-        self,
-        partition: str,
-        base_refs: list[_BlockRef],
-        delta_refs: list[_BlockRef],
-    ) -> list[dict[str, Any]]:
-        """Last-writer-wins merge of a partition's base and delta rows.
-
-        Base rows are walked in stored order; a row whose key has a newer
-        delta version is substituted in place (targeting this partition) or
-        dropped (delete, or moved to another partition).  Surviving delta
-        rows with no base predecessor here are appended in LSN order — the
-        position a fresh batch copy would have given them.
-        """
-        assert self.primary_key is not None
-        pk = self.primary_key
-        latest: dict[Any, tuple[int, dict[str, Any]]] = {}
-        for ref in delta_refs:
-            block = self._cache.get(ref.path)
-            if block is None:
-                block = ColumnarBlock.from_bytes(self.dfs.read_file(ref.path))
-            for row in block.to_rows():
-                lsn = row.pop("_cdc_lsn")
-                opcode = row.pop("_cdc_op")
-                entry = self._delta_info.get(canonical_key(row.get(pk)))
-                if entry is not None and lsn == entry.lsn and opcode == "u":
-                    latest[canonical_key(row.get(pk))] = (lsn, row)
-        merged: list[dict[str, Any]] = []
-        for ref in base_refs:
-            block = self._cache.get(ref.path)
-            if block is None:
-                block = ColumnarBlock.from_bytes(self.dfs.read_file(ref.path))
-            for row in block.to_rows():
-                key = canonical_key(row.get(pk))
-                entry = self._delta_info.get(key)
-                if entry is None:
-                    merged.append(row)
-                elif entry.folded and entry.partition == partition:
-                    merged.append(row)  # base row already is the latest version
-                elif entry.partition == partition and entry.op == "u":
-                    replacement = latest.pop(key, None)
-                    merged.append(row if replacement is None else replacement[1])
-                # else: deleted, or moved to another partition — drop.
-        merged.extend(row for _lsn, row in sorted(latest.values(), key=lambda v: v[0]))
-        return merged
-
-    def _build_merged_refs(
-        self,
-        partition: str,
-        base_refs: list[_BlockRef],
-        delta_refs: list[_BlockRef],
-    ) -> list[_BlockRef]:
-        rows = self._merged_rows(partition, base_refs, delta_refs)
-        if not rows:
-            return []
-        applied: tuple[str, ...] | None = None
-        if self._sort_key:
-            rows, applied = sort_rows(rows, self._sort_key)
-        self._merge_counter += 1
-        refs: list[_BlockRef] = []
-        for index, start in enumerate(range(0, len(rows), self.block_rows)):
-            chunk = rows[start:start + self.block_rows]
-            # Sorted column order: the wire header is serialised with sorted
-            # keys, so durable blocks decode — and scan — alphabetically.
-            # The in-memory merged view must be indistinguishable from one.
-            block = ColumnarBlock.from_rows(
-                chunk, sorted(self.columns), sort_key=applied
-            )
-            refs.append(_BlockRef(
-                path=(
-                    f"/warehouse/{self.name}/{partition}/"
-                    f"merged-{self._merge_counter:06d}-{index:04d}.mem"
-                ),
-                n_rows=block.n_rows, stats=block.stats, sort_key=block.sort_key,
-                block=block,
-            ))
-        return refs
+            return self._catalog.base.get(partition, [])
 
     def drop_partition(self, partition: str) -> int:
         """Delete every block of ``partition``; returns the number of rows removed."""
-        refs = self._partitions.pop(partition, [])
-        removed = 0
-        for ref in refs:
-            self._cache.invalidate(ref.path)
-            self.dfs.delete_file(ref.path)
-            removed += ref.n_rows
-        for ref in self._delta_partitions.pop(partition, []):
-            self._cache.invalidate(ref.path)
-            self.dfs.delete_file(ref.path)
-            removed += ref.n_rows
-        self._merged_refs.pop(partition, None)
-        self._suppression_epoch.pop(partition, None)
-        doomed = [k for k, e in self._delta_info.items() if e.partition == partition]
-        for key in doomed:
-            del self._delta_info[key]
-        orphans = [k for k, p in self._pk_partition.items() if p == partition]
-        for key in orphans:
-            del self._pk_partition[key]
+        removed = self._catalog.drop_partition(partition)
+        self._delta.forget(partition)
         self._write_manifest()
         return removed
 
@@ -740,77 +260,42 @@ class WarehouseTable:
         additionally **folds** them: the merged last-writer-wins view is what
         gets rewritten as base blocks, the delta blocks are deleted and the
         folded key versions are marked so reads stop suppressing the (now
-        up-to-date) base rows.
+        up-to-date) base rows.  A partition whose rows were all deleted
+        disappears.
 
         Returns a report: ``rows``, ``blocks_before``/``blocks_after`` and
         ``compressed_bytes_before``/``compressed_bytes_after``
         (delta blocks count as blocks/bytes before the rewrite).
         """
-        refs = self._partitions.get(partition)
-        delta_refs = self._delta_partitions.get(partition, [])
-        if refs is None and not delta_refs:
+        if partition not in self._catalog.base and not self.delta_block_count(partition):
             raise WarehouseError(
                 f"table {self.name!r} has no partition {partition!r}"
             )
-        base_refs = refs or []
-        folding = bool(delta_refs) or bool(self._suppression_epoch.get(partition))
+        folding = self._needs_fold(partition)
         if folding:
-            rows = self._merged_rows(partition, base_refs, delta_refs)
+            rows = self._delta.merged_rows(partition)
         else:
-            rows = []
-            for ref in base_refs:
-                # One-shot reads of doomed blocks: peek at the cache for blocks
-                # already resident, but never populate it — cycling a large
-                # fragmented partition through the LRU would evict the analytics
-                # working set for entries invalidated moments later.
-                block = self._cache.get(ref.path)
-                if block is None:
-                    block = ColumnarBlock.from_bytes(self.dfs.read_file(ref.path))
-                rows.extend(block.to_rows())
-        applied: tuple[str, ...] | None = None
-        if self._sort_key:
-            rows, applied = sort_rows(rows, self._sort_key)
-        # Write every replacement block *before* touching the partition's
-        # visible refs: a write failure mid-compaction then leaves the old
-        # layout fully intact — and the replacements written so far are
-        # deleted again, so an aborted compaction leaks no orphan blocks.
-        old_refs = base_refs + delta_refs
-        new_refs: list[_BlockRef] = []
-        try:
-            for start in range(0, len(rows), self.block_rows):
-                new_refs.append(
-                    self._store_block(
-                        partition, rows[start:start + self.block_rows], applied
-                    )
-                )
-        except Exception:
-            for ref in new_refs:
-                try:
-                    self.dfs.delete_file(ref.path)
-                except WarehouseError:
-                    pass  # best-effort cleanup of an already-failing pass
-            raise
-        self._partitions[partition] = new_refs
-        for ref in old_refs:
-            self._cache.invalidate(ref.path)
-            self.dfs.delete_file(ref.path)
+            rows = self._catalog.read_rows(self._catalog.base[partition])
+        report = self._catalog.replace_partition(partition, rows)
         if folding:
-            self._delta_partitions.pop(partition, None)
-            self._merged_refs.pop(partition, None)
-            self._suppression_epoch.pop(partition, None)
-            for key, entry in self._delta_info.items():
-                if entry.partition == partition:
-                    # The base now holds (or, for deletes, lacks) exactly this
-                    # version; only a strictly newer delta may override it.
-                    entry.folded = True
+            self._delta.fold(partition)
         self._write_manifest()
-        return {
-            "rows": len(rows),
-            "blocks_before": len(old_refs),
-            "blocks_after": len(new_refs),
-            "compressed_bytes_before": sum(r.compressed_bytes for r in old_refs),
-            "compressed_bytes_after": sum(r.compressed_bytes for r in new_refs),
-        }
+        return report
+
+    def _needs_fold(self, partition: str) -> bool:
+        return bool(self.delta_block_count(partition) or self._delta.epoch(partition))
+
+    def _compaction_order(self, min_blocks: int) -> list[str]:
+        """Partitions a compaction pass should rewrite, hottest-first: those
+        holding at least ``min_blocks`` physical blocks, plus every partition
+        with an outstanding fold whatever its block count."""
+        reads = self._catalog.read_counts
+        return [
+            partition
+            for partition in sorted(self.partitions(), key=lambda p: (-reads.get(p, 0), p))
+            if len(self._catalog.physical_refs(partition)) >= min_blocks
+            or self._needs_fold(partition)
+        ]
 
     # -------------------------------------------------- durability & recovery
 
@@ -822,53 +307,24 @@ class WarehouseTable:
         below it are already landed and will be dropped by the exactly-once
         index on redelivery.
         """
-        return max((entry.lsn for entry in self._delta_info.values()), default=0)
-
-    def _manifest_path(self) -> str:
-        return f"/warehouse/{self.name}/_manifest.json"
-
-    def _manifest_payload(self) -> dict[str, Any]:
-        return {
-            "version": _MANIFEST_VERSION,
-            "table": self.name,
-            "primary_key": self.primary_key,
-            "block_counter": self._block_counter,
-            "partitions": {
-                partition: [_encode_ref(ref) for ref in refs]
-                for partition, refs in self._partitions.items()
-            },
-            "delta_partitions": {
-                partition: [_encode_ref(ref) for ref in refs]
-                for partition, refs in self._delta_partitions.items()
-            },
-            "suppression_epoch": dict(self._suppression_epoch),
-            "delta_info": [
-                [_encode_key(key), entry.lsn, entry.partition, entry.op, entry.folded]
-                for key, entry in self._delta_info.items()
-            ],
-            "pk_partition": [
-                [_encode_key(key), partition]
-                for key, partition in self._pk_partition.items()
-            ],
-        }
+        return self._delta.high_water()
 
     def _write_manifest(self) -> None:
-        """Persist the recovery manifest (atomic via the DFS write path).
-
-        The manifest accelerates :meth:`recover` to O(manifest) instead of
-        O(read every block); it is *not* the source of truth — recovery
-        cross-checks it against the actual file listing and rescans on any
-        disagreement.  A manifest write failure therefore degrades health
-        rather than failing the data operation that triggered it.
-        """
-        if not self.durable_manifest:
-            return
-        data = json.dumps(self._manifest_payload(), sort_keys=True).encode("utf-8")
+        """Persist the recovery manifest after a state change.  It is not the
+        source of truth (recovery cross-checks it against the file listing and
+        rescans on any disagreement), so a failed write degrades health rather
+        than failing the data operation that triggered it."""
         try:
-            self.dfs.write_file(self._manifest_path(), data)
+            self._catalog.write_manifest(self._delta.manifest_fields())
         except (TransientFaultError, RetryExhaustedError, WarehouseError) as exc:
             if self.health is not None:
                 self.health.degrade(exc)
+
+    def _drop(self) -> None:
+        """Remove every DFS file of the table (its manifest last)."""
+        for partition in self.partitions():
+            self.drop_partition(partition)
+        self._catalog.delete_manifest()
 
     def recover(self) -> dict[str, Any]:
         """Rebuild in-memory state from the DFS after a process restart.
@@ -877,196 +333,44 @@ class WarehouseTable:
         paths agree exactly with the DFS file listing.  Fallback (manifest
         missing, torn, unknown version, or stale vs the listing): read every
         ``block-``/``delta-`` file back, rebuilding block refs from the block
-        headers, the per-key newest-LSN index and partition map from the
-        delta/base rows, and suppression epochs from keys whose base row
-        lives in a partition their latest version moved away from.  Folded
-        flags are unrecoverable by rescan — safe, because a redelivered
-        folded version re-applies content identical to the base row.
+        headers and the last-writer-wins state from the delta/base rows, then
+        re-seed the manifest so the *next* open takes the fast path.
 
         Returns a report: ``source`` (``"manifest"``/``"scan"``/``"empty"``),
         block/key counts and the recovered ``delta_high_water``.
         """
-        prefix = f"/warehouse/{self.name}/"
-        manifest_path = self._manifest_path()
-        block_paths = [
-            path
-            for path in self.dfs.list_files(prefix)
-            if path != manifest_path and path.endswith(".blk")
-        ]
-        source = "scan"
-        if self.dfs.exists(manifest_path):
-            payload: dict[str, Any] | None
-            try:
-                payload = json.loads(self.dfs.read_file(manifest_path))
-            except (
-                ValueError,
-                UnicodeDecodeError,
-                TransientFaultError,
-                RetryExhaustedError,
-                WarehouseError,
-            ):
-                payload = None  # torn or unreadable manifest → rescan
-            if payload is not None and self._adopt_manifest(payload, block_paths):
-                source = "manifest"
-        if source != "manifest":
-            if block_paths:
-                self._recover_from_scan(prefix, block_paths)
-                # Re-seed the manifest so the *next* open takes the fast path.
-                self._write_manifest()
-            else:
-                source = "empty"
-        self._cache.clear()
-        self._merged_refs.clear()
+        block_paths = self._catalog.block_paths()
+        logical = self._catalog.adopt_manifest(block_paths, self._delta.decode_manifest)
+        if logical is not None:
+            self._delta.restore(*logical)
+            source = "manifest"
+        elif block_paths:
+            self._delta.rebuild(self._catalog.rescan(block_paths))
+            self._write_manifest()
+            source = "scan"
+        else:
+            source = "empty"
+        self._catalog.cache.clear()
         return {
             "source": source,
-            "base_blocks": sum(len(refs) for refs in self._partitions.values()),
+            "base_blocks": self.block_count() - self.delta_block_count(),
             "delta_blocks": self.delta_block_count(),
-            "tracked_keys": len(self._delta_info),
+            "tracked_keys": self._delta.tracked_keys(),
             "delta_high_water": self.delta_high_water(),
         }
-
-    def _adopt_manifest(
-        self, payload: dict[str, Any], block_paths: list[str]
-    ) -> bool:
-        """Parse + validate a manifest document; adopt it only when its block
-        paths agree exactly with the DFS listing.  Returns adoption success."""
-        if not isinstance(payload, dict):
-            return False
-        if payload.get("version") != _MANIFEST_VERSION or payload.get("table") != self.name:
-            return False
-        try:
-            partitions = {
-                partition: [_decode_ref(obj) for obj in refs]
-                for partition, refs in payload["partitions"].items()
-            }
-            delta_partitions = {
-                partition: [_decode_ref(obj) for obj in refs]
-                for partition, refs in payload["delta_partitions"].items()
-            }
-            suppression = {
-                partition: int(epoch)
-                for partition, epoch in payload["suppression_epoch"].items()
-                if int(epoch)
-            }
-            delta_info = {
-                _decode_key(key): _DeltaEntry(
-                    lsn=int(lsn), partition=partition, op=op, folded=bool(folded)
-                )
-                for key, lsn, partition, op, folded in payload["delta_info"]
-            }
-            pk_partition = {
-                _decode_key(key): partition
-                for key, partition in payload["pk_partition"]
-            }
-            block_counter = int(payload["block_counter"])
-            primary_key = payload["primary_key"]
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return False  # structurally torn manifest → rescan
-        manifest_paths = {
-            ref.path
-            for refs in list(partitions.values()) + list(delta_partitions.values())
-            for ref in refs
-        }
-        if manifest_paths != set(block_paths):
-            return False  # blocks landed after the last manifest write → rescan
-        if primary_key is not None and self.primary_key is None:
-            if primary_key in self.columns:
-                self.primary_key = primary_key
-        self._partitions = partitions
-        self._delta_partitions = delta_partitions
-        self._suppression_epoch = suppression
-        self._delta_info = delta_info
-        self._pk_partition = pk_partition
-        self._block_counter = max(
-            block_counter, max(map(_block_file_counter, block_paths), default=0)
-        )
-        return True
-
-    def _recover_from_scan(self, prefix: str, block_paths: list[str]) -> None:
-        """Full fallback: rebuild all state by reading every block back."""
-        partitions: dict[str, list[_BlockRef]] = {}
-        delta_partitions: dict[str, list[_BlockRef]] = {}
-        delta_info: dict[Any, _DeltaEntry] = {}
-        pk_partition: dict[Any, str] = {}
-        base_keys: list[tuple[Any, str]] = []
-        max_counter = 0
-        for path in sorted(block_paths):
-            relative = path[len(prefix):]
-            partition, _, filename = relative.rpartition("/")
-            if not partition:
-                continue  # stray file outside a partition directory
-            data = self.dfs.read_file(path)
-            block = ColumnarBlock.from_bytes(data)
-            ref = _BlockRef(
-                path=path, n_rows=block.n_rows, stats=block.stats,
-                sort_key=block.sort_key,
-                compressed_bytes=len(data),
-                uncompressed_bytes=len(unwrap_payload(data)),
-                role=block.role,
-            )
-            max_counter = max(max_counter, _block_file_counter(path))
-            if filename.startswith("delta-") or block.role == "delta":
-                if self.primary_key is None:
-                    raise WarehouseError(
-                        f"table {self.name!r} needs a primary key to recover "
-                        "its CDC delta state from a block rescan"
-                    )
-                delta_partitions.setdefault(partition, []).append(ref)
-                for row in block.to_rows():
-                    lsn = row["_cdc_lsn"]
-                    opcode = row["_cdc_op"]
-                    key = canonical_key(row.get(self.primary_key))
-                    existing = delta_info.get(key)
-                    if existing is None or lsn > existing.lsn:
-                        delta_info[key] = _DeltaEntry(
-                            lsn=lsn, partition=partition, op=opcode
-                        )
-            else:
-                partitions.setdefault(partition, []).append(ref)
-                if self.primary_key is not None:
-                    for value in block.columns[self.primary_key]:
-                        base_keys.append((canonical_key(value), partition))
-        # Base rows record where each key physically lives; the newest delta
-        # version then overrides (or, for deletes, removes) that location.
-        for key, partition in base_keys:
-            pk_partition[key] = partition
-        for key, entry in delta_info.items():
-            if entry.op == "d":
-                pk_partition.pop(key, None)
-            else:
-                pk_partition[key] = entry.partition
-        # A base row whose latest version moved to another partition must be
-        # suppressed at merge time even though its partition has no delta
-        # blocks — recover those partitions' suppression epochs.
-        suppression: dict[str, int] = {}
-        for key, base_partition in base_keys:
-            entry = delta_info.get(key)
-            if entry is not None and entry.op == "u" and entry.partition != base_partition:
-                suppression[base_partition] = 1
-        self._partitions = partitions
-        self._delta_partitions = delta_partitions
-        self._delta_info = delta_info
-        self._pk_partition = pk_partition
-        self._suppression_epoch = suppression
-        self._block_counter = max(self._block_counter, max_counter)
 
     # ----------------------------------------------------------------- reads
 
     def partitions(self) -> list[str]:
         """All partition keys, sorted (delta-only partitions included)."""
-        if not self._delta_partitions:
-            return sorted(self._partitions)
-        return sorted(set(self._partitions) | set(self._delta_partitions))
+        return self._catalog.partitions()
 
     def row_count(self, partition: str | None = None) -> int:
         """Total *visible* rows (optionally of a single partition): with
         outstanding deltas this is the merged row count, not the physical one."""
-        if partition is not None:
-            return sum(ref.n_rows for ref in self._effective_refs(partition))
+        partitions = self.partitions() if partition is None else [partition]
         return sum(
-            ref.n_rows
-            for partition in self.partitions()
-            for ref in self._effective_refs(partition)
+            ref.n_rows for p in partitions for ref in self._effective_refs(p)
         )
 
     def scan(
@@ -1092,11 +396,7 @@ class WarehouseTable:
         """
         zone_filters = [zone_filter] if zone_filter is not None else None
         for _partition, ref in self._iter_refs(partitions, zone_filters):
-            block = (
-                ref.block if ref.block is not None
-                else ColumnarBlock.from_bytes(self.dfs.read_file(ref.path))
-            )
-            for row in block.to_rows(columns):
+            for row in self._catalog.read(ref).to_rows(columns):
                 if predicate is None or predicate(row):
                     yield row
 
@@ -1134,21 +434,13 @@ class WarehouseTable:
         self._check_columns(columns)
         self._check_columns(f[0] for f in range_filters or ())
         self._check_columns(column_predicates or ())
-
-        def project(ref: _BlockRef) -> dict[str, list[Any]] | None:
-            block = self._load_block(ref)
-            selection = _selection_vector(block, range_filters, column_predicates)
-            if selection is None:
-                return {name: list(block.columns[name]) for name in columns}
-            if not selection:
-                return None
-            return {
-                name: [block.columns[name][i] for i in selection]
-                for name in columns
-            }
-
+        project = partial(
+            engine.project_block,
+            columns=columns, range_filters=range_filters,
+            column_predicates=column_predicates,
+        )
         refs = [ref for _partition, ref in self._iter_refs(partitions, range_filters)]
-        for block_columns in self._map_refs(refs, project, executor, "scan_columns"):
+        for block_columns in self._catalog.map_blocks(refs, project, "scan_columns", executor):
             if block_columns is not None:
                 yield block_columns
 
@@ -1209,21 +501,19 @@ class WarehouseTable:
         block-reading path; values with no consistent ordering then raise
         :class:`WarehouseError`).
         """
-        group_cols = self._validate_aggregate_args(
-            aggregates, group_by, range_filters, column_predicates
+        query = self._aggregation(
+            aggregates, group_by, range_filters, column_predicates, group_key
         )
-
-        unfiltered = not range_filters and not column_predicates
-        if group_cols is None and unfiltered and all(
-            function in _STATS_ONLY_FUNCTIONS for function, _column in aggregates.values()
-        ):
-            result = self._aggregate_from_stats(aggregates, partitions)
+        if query.stats_only():
+            result = engine.aggregate_from_stats(
+                (ref for _partition, ref in self._iter_refs(partitions, None)),
+                aggregates,
+            )
             if result is not None:
                 return result
-
-        return self._aggregate_blocks(
-            aggregates, partitions, range_filters, column_predicates,
-            group_cols, group_key, executor,
+        return engine.aggregate_blocks(
+            list(self._iter_refs(partitions, range_filters)), query,
+            partial(self._catalog.map_blocks, executor=executor),
         )
 
     def aggregate_states(
@@ -1235,7 +525,7 @@ class WarehouseTable:
         group_by: str | Sequence[str] | None = None,
         group_key: Callable[[Any], Any] | None = None,
         executor: LocalExecutor | None = None,
-    ) -> dict[Any, dict[str, "_AggState"]]:
+    ) -> dict[Any, dict[str, AggState]]:
         """Mergeable partial aggregation states per group (``None`` = ungrouped).
 
         The building block of the materialized roll-up subsystem
@@ -1246,15 +536,14 @@ class WarehouseTable:
         :func:`finalise_states`.  Merging per-partition states in sorted
         partition order reproduces the whole-table :meth:`aggregate` result
         exactly — floats included, because both sides fold block states within
-        each partition first and partitions second (see :meth:`_fold_states`).
+        each partition first and partitions second (see :func:`engine.fold_states`).
         """
-        group_cols = self._validate_aggregate_args(
-            aggregates, group_by, range_filters, column_predicates
+        query = self._aggregation(
+            aggregates, group_by, range_filters, column_predicates, group_key
         )
-        pairs = list(self._iter_refs(partitions, range_filters))
-        return self._fold_states(
-            pairs, aggregates, range_filters, column_predicates,
-            group_cols, group_key, executor,
+        return engine.fold_states(
+            list(self._iter_refs(partitions, range_filters)), query,
+            partial(self._catalog.map_blocks, executor=executor),
         )
 
     def partition_signature(self, partition: str) -> tuple[str, ...]:
@@ -1269,14 +558,10 @@ class WarehouseTable:
         this partition's bytes — so incremental refresh consumes deltas for
         free.  Name-node metadata only; no DFS read happens.
         """
-        refs = self._partitions.get(partition)
-        delta_refs = self._delta_partitions.get(partition)
-        if refs is None and delta_refs is None:
+        if partition not in self._catalog.base and partition not in self._catalog.deltas:
             raise WarehouseError(f"table {self.name!r} has no partition {partition!r}")
-        signature = tuple(ref.path for ref in refs or []) + tuple(
-            ref.path for ref in delta_refs or []
-        )
-        epoch = self._suppression_epoch.get(partition, 0)
+        signature = tuple(ref.path for ref in self._catalog.physical_refs(partition))
+        epoch = self._delta.epoch(partition)
         if epoch:
             signature += (f"#suppression-epoch={epoch}",)
         return signature
@@ -1290,23 +575,21 @@ class WarehouseTable:
         self._check_columns([column])
         out: list[Any] = []
         for _partition, ref in self._iter_refs(partitions, None):
-            out.extend(_own_value(v) for v in self._load_block(ref).columns[column])
+            out.extend(_own_value(v) for v in self._catalog.load(ref).columns[column])
         return out
 
     def block_count(self) -> int:
         """Physical blocks on the DFS (base + not-yet-folded delta blocks)."""
-        return (
-            sum(len(refs) for refs in self._partitions.values())
-            + self.delta_block_count()
-        )
+        return self._catalog.block_count()
 
     def cache_info(self) -> dict[str, int]:
         """Block-cache statistics: hits, misses, resident entries, capacity."""
+        cache = self._catalog.cache
         return {
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-            "entries": len(self._cache),
-            "capacity": self._cache.capacity,
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "entries": len(cache),
+            "capacity": cache.capacity,
         }
 
     def storage_totals(self) -> dict[str, Any]:
@@ -1317,28 +600,7 @@ class WarehouseTable:
         ``fragmented_partitions`` counts partitions holding more than one
         block — the partitions a compaction pass would merge.
         """
-        compressed = uncompressed = fragmented = 0
-        for partition in self.partitions():
-            refs = self._partitions.get(partition, []) + self._delta_partitions.get(
-                partition, []
-            )
-            if len(refs) > 1:
-                fragmented += 1
-            for ref in refs:
-                compressed += ref.compressed_bytes
-                uncompressed += ref.uncompressed_bytes
-        return {
-            "table": self.name,
-            "compression_level": self._compression_level,
-            "block_count": self.block_count(),
-            "delta_block_count": self.delta_block_count(),
-            "row_count": self.row_count(),
-            "partition_count": len(self.partitions()),
-            "fragmented_partitions": fragmented,
-            "compressed_bytes": compressed,
-            "uncompressed_bytes": uncompressed,
-            "compression_ratio": (uncompressed / compressed) if compressed else 1.0,
-        }
+        return self._catalog.storage_totals(self.row_count())
 
     def storage_stats(self) -> dict[str, Any]:
         """Physical storage accounting from the name-node block metadata.
@@ -1348,28 +610,7 @@ class WarehouseTable:
         breakdown listing every block's compressed / uncompressed byte
         counts.  No DFS read happens — the sizes were recorded at write time.
         """
-        partitions: dict[str, dict[str, Any]] = {}
-        for partition in self.partitions():
-            refs = self._partitions.get(partition, []) + self._delta_partitions.get(
-                partition, []
-            )
-            partitions[partition] = {
-                "rows": sum(ref.n_rows for ref in refs),
-                "reads": self._read_counts.get(partition, 0),
-                "compressed_bytes": sum(ref.compressed_bytes for ref in refs),
-                "uncompressed_bytes": sum(ref.uncompressed_bytes for ref in refs),
-                "blocks": [
-                    {
-                        "path": ref.path,
-                        "rows": ref.n_rows,
-                        "role": ref.role,
-                        "compressed_bytes": ref.compressed_bytes,
-                        "uncompressed_bytes": ref.uncompressed_bytes,
-                    }
-                    for ref in refs
-                ],
-            }
-        return {**self.storage_totals(), "partitions": partitions}
+        return {**self.storage_totals(), "partitions": self._catalog.partition_stats()}
 
     # ------------------------------------------------------------- internals
 
@@ -1378,16 +619,17 @@ class WarehouseTable:
         if missing:
             raise WarehouseError(f"table {self.name!r} has no column(s) {missing!r}")
 
-    def _validate_aggregate_args(
+    def _aggregation(
         self,
         aggregates: Mapping[str, tuple[str, str]],
         group_by: str | Sequence[str] | None,
         range_filters: Sequence[RangeFilter] | None,
         column_predicates: Mapping[str, Callable[[Any], bool]] | None,
-    ) -> list[str] | None:
+        group_key: Callable[[Any], Any] | None,
+    ) -> engine.Aggregation:
         """Shared argument validation of :meth:`aggregate` /
-        :meth:`aggregate_states`; returns the normalised group column list."""
-        validate_aggregate_functions(aggregates)
+        :meth:`aggregate_states`."""
+        engine.validate_aggregate_functions(aggregates)
         self._check_columns(
             column for _function, column in aggregates.values() if column != "*"
         )
@@ -1403,670 +645,25 @@ class WarehouseTable:
             self._check_columns(group_cols)
         self._check_columns(f[0] for f in range_filters or ())
         self._check_columns(column_predicates or ())
-        return group_cols
+        return engine.Aggregation(
+            aggregates, range_filters, column_predicates, group_cols, group_key
+        )
 
     def _iter_refs(
         self,
         partitions: Sequence[str] | None,
         range_filters: Sequence[RangeFilter] | None,
-    ) -> Iterator[tuple[str, _BlockRef]]:
-        """Partition-pruned, zone-pruned iteration over block references.
-
-        On clustered tables the blocks of each partition are walked in
-        ascending order of their sort-column minimum (a deterministic clustered
-        read order); a range filter with an upper bound on the sort column then
-        stops the walk at the first block that starts past the bound — every
-        later block's minimum is even greater, so none can match.
-        """
+    ) -> Iterator[tuple[str, BlockRef]]:
+        """Partition-pruned, zone-pruned iteration over readable block refs
+        (each visited partition counts one read)."""
         wanted = set(partitions) if partitions is not None else None
-        sort_col = self._sort_key[0] if self._sort_key else None
-        high_bound: Any = None
-        has_bound = False
-        if sort_col is not None and range_filters:
-            for column, _low, high in range_filters:
-                if column == sort_col and high is not None:
-                    high_bound = high
-                    has_bound = True
-                    break
         for partition in self.partitions():
             if wanted is not None and partition not in wanted:
                 continue
             refs = self._effective_refs(partition)
-            self._read_counts[partition] += 1
-            if sort_col is not None:
-                ordered = _refs_in_min_order(refs, sort_col)
-                if ordered is not None:
-                    for ref in ordered:
-                        if has_bound and _min_exceeds(ref, sort_col, high_bound):
-                            break  # clustered early-exit
-                        if range_filters and not _zones_might_match(ref.stats, range_filters):
-                            continue
-                        yield partition, ref
-                    continue
-            for ref in refs:
-                if range_filters and not _zones_might_match(ref.stats, range_filters):
-                    continue
+            self._catalog.read_counts[partition] += 1
+            for ref in engine.prune_refs(refs, self.sort_key, range_filters):
                 yield partition, ref
-
-    def _map_refs(
-        self,
-        refs: list[_BlockRef],
-        fn: Callable[[_BlockRef], Any],
-        executor: LocalExecutor | None,
-        description: str,
-    ) -> Iterator[Any]:
-        """Apply ``fn`` per block ref, serially or on executor workers.
-
-        The parallel path cuts the block list into a few chunks per worker —
-        enough tasks to overlap DFS read latency and decode work across the
-        pool, few enough that dispatch overhead stays negligible when there
-        are many small blocks — and relies on :meth:`LocalExecutor.run`
-        preserving task order, so results stream back in the exact order of
-        the sequential path.
-
-        Thread workers only pay off while per-block work happens *outside*
-        the GIL.  Two such sources exist: a DFS read latency (standing in for
-        the network round-trip of a real distributed file system) and —
-        since block format 4 — ``zlib`` decompression plus typed-array
-        materialisation, both of which release the GIL.  The fan-out
-        therefore engages when the DFS charges a latency *or* the table
-        writes compressed blocks; with neither (a zero-latency DFS holding
-        raw blocks), and likewise when every requested block is already
-        decoded in the cache, per-block work is GIL-bound Python and the
-        fan-out is skipped — thread dispatch would add contention and win
-        nothing.
-        """
-        if (
-            executor is None
-            or executor.max_workers <= 1
-            or len(refs) <= 1
-            or (
-                getattr(self.dfs, "read_latency", 0) <= 0
-                and self._compression_level == 0
-            )
-            or self._cache.resident(ref.path for ref in refs)
-        ):
-            return (fn(ref) for ref in refs)
-        chunk = max(1, -(-len(refs) // (executor.max_workers * 4)))
-        batches = executor.run(
-            [refs[i:i + chunk] for i in range(0, len(refs), chunk)],
-            lambda batch: [fn(ref) for ref in batch],
-            description=f"{description}({self.name})",
-        )
-        return (result for batch in batches for result in batch)
-
-    def _load_block(self, ref: _BlockRef) -> ColumnarBlock:
-        if ref.block is not None:
-            # Synthetic merged ref: the block lives in memory with the ref
-            # (and is cached by ``_merged_refs``), not in the LRU.
-            return ref.block
-        block = self._cache.get(ref.path)
-        if block is None:
-            block = ColumnarBlock.from_bytes(self.dfs.read_file(ref.path))
-            self._cache.put(ref.path, block)
-        return block
-
-    def _aggregate_from_stats(
-        self,
-        aggregates: Mapping[str, tuple[str, str]],
-        partitions: Sequence[str] | None,
-    ) -> dict[str, Any] | None:
-        """Answer count/min/max from block statistics; ``None`` if inconclusive."""
-        out: dict[str, Any] = {}
-        refs = [ref for _partition, ref in self._iter_refs(partitions, None)]
-        for alias, (function, column) in aggregates.items():
-            if function == "count":
-                if column == "*":
-                    out[alias] = sum(ref.n_rows for ref in refs)
-                else:
-                    total = 0
-                    for ref in refs:
-                        stats = ref.stats.get(column)
-                        if stats is None:
-                            return None
-                        total += ref.n_rows - stats["nulls"]
-                    out[alias] = total
-            else:  # min / max
-                extremes = []
-                for ref in refs:
-                    stats = ref.stats.get(column)
-                    if stats is None:
-                        return None
-                    if stats[function] is None:
-                        if stats["nulls"] < ref.n_rows:
-                            # Non-null values exist but min/max were not
-                            # comparable (mixed types): stats are inconclusive.
-                            return None
-                        continue
-                    extremes.append(stats[function])
-                if not extremes:
-                    out[alias] = None
-                else:
-                    try:
-                        out[alias] = min(extremes) if function == "min" else max(extremes)
-                    except TypeError:
-                        return None
-        return out
-
-    def _aggregate_blocks(
-        self,
-        aggregates: Mapping[str, tuple[str, str]],
-        partitions: Sequence[str] | None,
-        range_filters: Sequence[RangeFilter] | None,
-        column_predicates: Mapping[str, Callable[[Any], bool]] | None,
-        group_cols: list[str] | None,
-        group_key: Callable[[Any], Any] | None,
-        executor: LocalExecutor | None,
-    ) -> dict[str, Any] | dict[Any, dict[str, Any]]:
-        only_row_counts = all(
-            function == "count" and column == "*" for function, column in aggregates.values()
-        )
-        pairs = list(self._iter_refs(partitions, range_filters))
-
-        if only_row_counts:
-            def counts_partial(ref: _BlockRef) -> Any:
-                return self._block_partial(
-                    ref, aggregates, range_filters, column_predicates,
-                    group_cols, group_key, True,
-                )
-
-            refs = [ref for _partition, ref in pairs]
-            partials = self._map_refs(refs, counts_partial, executor, "aggregate")
-            row_counter: Counter = Counter()
-            for counts in partials:
-                if counts:
-                    row_counter.update(counts)
-            if group_cols is None:
-                total = row_counter[None] if row_counter else 0
-                return {alias: total for alias in aggregates}
-            return {
-                key: {alias: count for alias in aggregates}
-                for key, count in row_counter.items()
-            }
-
-        states = self._fold_states(
-            pairs, aggregates, range_filters, column_predicates,
-            group_cols, group_key, executor,
-        )
-        return finalise_states(states, aggregates, grouped=group_cols is not None)
-
-    def _fold_states(
-        self,
-        pairs: list[tuple[str, _BlockRef]],
-        aggregates: Mapping[str, tuple[str, str]],
-        range_filters: Sequence[RangeFilter] | None,
-        column_predicates: Mapping[str, Callable[[Any], bool]] | None,
-        group_cols: list[str] | None,
-        group_key: Callable[[Any], Any] | None,
-        executor: LocalExecutor | None,
-    ) -> dict[Any, dict[str, _AggState]]:
-        """Fold per-block partial states into per-group accumulators.
-
-        The fold is two-level: block states merge within their partition first
-        (in the deterministic block walk order), then the per-partition states
-        merge in partition walk order.  Both levels are independent of the
-        worker count, and — more importantly — the whole-table fold becomes
-        bit-identical (floats included) to folding each partition on its own
-        and merging the per-partition states afterwards, which is exactly what
-        materialized roll-ups do on their incremental refresh path.
-        """
-        refs = [ref for _partition, ref in pairs]
-
-        def partial(ref: _BlockRef) -> Any:
-            return self._block_partial(
-                ref, aggregates, range_filters, column_predicates,
-                group_cols, group_key, False,
-            )
-
-        partials = self._map_refs(refs, partial, executor, "aggregate")
-        states: dict[Any, dict[str, _AggState]] = {}
-        partition_states: dict[Any, dict[str, _AggState]] = {}
-        current: str | None = None
-        for (partition, _ref), block_states in zip(pairs, partials):
-            if partition != current:
-                _adopt_states(states, partition_states, aggregates)
-                partition_states = {}
-                current = partition
-            if block_states:
-                _adopt_states(partition_states, block_states, aggregates)
-        _adopt_states(states, partition_states, aggregates)
-        return states
-
-    def _block_partial(
-        self,
-        ref: _BlockRef,
-        aggregates: Mapping[str, tuple[str, str]],
-        range_filters: Sequence[RangeFilter] | None,
-        column_predicates: Mapping[str, Callable[[Any], bool]] | None,
-        group_cols: list[str] | None,
-        group_key: Callable[[Any], Any] | None,
-        only_row_counts: bool,
-    ) -> dict[Any, Any] | None:
-        """Partial aggregation state of one block (``None`` if nothing survives).
-
-        Returns ``{group: row_count}`` when every aggregate is ``count(*)``
-        (so the merge is one ``Counter.update``), else
-        ``{group: {alias: _AggState}}``; the ungrouped case uses ``None`` as
-        its single group key.
-        """
-        block = self._load_block(ref)
-        selection = _selection_vector(block, range_filters, column_predicates)
-        if selection is not None and not selection:
-            return None
-        n_selected = block.n_rows if selection is None else len(selection)
-
-        group_positions: dict[Any, list[int]] | None = None
-        if group_cols is not None:
-            local_keys, decode = _local_group_keys(block, group_cols, selection)
-            if only_row_counts:
-                # Bucket once at C speed over codes/values, then decode and
-                # group_key-map each *distinct* local key exactly once.
-                try:
-                    local_counts = Counter(local_keys)
-                except TypeError as exc:
-                    if group_key is None:
-                        raise _unhashable_group(group_cols, exc) from exc
-                    # group_key is the escape hatch for unhashable values:
-                    # map every row through it before bucketing.
-                    try:
-                        return dict(Counter(
-                            group_key(decode(local_key)) for local_key in local_keys
-                        ))
-                    except TypeError as exc2:
-                        raise _unhashable_group(group_cols, exc2) from exc2
-                counts: dict[Any, int] = {}
-                for local_key, n in local_counts.items():
-                    key = decode(local_key)
-                    if group_key is not None:
-                        key = group_key(key)
-                    try:
-                        counts[key] = counts.get(key, 0) + n
-                    except TypeError as exc:
-                        raise _unhashable_group(group_cols, exc) from exc
-                return counts
-            group_positions = _group_positions(local_keys, decode, group_key, group_cols)
-        elif only_row_counts:
-            return {None: n_selected}
-
-        # Compact each referenced column once per block — not once per alias.
-        compacted: dict[str, list[Any]] = {}
-
-        def selected_values(column: str) -> list[Any]:
-            if column not in compacted:
-                array = block.columns[column]
-                compacted[column] = (
-                    list(array) if selection is None else [array[i] for i in selection]
-                )
-            return compacted[column]
-
-        states: dict[Any, dict[str, _AggState]] = {}
-        for alias, (function, column) in aggregates.items():
-            if group_positions is None:
-                cell = states.setdefault(None, {}).setdefault(alias, _AggState())
-                if column == "*":
-                    cell.update(function, [], n_selected, star=True)
-                else:
-                    values = selected_values(column)
-                    cell.update(function, values, len(values), star=False)
-            elif column == "*":
-                for key, positions in group_positions.items():
-                    cell = states.setdefault(key, {}).setdefault(alias, _AggState())
-                    cell.update(function, [], len(positions), star=True)
-            else:
-                values = selected_values(column)
-                for key, positions in group_positions.items():
-                    cell = states.setdefault(key, {}).setdefault(alias, _AggState())
-                    group_values = [values[p] for p in positions]
-                    cell.update(function, group_values, len(group_values), star=False)
-        return states
-
-
-class _AggState:
-    """Accumulator for one (group, aggregate) cell."""
-
-    __slots__ = ("count", "total", "minimum", "maximum", "distinct")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.distinct: set | None = None
-
-    def update(self, function: str, values: list[Any], n_selected: int, star: bool) -> None:
-        if function == "count":
-            self.count += n_selected if star else sum(1 for v in values if v is not None)
-            return
-        if function == "count_distinct":
-            if self.distinct is None:
-                self.distinct = set()
-            try:
-                self.distinct.update(v for v in values if v is not None)
-            except TypeError as exc:
-                raise WarehouseError(
-                    f"column values are unhashable for 'count_distinct': {exc}"
-                ) from exc
-            return
-        non_null = [v for v in values if v is not None]
-        if not non_null:
-            return
-        try:
-            if function in ("sum", "avg"):
-                self.count += len(non_null)
-                self.total += sum(non_null)
-            elif function == "min":
-                low = min(non_null)
-                self.minimum = low if self.minimum is None else min(self.minimum, low)
-            elif function == "max":
-                high = max(non_null)
-                self.maximum = high if self.maximum is None else max(self.maximum, high)
-        except TypeError as exc:
-            raise WarehouseError(f"column values have no consistent ordering for {function!r}: {exc}") from exc
-
-    def merge(self, other: "_AggState", function: str) -> None:
-        """Fold another partial state in (same arithmetic as sequential updates)."""
-        self.count += other.count
-        self.total += other.total
-        if other.distinct is not None:
-            if self.distinct is None:
-                self.distinct = set()
-            self.distinct |= other.distinct
-        try:
-            if other.minimum is not None:
-                self.minimum = (
-                    other.minimum if self.minimum is None
-                    else min(self.minimum, other.minimum)
-                )
-            if other.maximum is not None:
-                self.maximum = (
-                    other.maximum if self.maximum is None
-                    else max(self.maximum, other.maximum)
-                )
-        except TypeError as exc:
-            raise WarehouseError(
-                f"column values have no consistent ordering for {function!r}: {exc}"
-            ) from exc
-
-    def result(self, function: str) -> Any:
-        if function == "count":
-            return self.count
-        if function == "count_distinct":
-            return len(self.distinct) if self.distinct is not None else 0
-        if function == "sum":
-            return self.total if self.count else None
-        if function == "avg":
-            return self.total / self.count if self.count else None
-        return self.minimum if function == "min" else self.maximum
-
-
-def _adopt_states(
-    target: dict[Any, dict[str, "_AggState"]],
-    source: dict[Any, dict[str, "_AggState"]],
-    aggregates: Mapping[str, tuple[str, str]],
-) -> None:
-    """Merge ``source`` group states into ``target``, adopting state objects
-    on first sight (``source`` states are throwaway per-block partials)."""
-    for key, group_states in source.items():
-        cells = target.setdefault(key, {})
-        for alias, state in group_states.items():
-            cell = cells.get(alias)
-            if cell is None:
-                cells[alias] = state
-            else:
-                cell.merge(state, aggregates[alias][0])
-
-
-def merge_states(
-    target: dict[Any, dict[str, "_AggState"]],
-    source: dict[Any, dict[str, "_AggState"]],
-    aggregates: Mapping[str, tuple[str, str]],
-) -> None:
-    """Merge ``source`` group states into ``target`` without mutating source.
-
-    Unlike the internal fold, every first-seen cell is merged into a *fresh*
-    accumulator, so long-lived states (e.g. the per-partition states a
-    materialized roll-up stores) can be combined repeatedly and still stay
-    pristine.  Merging per-partition states in sorted partition order yields
-    the exact :meth:`WarehouseTable.aggregate` result, floats included.
-    """
-    for key, group_states in source.items():
-        cells = target.setdefault(key, {})
-        for alias, state in group_states.items():
-            cell = cells.get(alias)
-            if cell is None:
-                cell = cells[alias] = _AggState()
-            cell.merge(state, aggregates[alias][0])
-
-
-def finalise_states(
-    states: dict[Any, dict[str, "_AggState"]],
-    aggregates: Mapping[str, tuple[str, str]],
-    grouped: bool,
-) -> dict[str, Any] | dict[Any, dict[str, Any]]:
-    """Turn merged group states into :meth:`WarehouseTable.aggregate` output."""
-
-    def one(group_states: dict[str, _AggState]) -> dict[str, Any]:
-        return {
-            alias: group_states[alias].result(aggregates[alias][0])
-            for alias in aggregates
-        }
-
-    if not grouped:
-        empty = {alias: _AggState() for alias in aggregates}
-        return one(states.get(None, empty))
-    return {key: one(group_states) for key, group_states in states.items()}
-
-
-def _local_group_keys(
-    block: ColumnarBlock,
-    group_cols: Sequence[str],
-    selection: list[int] | None,
-) -> tuple[list[Any], Callable[[Any], Any]]:
-    """Per-row local group keys of a block plus their decoder.
-
-    Dictionary-encoded group columns contribute their integer *codes* (cheap
-    to hash, one small int per row) instead of the decoded values; the
-    returned ``decode`` maps one distinct local key back to the real group
-    key (single column: the value itself; several columns: their tuple).
-    """
-    arrays: list[list[Any]] = []
-    dictionaries: list[list[Any] | None] = []
-    for column in group_cols:
-        pair = block.dictionary(column)
-        if pair is not None:
-            values, codes = pair
-            arrays.append(codes if selection is None else [codes[i] for i in selection])
-            dictionaries.append(values)
-        else:
-            array = block.columns[column]
-            arrays.append(array if selection is None else [array[i] for i in selection])
-            dictionaries.append(None)
-
-    if len(arrays) == 1:
-        dictionary = dictionaries[0]
-        if dictionary is None:
-            return arrays[0], lambda key: key
-        return arrays[0], (
-            lambda code: None if code is None else dictionary[code]
-        )
-
-    def decode(key_tuple: tuple) -> tuple:
-        return tuple(
-            value if dictionary is None
-            else (None if value is None else dictionary[value])
-            for value, dictionary in zip(key_tuple, dictionaries)
-        )
-
-    return list(zip(*arrays)), decode
-
-
-def _group_positions(
-    local_keys: list[Any],
-    decode: Callable[[Any], Any],
-    group_key: Callable[[Any], Any] | None,
-    group_cols: Sequence[str],
-) -> dict[Any, list[int]]:
-    """Selected-row positions per (decoded, mapped) group key.
-
-    Buckets by the cheap local keys first, then decodes / ``group_key``-maps
-    each distinct local key exactly once.  When two local keys land on the
-    same mapped group (e.g. a ``group_key`` that coarsens values), the merged
-    position lists are re-sorted so downstream per-group value order matches a
-    sequential row scan exactly.
-    """
-    local: dict[Any, list[int]] = {}
-    try:
-        for position, local_key in enumerate(local_keys):
-            bucket = local.get(local_key)
-            if bucket is None:
-                local[local_key] = [position]
-            else:
-                bucket.append(position)
-    except TypeError as exc:
-        if group_key is None:
-            raise _unhashable_group(group_cols, exc) from exc
-        # group_key is the escape hatch for unhashable values: map every row
-        # through it before bucketing (positions stay naturally sorted).
-        out: dict[Any, list[int]] = {}
-        try:
-            for position, local_key in enumerate(local_keys):
-                key = group_key(decode(local_key))
-                out.setdefault(key, []).append(position)
-        except TypeError as exc2:
-            raise _unhashable_group(group_cols, exc2) from exc2
-        return out
-
-    out: dict[Any, list[int]] = {}
-    merged = False
-    for local_key, positions in local.items():
-        key = decode(local_key)
-        if group_key is not None:
-            key = group_key(key)
-        try:
-            existing = out.get(key)
-        except TypeError as exc:
-            raise _unhashable_group(group_cols, exc) from exc
-        if existing is None:
-            out[key] = positions
-        else:
-            existing.extend(positions)
-            merged = True
-    if merged:
-        for positions in out.values():
-            positions.sort()
-    return out
-
-
-def _selection_vector(
-    block: ColumnarBlock,
-    range_filters: Sequence[RangeFilter] | None,
-    column_predicates: Mapping[str, Callable[[Any], bool]] | None,
-) -> list[int] | None:
-    """Row indices surviving all filters; ``None`` means every row survives."""
-    selection: list[int] | None = None
-    filters = list(range_filters or ())
-    # Sorted-block fast path: the leading sort-key column is totally ordered
-    # across the block, so its range filter is a binary search rather than a
-    # column pass.  Conjunctive filters commute, and both paths produce
-    # ascending index lists, so evaluating it first never changes the result.
-    if filters and block.sort_key:
-        lead = block.sort_key[0]
-        for index, (column, low, high) in enumerate(filters):
-            if column == lead and (low is not None or high is not None):
-                span = sorted_range(block.columns[column], low, high)
-                if span is not None:
-                    start, stop = span
-                    if start >= stop:
-                        return []
-                    if not (start == 0 and stop == block.n_rows):
-                        selection = list(range(start, stop))
-                    filters.pop(index)
-                break
-    for column, low, high in filters:
-        if low is None and high is None:
-            continue
-        array = block.columns[column]
-        try:
-            if selection is None:
-                selection = [
-                    i for i, v in enumerate(array)
-                    if v is not None
-                    and (low is None or v >= low)
-                    and (high is None or v <= high)
-                ]
-            else:
-                selection = [
-                    i for i in selection
-                    if array[i] is not None
-                    and (low is None or array[i] >= low)
-                    and (high is None or array[i] <= high)
-                ]
-        except TypeError as exc:
-            raise WarehouseError(
-                f"column {column!r} values have no consistent ordering for range filter: {exc}"
-            ) from exc
-        if not selection:
-            return selection
-    for column, predicate in (column_predicates or {}).items():
-        array = block.columns[column]
-        if selection is None:
-            selection = [i for i, v in enumerate(array) if predicate(v)]
-        else:
-            selection = [i for i in selection if predicate(array[i])]
-        if not selection:
-            return selection
-    return selection
-
-
-def _zones_might_match(
-    stats: dict[str, dict[str, Any]], range_filters: Sequence[RangeFilter]
-) -> bool:
-    """Conjunctive zone-map check: every filter must possibly match the block."""
-    for column, low, high in range_filters:
-        column_stats = stats.get(column)
-        if column_stats is not None and not _zone_might_match(column_stats, low, high):
-            return False
-    return True
-
-
-def _zone_might_match(stats: dict[str, Any], low: Any, high: Any) -> bool:
-    if stats.get("min") is None or stats.get("max") is None:
-        return True
-    try:
-        if low is not None and stats["max"] < low:
-            return False
-        if high is not None and stats["min"] > high:
-            return False
-    except TypeError:
-        return True
-    return True
-
-
-def _refs_in_min_order(refs: list[_BlockRef], column: str) -> list[_BlockRef] | None:
-    """Block refs ordered by their ``column`` minimum (``None``-stat blocks
-    first, path as tiebreak), or ``None`` when the minima are not mutually
-    comparable — callers then fall back to append order without early-exit."""
-
-    def key(ref: _BlockRef) -> tuple:
-        stats = ref.stats.get(column) or {}
-        return ordering_token(stats.get("min")) + (ref.path,)
-
-    try:
-        return sorted(refs, key=key)
-    except TypeError:
-        return None
-
-
-def _min_exceeds(ref: _BlockRef, column: str, bound: Any) -> bool:
-    """Whether the block's ``column`` minimum provably exceeds ``bound``."""
-    stats = ref.stats.get(column)
-    minimum = stats.get("min") if stats else None
-    if minimum is None:
-        return False
-    try:
-        return minimum > bound
-    except TypeError:
-        return False
 
 
 class Warehouse:
@@ -2078,7 +675,6 @@ class Warehouse:
         block_rows: int = 4096,
         cache_blocks: int = 64,
         compression_level: int = DEFAULT_COMPRESSION_LEVEL,
-        durable_manifest: bool = True,
         degraded_reads: bool = False,
         health: SubsystemHealth | None = None,
     ) -> None:
@@ -2086,11 +682,10 @@ class Warehouse:
         self.block_rows = block_rows
         self.cache_blocks = cache_blocks
         self.compression_level = validate_compression_level(compression_level)
-        self.durable_manifest = durable_manifest
         self.degraded_reads = degraded_reads
         self.health = health
         self._tables: dict[str, WarehouseTable] = {}
-        self._rollup_manager: Any | None = None
+        self._rollup_manager: RollupManager | None = None
 
     def create_table(
         self,
@@ -2143,7 +738,6 @@ class Warehouse:
                 else compression_level
             ),
             primary_key=primary_key,
-            durable_manifest=self.durable_manifest,
             degraded_reads=self.degraded_reads,
             health=self.health,
         )
@@ -2164,10 +758,7 @@ class Warehouse:
         return sorted(self._tables)
 
     def drop_table(self, name: str) -> None:
-        table = self.table(name)
-        for partition in list(table.partitions()):
-            table.drop_partition(partition)
-        self.dfs.delete_file(table._manifest_path())
+        self.table(name)._drop()
         del self._tables[name]
         if self._rollup_manager is not None:
             self._rollup_manager.discard_table(name)
@@ -2182,8 +773,6 @@ class Warehouse:
         re-aggregated, typically by the scheduled migration job).
         """
         if self._rollup_manager is None:
-            from .rollups import RollupManager  # deferred: rollups imports us
-
             self._rollup_manager = RollupManager(self)
         return self._rollup_manager
 
@@ -2222,16 +811,7 @@ class Warehouse:
         for name in names:
             target = self.table(name)
             reports = []
-            ordered = sorted(
-                target.partitions(),
-                key=lambda p: (-target._read_counts.get(p, 0), p),
-            )
-            for partition in ordered:
-                physical = len(target._partitions.get(partition, ()))
-                deltas = target.delta_block_count(partition)
-                dirty = deltas > 0 or bool(target._suppression_epoch.get(partition))
-                if physical + deltas < min_blocks and not dirty:
-                    continue
+            for partition in target._compaction_order(min_blocks):
                 report = target.compact_partition(partition)
                 report["partition"] = partition
                 reports.append(report)

@@ -31,6 +31,7 @@ from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.warehouse import Warehouse
+from repro.storage.warehouse.catalog import manifest_path
 from repro.storage.warehouse.dfs import DistributedFileSystem
 from repro.streaming.broker import MessageBroker
 
@@ -196,8 +197,7 @@ class TestChaosRestartMidCdc:
 
         # Tear the recovery manifest: the reopened table must detect the
         # damage and rebuild its delta index from a full block rescan.
-        manifest_path = warehouse.table("articles")._manifest_path()
-        warehouse.dfs.write_file(manifest_path, b"{torn mid-write")
+        warehouse.dfs.write_file(manifest_path("articles"), b"{torn mid-write")
         reopened = Warehouse(warehouse.dfs, block_rows=4)
         table = reopened.create_table(
             "articles",
@@ -449,7 +449,7 @@ class TestChaosFtsSegmentCrash:
         assert index.total_tokens == control.total_tokens
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_torn_manifest_rescan_matches_control(self, seed):
+    def test_recover_from_segments_matches_control(self, seed):
         from repro.storage.fts import FtsIndex
 
         rng = random.Random(seed)
@@ -462,10 +462,14 @@ class TestChaosFtsSegmentCrash:
         for start in range(0, len(ops), 5):
             self._apply(index, ops[start:start + 5])
             index.flush()
-        # The manifest is torn away after the last flush: recovery must fall
-        # back to the directory rescan and reconstruct identical liveness.
-        dfs.delete_file("/fts/chaos/_manifest.json")
+        # The segment files are the only durable state: a fresh process must
+        # reconstruct identical liveness, LSN floor and segment-id floor.
         reopened = FtsIndex("chaos", dfs=dfs, flush_docs=None)
         report = reopened.recover()
-        assert report["rescanned"] is True
+        assert report["segments"] == index.stats()["segments"]
         assert reopened.postings_snapshot() == control.postings_snapshot()
+        assert reopened.stats() == index.stats()
+        assert reopened.last_lsn == control.last_lsn
+        for each in (index, reopened):
+            each.add("next", text="alpha beta")
+        assert reopened.flush() == index.flush()  # same next segment id

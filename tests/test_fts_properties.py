@@ -221,7 +221,11 @@ def test_flush_recover_roundtrip(case):
     index.flush()
     reopened = FtsIndex("dur", dfs=dfs, flush_docs=None)
     report = reopened.recover()
-    assert report["adopted"] is True
+    assert report == {
+        "segments": index.stats()["segments"],
+        "docs": index.doc_count,
+        "last_lsn": index.last_lsn,
+    }
     assert reopened.postings_snapshot() == index.postings_snapshot()
     assert reopened.doc_count == index.doc_count
     assert reopened.total_tokens == index.total_tokens

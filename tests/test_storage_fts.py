@@ -1,7 +1,7 @@
 """Unit tests for the full-text search subsystem.
 
 Segment codec, index semantics (ranking, prefixes, deletes, LSN idempotence),
-DFS durability (flush / manifest / rescan recovery), the CDC-fed indexer's
+DFS durability (flush / recovery from segments), the CDC-fed indexer's
 exactly-once contract, and the platform/service surface.
 """
 
@@ -142,14 +142,13 @@ class TestFtsIndex:
 
 
 class TestDurability:
-    def test_flush_writes_segment_and_manifest(self):
+    def test_flush_writes_only_the_segment(self):
         dfs = make_dfs()
         index = FtsIndex("news", dfs=dfs, flush_docs=None)
         index.add("a", text="hello world")
         path = index.flush()
         assert path == "/fts/news/seg-000000.fts"
-        assert dfs.exists(path)
-        assert dfs.exists("/fts/news/_manifest.json")
+        assert dfs.list_files("/fts/news") == [path]  # no second manifest
 
     def test_auto_flush_at_threshold(self):
         dfs = make_dfs()
@@ -160,31 +159,37 @@ class TestDurability:
         assert index.stats()["segments"] == 1
         assert index.stats()["buffered_docs"] == 0
 
-    def test_recover_adopts_clean_manifest(self):
+    def test_recover_from_segments_matches_live_index(self):
         dfs = make_dfs()
         index = FtsIndex("news", dfs=dfs, flush_docs=None)
         index.add("a", text="hello world", lsn=7)
         index.flush()
         reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
         report = reopened.recover()
-        assert report["adopted"] is True and report["docs"] == 1
+        assert report == {"segments": 1, "docs": 1, "last_lsn": 7}
         assert reopened.last_lsn == 7
         assert reopened.postings_snapshot() == index.postings_snapshot()
 
-    def test_recover_rescans_and_heals_torn_manifest(self):
+    def test_recover_resumes_segment_ids_and_lsns_past_a_compaction(self):
         dfs = make_dfs()
         index = FtsIndex("news", dfs=dfs, flush_docs=None)
         index.add("a", text="hello world")
         index.flush()
         index.add("b", text="more words")
         index.flush()
-        dfs.delete_file("/fts/news/_manifest.json")  # torn flush / lost manifest
+        index.delete("a")
+        index.compact()
+        # A leftover manifest from an older layout is not a segment: ignored.
+        dfs.write_file("/fts/news/_manifest.json", b"{torn mid-write")
         reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
         report = reopened.recover()
-        assert report["rescanned"] is True and report["segments"] == 2
+        assert report == {"segments": 1, "docs": 1, "last_lsn": index.last_lsn}
         assert reopened.postings_snapshot() == index.postings_snapshot()
-        # The rescan healed the manifest: the next recovery adopts it.
-        assert FtsIndex("news", dfs=dfs).recover()["adopted"] is True
+        # Both indexes allocate the same next segment id and next LSN.
+        for each in (index, reopened):
+            each.add("c", text="fresh words")
+        assert reopened.flush() == index.flush() == "/fts/news/seg-000004.fts"
+        assert reopened.last_lsn == index.last_lsn
 
     def test_rescan_cannot_resurrect_deleted_docs(self):
         dfs = make_dfs()
@@ -193,7 +198,6 @@ class TestDurability:
         index.flush()
         index.delete("doomed")
         index.flush()
-        dfs.delete_file("/fts/news/_manifest.json")
         reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
         reopened.recover()
         assert reopened.match_ids("ghost") == set()

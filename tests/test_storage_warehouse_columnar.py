@@ -349,7 +349,7 @@ class TestBlockCache:
         warehouse, table = _table()
         table.read_column("outlet")
         warehouse.drop_table("t")
-        assert len(table._cache) == 0
+        assert table.cache_info()["entries"] == 0
 
     def test_lru_eviction_respects_capacity(self):
         warehouse, table = _table(block_rows=2, n=12, cache_blocks=2)
