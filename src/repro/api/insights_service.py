@@ -22,89 +22,76 @@ class InsightsService(MicroService):
     def __init__(self, platform) -> None:
         super().__init__()
         self.platform = platform
-        self.register("topic", self._topic)
-        self.register("newsroom_activity", self._newsroom_activity)
-        self.register("social_engagement", self._social_engagement)
-        self.register("evidence_seeking", self._evidence_seeking)
+        self.register("topic", self._insights_handler(_topic_payload))
+        self.register("newsroom_activity", self._insights_handler(_newsroom_activity_payload))
+        self.register("social_engagement", self._insights_handler(_social_engagement_payload))
+        self.register("evidence_seeking", self._insights_handler(_evidence_seeking_payload))
         self.register("outlet_segments", self._outlet_segments)
 
     # ------------------------------------------------------------- handlers
 
-    def _compute(self, request: ServiceRequest):
-        topic_key = request.param("topic", "covid19")
-        window_start = _parse_ts(request.param("window_start"))
-        window_end = _parse_ts(request.param("window_end"))
-        return self.platform.topic_insights(
-            topic_key=topic_key, window_start=window_start, window_end=window_end
-        )
+    def _insights_handler(self, render):
+        """The shell every insights view shares: compute, 404 on an empty
+        platform, else ``render(insights)`` as the payload."""
 
-    def _topic(self, request: ServiceRequest) -> ServiceResponse:
-        try:
-            insights = self._compute(request)
-        except ArticleNotFound as exc:
-            return ServiceResponse.not_found(str(exc))
-        activity = insights.newsroom_activity
-        return ServiceResponse.success(
-            {
-                "topic": insights.topic_key,
-                "metadata": insights.metadata,
-                "newsroom_activity": {
-                    "days": [day.isoformat() for day in activity.days],
-                    "series": {k: list(v) for k, v in activity.series.items()},
-                    "divergence": activity.divergence(),
-                },
-                "social_engagement": insights.social_engagement.summary(),
-                "evidence_seeking": insights.evidence_seeking.summary(),
-            }
-        )
+        def handler(request: ServiceRequest) -> ServiceResponse:
+            try:
+                insights = self.platform.topic_insights(
+                    topic_key=request.param("topic", "covid19"),
+                    window_start=_parse_ts(request.param("window_start")),
+                    window_end=_parse_ts(request.param("window_end")),
+                )
+            except ArticleNotFound as exc:
+                return ServiceResponse.not_found(str(exc))
+            return ServiceResponse.success(render(insights))
 
-    def _newsroom_activity(self, request: ServiceRequest) -> ServiceResponse:
-        try:
-            insights = self._compute(request)
-        except ArticleNotFound as exc:
-            return ServiceResponse.not_found(str(exc))
-        activity = insights.newsroom_activity
-        return ServiceResponse.success(
-            {
-                "topic": insights.topic_key,
-                "days": [day.isoformat() for day in activity.days],
-                "series": {k: list(v) for k, v in activity.series.items()},
-                "low_quality_series": list(activity.group_series(True)),
-                "high_quality_series": list(activity.group_series(False)),
-                "divergence": activity.divergence(),
-            }
-        )
-
-    def _social_engagement(self, request: ServiceRequest) -> ServiceResponse:
-        try:
-            insights = self._compute(request)
-        except ArticleNotFound as exc:
-            return ServiceResponse.not_found(str(exc))
-        comparison = insights.social_engagement
-        return ServiceResponse.success(
-            {
-                "topic": insights.topic_key,
-                "summary": comparison.summary(),
-                "kde": comparison.kde_curves(),
-            }
-        )
-
-    def _evidence_seeking(self, request: ServiceRequest) -> ServiceResponse:
-        try:
-            insights = self._compute(request)
-        except ArticleNotFound as exc:
-            return ServiceResponse.not_found(str(exc))
-        comparison = insights.evidence_seeking
-        return ServiceResponse.success(
-            {
-                "topic": insights.topic_key,
-                "summary": comparison.summary(),
-                "kde": comparison.kde_curves(),
-            }
-        )
+        return handler
 
     def _outlet_segments(self, request: ServiceRequest) -> ServiceResponse:
         return ServiceResponse.success({"segments": self.platform.outlet_segments()})
+
+
+def _topic_payload(insights) -> dict:
+    activity = insights.newsroom_activity
+    return {
+        "topic": insights.topic_key,
+        "metadata": insights.metadata,
+        "newsroom_activity": {
+            "days": [day.isoformat() for day in activity.days],
+            "series": {k: list(v) for k, v in activity.series.items()},
+            "divergence": activity.divergence(),
+        },
+        "social_engagement": insights.social_engagement.summary(),
+        "evidence_seeking": insights.evidence_seeking.summary(),
+    }
+
+
+def _newsroom_activity_payload(insights) -> dict:
+    activity = insights.newsroom_activity
+    return {
+        "topic": insights.topic_key,
+        "days": [day.isoformat() for day in activity.days],
+        "series": {k: list(v) for k, v in activity.series.items()},
+        "low_quality_series": list(activity.group_series(True)),
+        "high_quality_series": list(activity.group_series(False)),
+        "divergence": activity.divergence(),
+    }
+
+
+def _social_engagement_payload(insights) -> dict:
+    return _comparison_payload(insights, insights.social_engagement)
+
+
+def _evidence_seeking_payload(insights) -> dict:
+    return _comparison_payload(insights, insights.evidence_seeking)
+
+
+def _comparison_payload(insights, comparison) -> dict:
+    return {
+        "topic": insights.topic_key,
+        "summary": comparison.summary(),
+        "kde": comparison.kde_curves(),
+    }
 
 
 def _parse_ts(value) -> datetime | None:

@@ -28,7 +28,7 @@ class MonitoringService(MicroService):
 
     def _jobs(self, request: ServiceRequest) -> ServiceResponse:
         limit = int(request.param("limit", 50))
-        history = self.platform.jobs.history[-limit:]
+        history = list(self.platform.jobs.history)[-limit:]
         return ServiceResponse.success(
             {
                 "registered": self.platform.jobs.job_names(),

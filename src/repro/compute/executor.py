@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
@@ -20,7 +21,8 @@ class TaskMetrics:
     tasks_run: int = 0
     partitions_processed: int = 0
     total_task_seconds: float = 0.0
-    stage_descriptions: list[str] = field(default_factory=list)
+    #: The newest 64 stage descriptions (the counters above cover every stage).
+    stage_descriptions: deque[str] = field(default_factory=lambda: deque(maxlen=64))
 
     def record(self, n_partitions: int, elapsed: float, description: str) -> None:
         self.tasks_run += 1

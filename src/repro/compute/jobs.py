@@ -8,11 +8,15 @@ migration and the periodic model training — plus ad-hoc analytics.  The
 from __future__ import annotations
 
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Callable
 
 from ..errors import ComputeError
+
+#: Runs kept in :attr:`JobTracker.history` (the success counters stay exact).
+HISTORY_KEEP = 256
 
 
 @dataclass(frozen=True)
@@ -25,14 +29,20 @@ class JobResult:
     succeeded: bool
     result: Any = None
     error: str | None = None
+    #: The exception behind ``error``, so a caller can re-raise it typed.
+    exception: BaseException | None = None
 
 
 @dataclass
 class JobTracker:
     """Registry and runner of named jobs."""
 
-    history: list[JobResult] = field(default_factory=list)
+    #: The newest :data:`HISTORY_KEEP` runs, oldest first.
+    history: deque[JobResult] = field(default_factory=lambda: deque(maxlen=HISTORY_KEEP))
     _jobs: dict[str, Callable[..., Any]] = field(default_factory=dict)
+    _last: dict[str, JobResult] = field(default_factory=dict)
+    _runs: Counter = field(default_factory=Counter)
+    _successes: Counter = field(default_factory=Counter)
 
     def register(self, name: str, fn: Callable[..., Any]) -> None:
         """Register a job under ``name`` (replacing any previous definition)."""
@@ -65,20 +75,23 @@ class JobTracker:
                 elapsed_seconds=time.perf_counter() - start,
                 succeeded=False,
                 error=f"{type(exc).__name__}: {exc}",
+                exception=exc,
             )
         self.history.append(outcome)
+        self._last[name] = outcome
+        self._runs[name] += 1
+        self._successes[name] += outcome.succeeded
         return outcome
 
     def last_result(self, name: str) -> JobResult | None:
         """Most recent run of ``name`` (``None`` when it never ran)."""
-        for result in reversed(self.history):
-            if result.name == name:
-                return result
-        return None
+        return self._last.get(name)
 
     def success_rate(self, name: str | None = None) -> float:
-        """Fraction of successful runs (of one job, or overall)."""
-        runs = [r for r in self.history if name is None or r.name == name]
+        """Fraction of successful runs (of one job, or overall) — over every
+        run ever made, not just the ones :attr:`history` still holds."""
+        names = list(self._runs) if name is None else [name]
+        runs = sum(self._runs[n] for n in names)
         if not runs:
             return 1.0
-        return sum(1 for r in runs if r.succeeded) / len(runs)
+        return sum(self._successes[n] for n in names) / runs

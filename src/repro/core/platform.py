@@ -23,7 +23,7 @@ from datetime import datetime
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import PlatformConfig
-from ..errors import ArticleNotFound, CircuitOpenError
+from ..errors import ArticleNotFound
 from ..experts.aggregation import ReviewAggregator
 from ..experts.reviews import ReviewStore
 from ..ml.clustering import HierarchicalTopicModel
@@ -44,6 +44,7 @@ from ..storage.faults import (
 from ..storage.migration import MigrationJob, MigrationReport
 from ..storage.rdbms.database import Database
 from ..storage.rdbms.expressions import col
+from ..storage.sync import StorageSync
 from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
@@ -123,6 +124,10 @@ class SciLensPlatform:
             """Where a cursor/offsets file lives (``None``: keep it in memory)."""
             return data_dir / file_name if data_dir is not None else None
 
+        def checkpoints(file_name: str) -> CheckpointStore:
+            """A consumer group's offsets file, under the shared fault wiring."""
+            return CheckpointStore(durable(file_name), self.fault_injector, self.retry_policy)
+
         self.database = Database(data_dir=data_dir)
         for schema in all_schemas():
             self.database.create_table(schema, if_not_exists=True)
@@ -186,11 +191,7 @@ class SciLensPlatform:
         )
         for mapping in self.migration.mappings():
             self.cdc_publisher.add_mapping(mapping)
-        self.cdc_checkpoints = CheckpointStore(
-            path=durable("cdc-offsets.json"),
-            fault_injector=self.fault_injector,
-            retry_policy=self.retry_policy,
-        )
+        self.cdc_checkpoints = checkpoints("cdc-offsets.json")
         self.cdc_applier = DeltaApplier(
             self.warehouse,
             self.broker,
@@ -205,41 +206,47 @@ class SciLensPlatform:
         # CDC topics keeps the BM25 posting lists fresh incrementally — no
         # batch rebuild, exactly-once via per-document LSN checks.
         self.fts_index = FtsIndex("articles", dfs=self.dfs)
-        self.fts_index.recover()
         self.fts_indexer = FtsIndexer(
             self.fts_index,
             self.broker,
             table="articles",
             columns=ARTICLE_FTS_COLUMNS,
             primary_key="article_id",
-            checkpoints=CheckpointStore(
-                path=durable("fts-offsets.json"),
-                fault_injector=self.fault_injector,
-                retry_policy=self.retry_policy,
-            ),
+            checkpoints=checkpoints("fts-offsets.json"),
             retry_policy=self.retry_policy,
             health=self.health.subsystem("fts"),
         )
+        # The one owner of the WAL → warehouse/FTS protocol: bootstrap, drain, recover.
+        self.storage_sync = StorageSync(
+            self.migration, self.cdc_publisher, self.cdc_applier,
+            self.fts_index, self.fts_indexer,
+        )
         # A restart over an existing data directory leaves a durable cursor
-        # (and offsets file) behind; reconcile them with the WAL and broker
-        # this process actually holds before the first sync.
+        # (and offsets file) behind; reconcile them with the WAL, broker and
+        # DFS this process actually holds before the first sync.
         if data_dir is not None:
             self.recover_storage()
 
         # --- analytics ------------------------------------------------------
         self.models = ModelRegistry()
         self.jobs = JobTracker()
-        self.jobs.register("daily_migration", self._run_migration_job)
-        self.jobs.register("cdc_sync", self._run_cdc_job)
-        self.jobs.register("warehouse_compaction", self._run_compaction_job)
+        # Late-bound on purpose: each run looks its target up through the owning
+        # instance, so a method wrapped there later (the benchmark's tracer) is called.
+        self.jobs.register("daily_migration", lambda now=None: self.storage_sync.bootstrap(now))
+        self.jobs.register("cdc_sync", lambda now=None: self.process_cdc())
+        self.jobs.register("warehouse_compaction", lambda now=None: self.migration.run_compaction(now))
         self.jobs.register("train_models", self._run_training_job)
 
         # --- evaluation / serving --------------------------------------------
         # The serving-tier front door (repro.api.serving.build_serving_tier)
         # registers itself here so status() can report its counters.
         self._serving: Any = None
-        self.outlet_ratings: dict[str, RatingClass] = {}
-        self.review_store = ReviewStore()
+        # Evaluation reads ratings and reviews from memory; over a reopened data
+        # directory both are rehydrated from the tables the WAL replayed.
+        self.outlet_ratings: dict[str, RatingClass] = {
+            row["domain"]: RatingClass(row["rating_class"]) for row in self.outlets()
+        }
+        self.review_store = ReviewStore(map(_row_to_review, self.database.table("reviews").rows()))
         self.review_aggregator = ReviewAggregator(
             half_life_days=self.config.indicators.expert_half_life_days
         )
@@ -589,6 +596,13 @@ class SciLensPlatform:
             segments[rating.value].append(domain)
         return dict(segments)
 
+    def _run_job(self, name: str, now: datetime | None) -> Any:
+        """Run a registered job through the tracker; a failure re-raises typed."""
+        outcome = self.jobs.run(name, now)
+        if not outcome.succeeded:
+            raise RuntimeError(f"{name} failed: {outcome.error}") from outcome.exception
+        return outcome.result
+
     def run_daily_migration(self, now: datetime | None = None) -> MigrationReport:
         """Synchronise the warehouse with the RDBMS (bootstrap + CDC drain).
 
@@ -598,43 +612,7 @@ class SciLensPlatform:
         keep the old contract: rows move on the first run, a re-run with no
         new operational writes reports zero.
         """
-        result = self.jobs.run("daily_migration", now)
-        if not result.succeeded:
-            raise RuntimeError(f"migration failed: {result.error}")
-        return result.result
-
-    def _run_migration_job(self, now: datetime | None = None) -> MigrationReport:
-        # Bootstrap pass first; the roll-ups are refreshed once the CDC
-        # deltas have landed, so they see the post-sync block identity.
-        bootstrap = self.migration.run(now=now)
-        if set(bootstrap.bootstrapped) == set(self.migration.registered_tables()):
-            # Every registered table was copied wholesale, so the WAL records
-            # up to the pre-copy LSN are already reflected — skip them instead
-            # of republishing.  (On partial bootstraps the cursor stays put;
-            # redelivery is safe because delta application is idempotent.)
-            self.cdc_publisher.skip_to(bootstrap.cursor_lsn)
-            # ``skip_to`` means the copied rows never reach the CDC topics,
-            # so the search index backfills straight from the table at the
-            # bootstrap LSN (later CDC messages carry higher LSNs and win).
-            if "articles" in bootstrap.bootstrapped:
-                self.fts_indexer.bootstrap(
-                    self.database.table("articles").rows(),
-                    lsn=bootstrap.cursor_lsn,
-                )
-        sync = self.process_cdc(refresh_rollups=False)
-        rollups_refreshed = self.migration.refresh_standing_rollups()
-        migrated = dict(bootstrap.migrated_rows)
-        for rdbms_table, rows in sync["applied_tables"].items():
-            migrated[rdbms_table] = migrated.get(rdbms_table, 0) + rows
-        report = MigrationReport(
-            run_at=bootstrap.run_at,
-            migrated_rows=migrated,
-            bootstrapped=bootstrap.bootstrapped,
-            cursor_lsn=bootstrap.cursor_lsn,
-            rollups_refreshed=rollups_refreshed,
-        )
-        self.migration.history[-1] = report
-        return report
+        return self._run_job("daily_migration", now)
 
     def process_cdc(self, refresh_rollups: bool = True) -> dict[str, Any]:
         """Publish pending WAL records and land them as warehouse deltas.
@@ -644,44 +622,7 @@ class SciLensPlatform:
         messages published, rows applied per RDBMS table and the worst
         write→visible latency observed (seconds).
         """
-        published = self.cdc_publisher.publish()
-        # The search index drains its own consumer group first: it never
-        # shares the applier's breaker, so search freshness survives a
-        # quarantined warehouse batch.
-        fts_report = self.fts_indexer.run()
-        try:
-            report = self.cdc_applier.apply()
-        except CircuitOpenError as exc:
-            # The applier's breaker is open (a batch kept failing): surface
-            # the backoff through health instead of crashing the sync job.
-            # Published messages stay on the broker, uncommitted, until the
-            # cooldown lets a probe through.
-            self.health.subsystem("cdc-applier").degrade(exc)
-            return {
-                "published": published, "applied_rows": 0,
-                "applied_tables": {}, "max_latency_s": 0.0, "fts": fts_report,
-                "breaker_open": True,
-            }
-        for rdbms_table, stamp in report.synced.items():
-            self.migration.note_synced(rdbms_table, stamp)
-        if refresh_rollups and report.rows:
-            self.migration.refresh_standing_rollups()
-        by_rdbms_table = {
-            m.warehouse_table: m.rdbms_table for m in self.migration.mappings()
-        }
-        return {
-            "published": published,
-            "applied_rows": report.rows,
-            "applied_tables": {
-                by_rdbms_table.get(table, table): rows
-                for table, rows in report.tables.items()
-            },
-            "max_latency_s": report.max_latency_s,
-            "fts": fts_report,
-        }
-
-    def _run_cdc_job(self, now: datetime | None = None) -> dict[str, Any]:
-        return self.process_cdc()
+        return self.storage_sync.drain(refresh_rollups=refresh_rollups)
 
     def recover_storage(self, redeliver: bool = False) -> dict[str, Any]:
         """Reconcile durable CDC state with the live WAL/broker/warehouse.
@@ -693,13 +634,7 @@ class SciLensPlatform:
         restoring state by hand.  Returns the publisher and applier recovery
         reports.
         """
-        report: dict[str, Any] = {
-            "publisher": self.cdc_publisher.recover(),
-            "applier": self.cdc_applier.recover(redeliver=redeliver),
-            "fts": self.fts_index.recover(),
-        }
-        report["fts"]["indexer"] = self.fts_indexer.recover(redeliver=redeliver)
-        return report
+        return self.storage_sync.recover(redeliver=redeliver)
 
     def run_warehouse_compaction(self, now: datetime | None = None):
         """Run the scheduled warehouse compaction pass (defragment partitions).
@@ -708,20 +643,11 @@ class SciLensPlatform:
         fragmented partitions back into few large sorted blocks, freeing DFS
         space without changing any query result.
         """
-        result = self.jobs.run("warehouse_compaction", now)
-        if not result.succeeded:
-            raise RuntimeError(f"compaction failed: {result.error}")
-        return result.result
-
-    def _run_compaction_job(self, now: datetime | None = None):
-        return self.migration.run_compaction(now=now)
+        return self._run_job("warehouse_compaction", now)
 
     def train_models(self, now: datetime | None = None) -> dict[str, Any]:
         """Run the periodic model-training job over the full article history."""
-        result = self.jobs.run("train_models", now)
-        if not result.succeeded:
-            raise RuntimeError(f"training failed: {result.error}")
-        return result.result
+        return self._run_job("train_models", now)
 
     def _run_training_job(self, now: datetime | None = None) -> dict[str, Any]:
         now = now or datetime.utcnow()
@@ -880,19 +806,6 @@ class SciLensPlatform:
                 "compressed_bytes": totals["compressed_bytes"],
                 "compression_ratio": round(totals["compression_ratio"], 3),
             }
-        cdc = {
-            "wal_lsn": self.database.wal_lsn(),
-            "published_lsn": self.cdc_publisher.cursor,
-            "pending_records": self.cdc_publisher.pending(),
-            "apply_lag": self.cdc_applier.lag(),
-            "applied_rows": self.cdc_applier.applied_rows,
-            # Write→visible freshness: worst latency ever / last pass.
-            "max_latency_s": round(self.cdc_applier.max_latency_s, 6),
-            "last_latency_s": round(self.cdc_applier.last_latency_s, 6),
-            "breaker": self.cdc_applier.breaker.state,
-            "quarantined_batches": len(self.cdc_applier.quarantined),
-        }
-        fts = {**self.fts_index.stats(), "lag": self.fts_indexer.lag()}
         return {
             "articles": self.database.table("articles").row_count(),
             "posts": self.database.table("posts").row_count(),
@@ -902,8 +815,7 @@ class SciLensPlatform:
             "stream_lag": self.extraction.lag(),
             "warehouse_rows": self.warehouse.total_rows(),
             "warehouse_storage": warehouse_storage,
-            "cdc": cdc,
-            "fts": fts,
+            **self.storage_sync.status(),
             "planner": self.database.planner_status(),
             "serving": (
                 self._serving.stats() if self._serving is not None else {"enabled": False}
@@ -942,6 +854,18 @@ def _row_to_post(row: Mapping[str, Any]) -> SocialPost:
         created_at=row["created_at"],
         followers=row.get("followers") or 0,
         reply_to=row.get("reply_to"),
+    )
+
+
+def _row_to_review(row: Mapping[str, Any]) -> ExpertReview:
+    return ExpertReview(
+        review_id=row["review_id"],
+        article_id=row["article_id"],
+        reviewer_id=row["reviewer_id"],
+        created_at=row["created_at"],
+        scores=dict(row["scores"]),
+        comment=row.get("comment") or "",
+        reviewer_weight=row.get("reviewer_weight") or 1.0,
     )
 
 

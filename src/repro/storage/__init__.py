@@ -10,14 +10,18 @@ here as from-scratch substrates:
   simulated block-replicated distributed file system;
 * :mod:`repro.storage.cdc` — continuous change-data capture: the WAL is
   tailed onto per-table broker topics and landed as warehouse delta blocks,
-  keeping the two stores in sync without a batch copy;
+  keeping the two stores in sync without a batch copy; also the one
+  consumer-group runner every CDC sink subclasses;
 * :mod:`repro.storage.migration` — the bootstrap backfill and scheduled
   compaction that remain around the CDC stream;
+* :mod:`repro.storage.sync` — the one owner of the synchronisation protocol
+  over those mechanisms: bootstrap → drain → restart reconciliation;
 * :mod:`repro.storage.fts` — full-text search: BM25 posting-list segments
   fed from the CDC stream, exposed through the RDBMS planner as the
   ``fts_index_scan`` access path;
 * :mod:`repro.storage.faults` — the shared fault-injection, retry,
-  circuit-breaker and health primitives the layers above wire together.
+  circuit-breaker and health primitives the layers above wire together,
+  and the one retry guard they call.
 """
 
 from .faults import (
@@ -27,6 +31,7 @@ from .faults import (
     HealthMonitor,
     RetryPolicy,
     SubsystemHealth,
+    retrying,
 )
 from .rdbms import (
     Column,
@@ -37,9 +42,17 @@ from .rdbms import (
     lit,
 )
 from .warehouse import DistributedFileSystem, Warehouse, WarehouseTable
-from .cdc import CdcApplyReport, CdcPublisher, DeltaApplier, TableMapping
+from .cdc import (
+    CdcApplyReport,
+    CdcConsumerGroup,
+    CdcPublisher,
+    DeltaApplier,
+    TableMapping,
+    cdc_topic,
+)
 from .fts import FtsIndex, FtsIndexer, TableFtsIndex
 from .migration import MigrationJob, MigrationReport
+from .sync import StorageSync
 
 __all__ = [
     "FAULT_SITES",
@@ -48,6 +61,7 @@ __all__ = [
     "HealthMonitor",
     "RetryPolicy",
     "SubsystemHealth",
+    "retrying",
     "Column",
     "ColumnType",
     "Database",
@@ -58,11 +72,14 @@ __all__ = [
     "Warehouse",
     "WarehouseTable",
     "CdcApplyReport",
+    "CdcConsumerGroup",
     "CdcPublisher",
     "DeltaApplier",
     "TableMapping",
+    "cdc_topic",
     "MigrationJob",
     "MigrationReport",
+    "StorageSync",
     "FtsIndex",
     "FtsIndexer",
     "TableFtsIndex",

@@ -11,11 +11,17 @@ between the operational store and the analytical warehouse:
   primary-key form (:func:`~repro.compute.shuffle.canonical_key`), so all
   versions of one row land on — and are consumed in order from — the same
   broker partition.
-* :class:`DeltaApplier` consumes those topics as a consumer group and lands
-  batched deltas via :meth:`WarehouseTable.append_deltas`, which writes small
-  sorted *delta blocks* and keeps a last-writer-wins index by primary
-  key/LSN.  Application is idempotent (stale LSNs are dropped), so a
-  redelivered batch after a consumer-checkpoint restore lands exactly once.
+* :class:`CdcConsumerGroup` is what every sink of those topics shares: the
+  consumer group with its checkpoints, the poll-until-drained loop under the
+  shared retry guard and the seek-to-beginning replay.  :func:`cdc_topic` is
+  the one place the topic name is spelled.
+* :class:`DeltaApplier` is such a group and lands batched deltas via
+  :meth:`WarehouseTable.append_deltas`, which writes small sorted *delta
+  blocks* and keeps a last-writer-wins index by primary key/LSN.
+  Application is idempotent (stale LSNs are dropped), so a redelivered batch
+  after a consumer-checkpoint restore lands exactly once.  (The search
+  index's :class:`~repro.storage.fts.FtsIndexer` is the second sink over the
+  same runner.)
 
 Reads merge base and delta blocks on the fly — bit-identical to a fresh
 batch copy — and the scheduled compaction folds deltas into the base.
@@ -39,18 +45,14 @@ surfaces every degradation with counters.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..compute.shuffle import canonical_key
-from ..errors import (
-    CircuitOpenError,
-    RetryExhaustedError,
-    StorageError,
-    TransientFaultError,
-)
-from .faults import CircuitBreaker, RetryPolicy, SubsystemHealth
+from ..errors import RetryExhaustedError, StorageError, TransientFaultError
+from .faults import CircuitBreaker, RetryPolicy, SubsystemHealth, retrying
 from .rdbms.database import Database, _row_from_payload
 from .rdbms.wal import WalTailer
 
@@ -62,6 +64,14 @@ if TYPE_CHECKING:  # imported for type hints only — avoids hard coupling
 
 #: WAL operations that CDC turns into row-delta messages.
 _CAPTURED_OPS = {"insert", "upsert", "delete_pk"}
+
+#: Quarantined batches kept for inspection (the count stays exact).
+QUARANTINE_KEEP = 32
+
+
+def cdc_topic(rdbms_table: str) -> str:
+    """The broker topic that carries ``rdbms_table``'s row deltas."""
+    return f"cdc.{rdbms_table}"
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,6 @@ class CdcPublisher:
         self,
         database: Database,
         broker: "MessageBroker",
-        topic_prefix: str = "cdc.",
         cursor_path: Path | str | None = None,
         retry_policy: RetryPolicy | None = None,
         health: SubsystemHealth | None = None,
@@ -91,7 +100,6 @@ class CdcPublisher:
             raise StorageError("CDC needs a database with its WAL enabled")
         self.database = database
         self.broker = broker
-        self.topic_prefix = topic_prefix
         self.tailer = WalTailer(database.wal, cursor_path=cursor_path)
         self._mappings: dict[str, TableMapping] = {}
         self.published = 0
@@ -104,7 +112,7 @@ class CdcPublisher:
         self.health = health
 
     def topic_for(self, mapping: TableMapping) -> str:
-        return f"{self.topic_prefix}{mapping.rdbms_table}"
+        return cdc_topic(mapping.rdbms_table)
 
     def add_mapping(self, mapping: TableMapping) -> str:
         """Register a table for capture; creates (and returns) its topic."""
@@ -163,22 +171,6 @@ class CdcPublisher:
             "pending": self.pending(),
         }
 
-    def _produce(self, topic: str, key: str, value: dict[str, Any]) -> None:
-        """One message hand-off, retried under the attached policy."""
-        if self.retry_policy is None:
-            self.broker.produce(topic, key=key, value=value)
-            return
-
-        def note(_attempt: int, exc: BaseException) -> None:
-            if self.health is not None:
-                self.health.note_retry(exc)
-
-        self.retry_policy.call(
-            lambda: self.broker.produce(topic, key=key, value=value),
-            description=f"cdc publish to {topic}",
-            on_retry=note,
-        )
-
     def publish(self) -> int:
         """Publish every WAL record past the cursor; returns messages produced.
 
@@ -205,18 +197,20 @@ class CdcPublisher:
                     if payload is None:  # legacy delete record without the doomed row
                         payload = {mapping.primary_key: record.payload.get("primary_key")}
                     row = _row_from_payload(table, payload)
-                    op = "d" if record.operation == "delete_pk" else "u"
+                    topic = self.topic_for(mapping)
+                    key = str(canonical_key(row.get(mapping.primary_key)))
+                    value = {
+                        "op": "d" if record.operation == "delete_pk" else "u",
+                        "table": mapping.warehouse_table,
+                        "lsn": record.sequence,
+                        "ts": record.ts,
+                        "row": row,
+                    }
                     try:
-                        self._produce(
-                            self.topic_for(mapping),
-                            key=str(canonical_key(row.get(mapping.primary_key))),
-                            value={
-                                "op": op,
-                                "table": mapping.warehouse_table,
-                                "lsn": record.sequence,
-                                "ts": record.ts,
-                                "row": row,
-                            },
+                        retrying(
+                            self.retry_policy, self.health,
+                            lambda: self.broker.produce(topic, key=key, value=value),
+                            f"cdc publish to {topic}",
                         )
                     except (TransientFaultError, RetryExhaustedError) as exc:
                         failure = exc
@@ -241,6 +235,63 @@ class CdcPublisher:
             wal.prune(self.tailer.cursor)
 
 
+class CdcConsumerGroup:
+    """One consumer group over ``cdc.<table>`` topics — what every sink shares.
+
+    A sink (:class:`DeltaApplier`, :class:`~repro.storage.fts.FtsIndexer`)
+    subclasses it, lands each batch idempotently (per-key / per-document LSN
+    checks) and only then commits it::
+
+        for messages in self.batches(batch_size):
+            land(messages)
+            self.consumer.commit(messages)
+
+    A crash between the two redelivers the batch and the sink's LSN check
+    drops it: at-least-once delivery, exactly-once effect.  Polls run under
+    the shared retry guard, with every retry counted on ``health``.
+    """
+
+    def __init__(
+        self,
+        broker: "MessageBroker",
+        group: str,
+        tables: Iterable[str],
+        checkpoints: "CheckpointStore | None",
+        retry_policy: RetryPolicy | None,
+        health: SubsystemHealth | None,
+    ) -> None:
+        from ..streaming.consumer import Consumer  # deferred: streaming imports storage.faults
+
+        self.broker = broker
+        self.retry_policy = retry_policy
+        self.health = health
+        topics = sorted(cdc_topic(table) for table in tables)
+        for topic in topics:
+            broker.create_topic(topic)
+        self.consumer = Consumer(broker, group=group, topics=topics, checkpoints=checkpoints)
+
+    def lag(self) -> int:
+        """Messages published but not yet landed (committed) by this group."""
+        return self.consumer.lag()
+
+    def batches(self, max_messages: int) -> Iterator[list["Message"]]:
+        """Poll until drained; the sink commits each batch once it landed."""
+        while True:
+            messages = retrying(
+                self.retry_policy, self.health,
+                lambda: self.consumer.poll(max_messages=max_messages),
+                f"{self.consumer.group} poll",
+            )
+            if not messages:
+                return
+            yield messages
+
+    def seek_to_beginning(self) -> None:
+        """Replay every topic from offset 0 on the next :meth:`batches`."""
+        for topic in self.consumer.topics:
+            self.broker.seek_to_beginning(self.consumer.group, topic)
+
+
 @dataclass
 class CdcApplyReport:
     """One :meth:`DeltaApplier.apply` pass."""
@@ -255,7 +306,7 @@ class CdcApplyReport:
     max_latency_s: float = 0.0
 
 
-class DeltaApplier:
+class DeltaApplier(CdcConsumerGroup):
     """Consumer group that lands CDC row deltas as warehouse delta blocks."""
 
     def __init__(
@@ -263,7 +314,6 @@ class DeltaApplier:
         warehouse: "Warehouse",
         broker: "MessageBroker",
         mappings: list[TableMapping],
-        topic_prefix: str = "cdc.",
         group: str = "delta-applier",
         checkpoints: "CheckpointStore | None" = None,
         batch_rows: int = 500,
@@ -272,38 +322,27 @@ class DeltaApplier:
         breaker: CircuitBreaker | None = None,
         skip_poisoned: bool = False,
     ) -> None:
-        from ..streaming.consumer import Consumer  # deferred: streaming is optional here
-
-        self.warehouse = warehouse
-        self.broker = broker
-        self.batch_rows = max(1, batch_rows)
-        self._by_topic = {
-            f"{topic_prefix}{m.rdbms_table}": m for m in mappings
-        }
-        for topic in self._by_topic:
-            broker.create_topic(topic)
-        self.consumer = Consumer(
-            broker, group=group, topics=sorted(self._by_topic), checkpoints=checkpoints
+        super().__init__(
+            broker, group, [m.rdbms_table for m in mappings], checkpoints,
+            retry_policy, health,
         )
+        self.warehouse = warehouse
+        self.batch_rows = max(1, batch_rows)
+        self._by_topic = {cdc_topic(m.rdbms_table): m for m in mappings}
         self.applied_rows = 0
         self.max_latency_s = 0.0
         self.last_latency_s = 0.0
-        #: Fault-tolerance wiring.  ``retry_policy`` absorbs transient
-        #: ``broker.poll`` faults; ``breaker`` opens after repeated landing
-        #: failures so a poisoned batch cannot hot-loop the applier; with
-        #: ``skip_poisoned`` a batch the warehouse rejects is quarantined
-        #: (offsets committed, batch kept for inspection) instead of
-        #: blocking the topic.
-        self.retry_policy = retry_policy
-        self.health = health
+        #: Fault-tolerance wiring on top of the runner's retried polls:
+        #: ``breaker`` opens after repeated landing failures so a poisoned
+        #: batch cannot hot-loop the applier; with ``skip_poisoned`` a batch
+        #: the warehouse rejects is quarantined (offsets committed, batch
+        #: kept for inspection) instead of blocking the topic.
         self.breaker = breaker
         self.skip_poisoned = skip_poisoned
-        #: Batches set aside by ``skip_poisoned``: ``{"messages", "error"}``.
-        self.quarantined: list[dict[str, Any]] = []
-
-    def lag(self) -> int:
-        """Messages published but not yet landed."""
-        return self.consumer.lag()
+        #: The newest batches set aside by ``skip_poisoned``
+        #: (``{"messages", "error"}``); ``quarantined_batches`` counts all.
+        self.quarantined: deque[dict[str, Any]] = deque(maxlen=QUARANTINE_KEEP)
+        self.quarantined_batches = 0
 
     def recover(self, redeliver: bool = False) -> dict[str, Any]:
         """Reconcile broker offsets with the warehouse after a restart.
@@ -318,10 +357,10 @@ class DeltaApplier:
         log — the warehouse's exactly-once index drops every LSN at or below
         its high-water mark, so the replay lands zero duplicate rows.
         """
+        if redeliver:
+            self.seek_to_beginning()
         tables: dict[str, dict[str, Any]] = {}
         for topic, mapping in sorted(self._by_topic.items()):
-            if redeliver:
-                self.broker.seek_to_beginning(self.consumer.group, topic)
             high_water = 0
             if self.warehouse.has_table(mapping.warehouse_table):
                 high_water = self.warehouse.table(
@@ -348,21 +387,6 @@ class DeltaApplier:
             "tables": tables,
         }
 
-    def _poll(self) -> list["Message"]:
-        """One consumer poll, retried under the attached policy."""
-        if self.retry_policy is None:
-            return self.consumer.poll(max_messages=self.batch_rows)
-
-        def note(_attempt: int, exc: BaseException) -> None:
-            if self.health is not None:
-                self.health.note_retry(exc)
-
-        return self.retry_policy.call(
-            lambda: self.consumer.poll(max_messages=self.batch_rows),
-            description="cdc poll",
-            on_retry=note,
-        )
-
     def apply(self) -> CdcApplyReport:
         """Drain the topics, landing deltas in ``batch_rows``-sized batches.
 
@@ -375,10 +399,7 @@ class DeltaApplier:
         if self.breaker is not None:
             self.breaker.allow("cdc apply")
         report = CdcApplyReport()
-        while True:
-            messages = self._poll()
-            if not messages:
-                break
+        for messages in self.batches(self.batch_rows):
             batches: dict[str, list[tuple[int, str, dict[str, Any]]]] = {}
             keys: dict[str, str] = {}
             for message in messages:
@@ -415,6 +436,7 @@ class DeltaApplier:
                     self.health.degrade(exc)
                 if self.skip_poisoned:
                     self.quarantined.append({"messages": messages, "error": exc})
+                    self.quarantined_batches += 1
                     self.consumer.commit(messages)
                     continue
                 raise

@@ -13,7 +13,8 @@ this module provides the four pieces every storage/streaming layer shares.
 * :class:`RetryPolicy` — shared retry discipline: exponential backoff with
   jitter, a wall-clock timeout budget, and retryable-vs-fatal error
   classification.  Sleep and RNG are injectable so tests run instantly and
-  deterministically.
+  deterministically.  :func:`retrying` is the one guard that applies an
+  (optional) policy to a call and counts the retries on a health record.
 * :class:`CircuitBreaker` — closed → open → half-open state machine that
   stops a caller from hot-looping on a dependency that keeps failing (e.g.
   the CDC applier on a poisoned batch).
@@ -39,6 +40,7 @@ __all__ = [
     "HealthMonitor",
     "RetryPolicy",
     "SubsystemHealth",
+    "retrying",
 ]
 
 #: The named fault-injection sites wired into the storage/streaming layers.
@@ -225,6 +227,27 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 self.sleep(self.delay_for(attempt, rng))
+
+
+def retrying(
+    policy: RetryPolicy | None,
+    health: SubsystemHealth | None,
+    fn: Callable[[], object],
+    description: str = "operation",
+):
+    """Run ``fn`` under ``policy``, counting every retry on ``health``.
+
+    The one retry guard every faultable call of the data layer goes through
+    (DFS reads/writes, CDC publish, consumer polls, checkpoint saves).
+    Without a policy ``fn`` runs once and its error propagates unchanged — a
+    caller that attached none still sees :class:`TransientFaultError`, not
+    :class:`RetryExhaustedError`.  What a *failed* call means (degrade,
+    break the circuit, stop the pass) stays with the caller.
+    """
+    if policy is None:
+        return fn()
+    note = None if health is None else (lambda _attempt, exc: health.note_retry(exc))
+    return policy.call(fn, description=description, on_retry=note)
 
 
 class CircuitBreaker:

@@ -2,9 +2,10 @@
 
 :class:`FtsIndexer` is a second consumer group over the existing
 ``cdc.<table>`` row-delta topics (alongside the warehouse's
-:class:`~repro.storage.cdc.DeltaApplier`): it polls batched deltas, applies
-them to an :class:`~.index.FtsIndex` with the message's WAL LSN, flushes a
-segment, and only then commits offsets.  A crash between flush and commit
+:class:`~repro.storage.cdc.DeltaApplier`, on the same
+:class:`~repro.storage.cdc.CdcConsumerGroup` base): it takes batched
+deltas, applies them to an :class:`~.index.FtsIndex` with the message's WAL
+LSN, flushes a segment, and only then commits offsets.  A crash between flush and commit
 redelivers the batch; the index's per-document LSN check drops every
 duplicate, so maintenance is exactly-once without coordination — the same
 contract the delta applier keeps with the warehouse.
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from ..cdc import CdcConsumerGroup
 from ..faults import RetryPolicy, SubsystemHealth
 from .analysis import document_text
 from .index import FtsIndex
 
 
-class FtsIndexer:
+class FtsIndexer(CdcConsumerGroup):
     """Tails one table's CDC topic into an FTS index, exactly-once."""
 
     def __init__(
@@ -35,47 +37,21 @@ class FtsIndexer:
         table: str = "articles",
         columns: Iterable[str] = ("title", "text"),
         primary_key: str = "article_id",
-        topic_prefix: str = "cdc.",
         group: str = "fts-indexer",
         checkpoints=None,
         batch_docs: int = 256,
         retry_policy: RetryPolicy | None = None,
         health: SubsystemHealth | None = None,
     ) -> None:
-        from ...streaming.consumer import Consumer  # deferred: streaming is optional here
-
+        super().__init__(broker, group, [table], checkpoints, retry_policy, health)
         self.index = index
-        self.broker = broker
+        self.table = table
         self.columns = tuple(columns)
         self.primary_key = primary_key
-        self.topic = f"{topic_prefix}{table}"
+        (self.topic,) = self.consumer.topics
         self.batch_docs = max(1, batch_docs)
-        self.retry_policy = retry_policy
-        self.health = health
-        broker.create_topic(self.topic)
-        self.consumer = Consumer(
-            broker, group=group, topics=[self.topic], checkpoints=checkpoints
-        )
         self.indexed = 0
         self.deleted = 0
-
-    def lag(self) -> int:
-        """CDC messages published but not yet reflected in the index."""
-        return self.consumer.lag()
-
-    def _poll(self):
-        if self.retry_policy is None:
-            return self.consumer.poll(max_messages=self.batch_docs)
-
-        def note(_attempt: int, exc: BaseException) -> None:
-            if self.health is not None:
-                self.health.note_retry(exc)
-
-        return self.retry_policy.call(
-            lambda: self.consumer.poll(max_messages=self.batch_docs),
-            description="fts poll",
-            on_retry=note,
-        )
 
     def run(self) -> dict[str, Any]:
         """Drain the topic in batches: apply → flush → commit.
@@ -85,10 +61,7 @@ class FtsIndexer:
         turns that into exactly-once.
         """
         report = {"messages": 0, "indexed": 0, "deleted": 0, "stale": 0, "segments": 0}
-        while True:
-            messages = self._poll()
-            if not messages:
-                break
+        for messages in self.batches(self.batch_docs):
             for message in messages:
                 value = message.value
                 row = value.get("row") or {}
@@ -138,5 +111,5 @@ class FtsIndexer:
         LSN check lands zero duplicates.
         """
         if redeliver:
-            self.broker.seek_to_beginning(self.consumer.group, self.topic)
+            self.seek_to_beginning()
         return {"redelivered": redeliver, "lag": self.lag(), "last_lsn": self.index.last_lsn}

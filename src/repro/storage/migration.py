@@ -20,9 +20,10 @@ everything CDC cannot do by construction:
 The job is also the scheduled owner of the warehouse's **materialized
 roll-ups** (:mod:`repro.storage.warehouse.rollups`):
 :meth:`MigrationJob.refresh_standing_rollups` — which every compaction pass
-ends with, and the platform calls once a CDC drain has landed — re-aggregates
-only the partitions whose block identity actually changed.  Landed delta
-blocks are part of that identity, so roll-ups consume CDC deltas for free.
+ends with, and :class:`~repro.storage.sync.StorageSync` calls once a CDC
+drain has landed — re-aggregates only the partitions whose block identity
+actually changed.  Landed delta blocks are part of that identity, so roll-ups
+consume CDC deltas for free.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class MigrationReport:
     cursor_lsn: int = 0
     #: Materialized roll-up name → number of partitions re-aggregated by the
     #: refresh that followed the CDC drain (only roll-ups where something
-    #: changed appear; filled in by the platform's migration job).
+    #: changed appear; filled in by ``StorageSync.bootstrap``).
     rollups_refreshed: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -151,7 +152,6 @@ class MigrationJob:
         #: :meth:`note_synced`) — the retention cutoff for
         #: :func:`prune_migrated_rows`.
         self._synced: dict[str, datetime] = {}
-        self.history: list[MigrationReport] = []
         self.compaction_history: list[CompactionReport] = []
 
     def add_table(
@@ -248,7 +248,6 @@ class MigrationJob:
             run_at=now, migrated_rows=migrated, bootstrapped=tuple(bootstrapped),
             cursor_lsn=cursor_lsn,
         )
-        self.history.append(report)
         if compact:
             self.run_compaction(now=now)
         return report

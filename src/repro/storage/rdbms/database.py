@@ -80,9 +80,15 @@ class Database:
         ``kind`` is ``"hash"`` (equality only) or ``"sorted"`` (equality,
         range scans and index-ordered ORDER BY).  Unlike
         :meth:`Table.create_index`, indexes created here are WAL-logged and
-        therefore rebuilt automatically when the database reopens.
+        therefore rebuilt automatically when the database reopens.  Declaring
+        an index that already exists with the same kind is a no-op (no
+        rebuild, no WAL record), so start-up code can declare its indexes on
+        every open; a different kind replaces the index and is logged.
         """
-        self.table(table_name).create_index(column, kind=kind)
+        table = self.table(table_name)
+        if table.has_index(column) and table.index(column).kind == kind:
+            return
+        table.create_index(column, kind=kind)
         self._log("create_index", table_name, {"column": column, "kind": kind})
 
     def create_fts_index(self, table_name: str, columns: Sequence[str]) -> None:
@@ -90,9 +96,13 @@ class Database:
 
         The index backs the planner's ``fts_index_scan`` access path for
         MATCH predicates and is maintained synchronously by every write.
-        WAL-logged, so it is rebuilt automatically when the database reopens.
+        WAL-logged, so it is rebuilt automatically when the database reopens;
+        re-declaring the index over the same columns is a no-op.
         """
-        self.table(table_name).create_fts_index(tuple(columns))
+        table = self.table(table_name)
+        if table.fts_index is not None and table.fts_index.columns == tuple(columns):
+            return
+        table.create_fts_index(tuple(columns))
         self._log("create_fts_index", table_name, {"columns": list(columns)})
 
     def table(self, name: str) -> Table:

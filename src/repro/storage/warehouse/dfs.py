@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
-from ..faults import FaultInjector, RetryPolicy, SubsystemHealth
+from ..faults import FaultInjector, RetryPolicy, SubsystemHealth, retrying
 
 
 @dataclass
@@ -292,27 +292,14 @@ class DistributedFileSystem:
     # ------------------------------------------------------------- internals
 
     def _guarded(self, description: str, attempt):
-        """Run one op under the attached retry policy + health bookkeeping."""
-        policy = self.retry_policy
+        """Run one op under the shared retry guard + health bookkeeping."""
         health = self.health
-        if policy is None:
-            try:
-                result = attempt()
-            except TransientFaultError as exc:
-                if health is not None:
-                    health.degrade(exc)
-                raise
-        else:
-            def note(_attempt_no: int, exc: BaseException) -> None:
-                if health is not None:
-                    health.note_retry(exc)
-
-            try:
-                result = policy.call(attempt, description=description, on_retry=note)
-            except RetryExhaustedError as exc:
-                if health is not None:
-                    health.degrade(exc)
-                raise
+        try:
+            result = retrying(self.retry_policy, health, attempt, description)
+        except (TransientFaultError, RetryExhaustedError) as exc:
+            if health is not None:
+                health.degrade(exc)
+            raise
         if health is not None and health.state != "ok":
             health.recover()
         return result

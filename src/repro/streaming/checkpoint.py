@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 from ..errors import StreamingError
+from ..storage.faults import retrying
 
 
 class CheckpointStore:
@@ -58,10 +59,7 @@ class CheckpointStore:
                     json.dumps(self._offsets, sort_keys=True), encoding="utf-8"
                 )
 
-        if self.retry_policy is None:
-            attempt()
-        else:
-            self.retry_policy.call(attempt, description="checkpoint save")
+        retrying(self.retry_policy, None, attempt, "checkpoint save")
 
     def save(self, group: str, topic: str, partition: int, offset: int) -> None:
         """Record the next offset to read for ``(group, topic, partition)``."""

@@ -89,10 +89,6 @@ class ArticleExtractionPipeline:
         """Process every pending message; returns the number processed."""
         return self._consumer.drain(self._handle_message, batch_size=batch_size)
 
-    def process_batch(self, max_messages: int = 100) -> int:
-        """Process at most ``max_messages`` pending messages."""
-        return self._consumer.process(self._handle_message, max_messages=max_messages)
-
     def lag(self) -> int:
         """Messages still waiting on the subscribed topics."""
         return self._consumer.lag()

@@ -259,17 +259,6 @@ class TestFtsIndexer:
         assert index.match_ids("other") == {"b"}
         assert indexer.lag() == 0
 
-    def test_redelivery_is_exactly_once(self):
-        broker, index, indexer = self.build()
-        broker.produce("cdc.articles", cdc_message("u", 1, {"article_id": "a", "title": "hello", "text": ""}))
-        indexer.run()
-        snapshot = index.postings_snapshot()
-        # Lose the offsets: replay the topic from the beginning.
-        indexer.recover(redeliver=True)
-        report = indexer.run()
-        assert report["stale"] == 1 and report["indexed"] == 0
-        assert index.postings_snapshot() == snapshot
-
     def test_bootstrap_backfill_then_cdc_wins(self):
         broker, index, indexer = self.build()
         indexer.bootstrap(
