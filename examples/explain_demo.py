@@ -22,7 +22,7 @@ from repro.storage.rdbms.types import ColumnType
 
 
 def build_database(n_articles: int = 500) -> Database:
-    database = Database(wal_enabled=False)
+    database = Database()
     database.create_table(
         TableSchema(
             name="articles",

@@ -49,7 +49,7 @@ from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
 from ..streaming.checkpoint import CheckpointStore
-from ..streaming.pipeline import ArticleExtractionPipeline
+from ..streaming.pipeline import ArticleExtractionPipeline, article_id_for
 from ..web.scraper import ArticleScraper
 from ..web.sitestore import SiteStore
 from .analytics import WarehouseAnalytics, standing_rollup_specs
@@ -271,6 +271,12 @@ class SciLensPlatform:
             on_article=self.store_article,
             on_post=self.store_post,
             on_reaction=self.store_reaction,
+        )
+        # Extraction dedupes on an in-memory set; rehydrated like the ratings above,
+        # or a posting of a stored URL re-scrapes it over the stored row (topics lost).
+        self.extraction.stats.known_articles.update(
+            article_id_for(row["url"])
+            for row in self.database.table("articles").select(columns=["url"])
         )
 
     # ====================================================================== #

@@ -96,8 +96,6 @@ class CdcPublisher:
         retry_policy: RetryPolicy | None = None,
         health: SubsystemHealth | None = None,
     ) -> None:
-        if database.wal is None:
-            raise StorageError("CDC needs a database with its WAL enabled")
         self.database = database
         self.broker = broker
         self.tailer = WalTailer(database.wal, cursor_path=cursor_path)
@@ -230,9 +228,7 @@ class CdcPublisher:
 
     def _prune(self) -> None:
         # In-memory WALs exist only to be tailed — drop what was consumed.
-        wal = self.database.wal
-        if wal is not None:
-            wal.prune(self.tailer.cursor)
+        self.database.wal.prune(self.tailer.cursor)
 
 
 class CdcConsumerGroup:

@@ -1,15 +1,22 @@
 """The embedded relational database.
 
 ``Database`` ties together tables, the query builder, the SQL front-end,
-transactions and the write-ahead log.  When constructed with a data directory
-every mutation is logged and replayed on the next open, giving the platform's
-operational store restart durability.
+transactions and the write-ahead log.  The log is always there — a file under
+the data directory, replayed on the next open, or in memory without one — and
+it holds exactly what was committed: every ``insert`` / ``upsert`` /
+``update`` / ``delete`` runs through :meth:`Database._statement`, which
+journals the row changes (see :mod:`.table`), takes them back out if the
+statement raises, and otherwise derives one WAL record per changed row —
+appended at once in autocommit, at ``commit()`` inside a transaction
+(:mod:`.transactions`).  DDL (``create_table``, ``drop_table``,
+``create_index``, ``create_fts_index``) is not transactional: it is applied
+and logged at once, inside a transaction or not.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ...errors import StorageError, TableNotFound
 from .planner import estimation_error_summary
@@ -25,8 +32,8 @@ from .sql import (
     UpdateStatement,
     parse_sql,
 )
-from .table import Table
-from .transactions import Transaction
+from .table import Table, undo
+from .transactions import PendingRecord, Transaction
 from .wal import WriteAheadLog
 
 
@@ -36,23 +43,18 @@ class Database:
     def __init__(
         self,
         data_dir: Path | str | None = None,
-        wal_enabled: bool = True,
         stats_policy: StatsPolicy | None = None,
     ) -> None:
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.stats_policy = stats_policy or StatsPolicy()
         self._tables: dict[str, Table] = {}
         self._active_transaction: Transaction | None = None
-        self._wal: WriteAheadLog | None = None
-        self._replaying = False
-        if wal_enabled:
-            if self.data_dir is not None:
-                self._wal = WriteAheadLog(self.data_dir / "wal.jsonl")
-                self._replay_wal()
-            else:
-                # In-memory WAL: no durability, but every committed mutation
-                # still carries an LSN so CDC can tail the database.
-                self._wal = WriteAheadLog()
+        # Without a data directory the WAL lives in memory: no durability, but
+        # every committed mutation still carries an LSN so CDC can tail it.
+        self._wal = WriteAheadLog(
+            self.data_dir / "wal.jsonl" if self.data_dir is not None else None
+        )
+        self._replay_wal()
 
     # ----------------------------------------------------------------- tables
 
@@ -64,7 +66,7 @@ class Database:
             raise StorageError(f"table {schema.name!r} already exists")
         table = Table(schema, stats_policy=self.stats_policy)
         self._tables[schema.name] = table
-        self._log("create_table", schema.name, {"schema": _schema_to_payload(schema)})
+        self._wal.append("create_table", schema.name, {"schema": _schema_to_payload(schema)})
         return table
 
     def drop_table(self, name: str) -> None:
@@ -72,7 +74,7 @@ class Database:
         if name not in self._tables:
             raise TableNotFound(f"no table named {name!r}")
         del self._tables[name]
-        self._log("drop_table", name, {})
+        self._wal.append("drop_table", name, {})
 
     def create_index(self, table_name: str, column: str, kind: str = "hash") -> None:
         """Create a secondary index on ``table_name.column``.
@@ -89,7 +91,7 @@ class Database:
         if table.has_index(column) and table.index(column).kind == kind:
             return
         table.create_index(column, kind=kind)
-        self._log("create_index", table_name, {"column": column, "kind": kind})
+        self._wal.append("create_index", table_name, {"column": column, "kind": kind})
 
     def create_fts_index(self, table_name: str, columns: Sequence[str]) -> None:
         """Create a full-text index on ``table_name`` over ``columns``.
@@ -103,7 +105,7 @@ class Database:
         if table.fts_index is not None and table.fts_index.columns == tuple(columns):
             return
         table.create_fts_index(tuple(columns))
-        self._log("create_fts_index", table_name, {"columns": list(columns)})
+        self._wal.append("create_fts_index", table_name, {"columns": list(columns)})
 
     def table(self, name: str) -> Table:
         """Return the table named ``name`` or raise :class:`TableNotFound`."""
@@ -122,11 +124,7 @@ class Database:
 
     def insert(self, table_name: str, row: Mapping[str, Any]) -> int:
         """Insert one row into ``table_name``."""
-        table = self.table(table_name)
-        self._capture(table_name)
-        row_id = table.insert(row)
-        self._log("insert", table_name, {"row": _row_to_payload(table, row)})
-        return row_id
+        return self._statement("insert", table_name, Table.insert, row)
 
     def insert_many(self, table_name: str, rows: list[Mapping[str, Any]]) -> list[int]:
         """Insert several rows into ``table_name``."""
@@ -134,45 +132,44 @@ class Database:
 
     def upsert(self, table_name: str, row: Mapping[str, Any]) -> int:
         """Insert or update by primary key."""
-        table = self.table(table_name)
-        self._capture(table_name)
-        row_id = table.upsert(row)
-        self._log("upsert", table_name, {"row": _row_to_payload(table, row)})
-        return row_id
+        return self._statement("upsert", table_name, Table.upsert, row)
 
     def update(self, table_name: str, predicate, changes: Mapping[str, Any]) -> int:
         """Update rows of ``table_name`` matching ``predicate``."""
-        table = self.table(table_name)
-        self._capture(table_name)
-        pk = table.schema.primary_key
-        affected_keys: list[Any] = []
-        if pk is not None and self._wal is not None:
-            affected_keys = [row[pk] for row in table.select(predicate)]
-        updated = table.update_rows(predicate, changes)
-        # Durability: log the post-update state of the affected rows as upserts
-        # (requires a primary key; tables without one rely on checkpoints).
-        for key in affected_keys:
-            row = table.get(key)
-            if row is not None:
-                self._log("upsert", table_name, {"row": _row_to_payload(table, row)})
-        return updated
+        return self._statement("upsert", table_name, Table.update_rows, predicate, changes)
 
     def delete(self, table_name: str, predicate) -> int:
         """Delete rows of ``table_name`` matching ``predicate``."""
+        return self._statement("delete_pk", table_name, Table.delete_rows, predicate)
+
+    def _statement(self, operation: str, table_name: str, write: Callable[..., int], *args) -> int:
+        """Run one write statement atomically and log the rows it changed.
+
+        The table journals every row change while ``write`` runs.  If it
+        raises, the old rows are written back and nothing is logged — a failed
+        statement changes nothing.  Otherwise the journal becomes WAL records
+        (``operation`` is what a surviving row is logged under), appended now
+        or, inside a transaction, handed to it with the journal until commit.
+        """
         table = self.table(table_name)
-        self._capture(table_name)
-        pk = table.schema.primary_key
-        doomed: list[tuple[Any, dict[str, Any]]] = []
-        if pk is not None and self._wal is not None:
-            doomed = [
-                (row[pk], _row_to_payload(table, row)) for row in table.select(predicate)
-            ]
-        deleted = table.delete_rows(predicate)
-        # The deleted row travels with the record so CDC consumers can route
-        # the tombstone to the right warehouse partition.
-        for key, payload in doomed:
-            self._log("delete_pk", table_name, {"primary_key": key, "row": payload})
-        return deleted
+        journal = table.journal = []
+        try:
+            result = write(table, *args)
+        except BaseException:
+            table.journal = None
+            undo(journal)
+            raise
+        table.journal = None
+        records = [
+            record
+            for _table, _row_id, old_row, new_row in journal
+            for record in _row_records(operation, table, old_row, new_row)
+        ]
+        if self._active_transaction is not None:
+            self._active_transaction.extend(journal, records)
+        else:
+            self._append(records)
+        return result
 
     # ------------------------------------------------------------- statistics
 
@@ -285,84 +282,100 @@ class Database:
 
     def transaction(self) -> Transaction:
         """Open a transaction (usable as a context manager)."""
-        if self._active_transaction is not None and self._active_transaction.active:
+        if self._active_transaction is not None:
             raise StorageError("a transaction is already active")
         self._active_transaction = Transaction(self)
         return self._active_transaction
 
-    def _capture(self, table_name: str) -> None:
-        if self._active_transaction is not None and self._active_transaction.active:
-            self._active_transaction.capture(table_name)
-
-    def _end_transaction(self, transaction: Transaction) -> None:
-        if self._active_transaction is transaction:
-            self._active_transaction = None
+    def _end_transaction(self) -> None:
+        self._active_transaction = None
 
     # -------------------------------------------------------------------- WAL
 
     @property
-    def wal(self) -> WriteAheadLog | None:
-        """The write-ahead log (``None`` only when WAL is disabled)."""
+    def wal(self) -> WriteAheadLog:
+        """The write-ahead log (in memory when there is no data directory)."""
         return self._wal
 
     def wal_lsn(self) -> int:
-        """The LSN of the most recent committed mutation (0 without a WAL)."""
-        return self._wal.last_lsn if self._wal is not None else 0
+        """The LSN of the most recent committed mutation."""
+        return self._wal.last_lsn
 
-    def _log(self, operation: str, table: str, payload: dict[str, Any]) -> None:
-        if self._wal is not None and not self._replaying:
-            self._wal.append(operation, table, payload)
+    def _append(self, records: list[PendingRecord]) -> None:
+        for record in records:
+            self._wal.append(*record)
 
     def _replay_wal(self) -> None:
-        assert self._wal is not None
-        self._replaying = True
-        try:
-            for record in self._wal.replay():
-                if record.operation == "create_table":
-                    schema = _schema_from_payload(record.payload["schema"])
-                    if schema.name not in self._tables:
-                        self._tables[schema.name] = Table(
-                            schema, stats_policy=self.stats_policy
-                        )
-                elif record.operation == "drop_table":
-                    self._tables.pop(record.table, None)
-                elif record.operation == "create_index":
-                    table = self._tables.get(record.table)
-                    if table is not None:
-                        table.create_index(
-                            record.payload["column"], kind=record.payload.get("kind", "hash")
-                        )
-                elif record.operation == "create_fts_index":
-                    table = self._tables.get(record.table)
-                    if table is not None:
-                        table.create_fts_index(tuple(record.payload.get("columns", ())))
-                elif record.operation in ("insert", "upsert"):
-                    table = self._tables.get(record.table)
-                    if table is None:
-                        continue
-                    row = _row_from_payload(table, record.payload["row"])
-                    if record.operation == "insert":
-                        table.insert(row)
-                    else:
-                        table.upsert(row)
-                elif record.operation == "delete_pk":
-                    table = self._tables.get(record.table)
-                    pk = table.schema.primary_key if table is not None else None
-                    if table is not None and pk is not None:
-                        key = record.payload["primary_key"]
-                        from .expressions import col as _col
+        """Rebuild the tables from the log.
 
-                        table.delete_rows(_col(pk) == key)
-        finally:
-            self._replaying = False
+        Row records go through the same :class:`Table` methods as live writes
+        (so they are re-validated: a log holding two rows with one UNIQUE
+        value fails loudly here), with no journal attached — nothing is logged.
+        """
+        for record in self._wal.replay():
+            if record.operation == "create_table":
+                schema = _schema_from_payload(record.payload["schema"])
+                if schema.name not in self._tables:
+                    self._tables[schema.name] = Table(schema, stats_policy=self.stats_policy)
+                continue
+            if record.operation == "drop_table":
+                self._tables.pop(record.table, None)
+                continue
+            table = self._tables.get(record.table)
+            if table is None:
+                continue
+            if record.operation == "create_index":
+                table.create_index(
+                    record.payload["column"], kind=record.payload.get("kind", "hash")
+                )
+            elif record.operation == "create_fts_index":
+                table.create_fts_index(tuple(record.payload.get("columns", ())))
+            elif record.operation == "insert":
+                table.insert(_row_from_payload(table, record.payload["row"]))
+            elif record.operation == "upsert":
+                table.upsert(_row_from_payload(table, record.payload["row"]))
+            elif record.operation == "delete_pk" and table.schema.primary_key is not None:
+                # Straight through the primary-key index: replay runs no plan.
+                for row_id in table.index(table.schema.primary_key).lookup(
+                    record.payload["primary_key"]
+                ):
+                    table._write(row_id, None)
 
     def checkpoint(self) -> None:
         """Truncate the WAL after the state has been migrated/persisted elsewhere."""
-        if self._wal is not None:
-            self._wal.truncate()
+        self._wal.truncate()
 
 
 # ------------------------------------------------------------- WAL payloads
+
+def _row_records(
+    operation: str,
+    table: Table,
+    old_row: dict[str, Any] | None,
+    new_row: dict[str, Any] | None,
+) -> list[PendingRecord]:
+    """The WAL records of one journal entry — the one place they are built.
+
+    A row that is gone (or whose primary key changed) is a ``delete_pk``; the
+    deleted row travels with it so CDC consumers can route the tombstone to
+    the right warehouse partition.  A row that is there is logged in its
+    stored post-state under ``operation``.  Without a primary key there is no
+    row identity to log an update or a delete against: such tables log
+    inserts only and rely on checkpoints.
+    """
+    pk = table.schema.primary_key
+    if pk is None:
+        if operation != "insert":
+            return []
+        return [("insert", table.name, {"row": _row_to_payload(table, new_row)})]
+    records: list[PendingRecord] = []
+    if old_row is not None and (new_row is None or new_row[pk] != old_row[pk]):
+        payload = {"primary_key": old_row[pk], "row": _row_to_payload(table, old_row)}
+        records.append(("delete_pk", table.name, payload))
+    if new_row is not None:
+        records.append((operation, table.name, {"row": _row_to_payload(table, new_row)}))
+    return records
+
 
 def _schema_to_payload(schema: TableSchema) -> dict[str, Any]:
     return {
@@ -399,10 +412,10 @@ def _schema_from_payload(payload: dict[str, Any]) -> TableSchema:
 
 
 def _row_to_payload(table: Table, row: Mapping[str, Any]) -> dict[str, Any]:
-    normalized = table.schema.normalize_row(row)
+    """Serialise a stored (already normalised) row."""
     return {
         name: table.schema.column(name).column_type.to_storage(value)
-        for name, value in normalized.items()
+        for name, value in row.items()
     }
 
 

@@ -1,6 +1,20 @@
 """In-memory table with constraint checking and secondary indexes.
 
-Reads go through the access planner (:mod:`.planner`): equality, range and
+**Writes.**  A stored row changes in exactly one function,
+:meth:`Table._write`: it is the only code that assigns to or deletes from the
+row store, and therefore the only code that maintains the secondary indexes,
+the full-text index, the statistics staleness counter and the journal.
+``insert`` / ``upsert`` / ``update_rows`` / ``delete_rows`` / ``truncate``
+compute ``(row_id, new_row)``, validate (normalise, then UNIQUE check) and
+call it.  While a :class:`~.database.Database` statement runs, the database
+attaches a list as :attr:`Table.journal` and every row change is appended to
+it as ``(table, row_id, old_row, new_row)``; that one journal is read twice —
+to derive the WAL records, and by :func:`undo` to take a failed statement or a
+rolled-back transaction back out.  Being the one place a row changes, it is
+also where a concurrency model is to be enforced (the engine assumes a single
+writer today).
+
+**Reads** go through the access planner (:mod:`.planner`): equality, range and
 OR-of-equality conjuncts of an :class:`~.expressions.Expression` predicate are
 answered from the table's indexes before the predicate is re-evaluated on the
 surviving candidate rows, and sorted indexes can stream rows in column order
@@ -46,6 +60,9 @@ class Table:
         self.planner_metrics = PlannerMetrics()
         self._stats: TableStats | None = None
         self._writes_since_analyze = 0
+        #: Attached by the owning database while one of its statements runs:
+        #: every row change is appended as ``(table, row_id, old_row, new_row)``.
+        self.journal: list[JournalEntry] | None = None
         for column in schema.unique_columns():
             self._indexes[column] = HashIndex(column)
 
@@ -85,7 +102,7 @@ class Table:
     def create_fts_index(self, columns: Sequence[str]) -> None:
         """Create (or rebuild) the table's full-text index over ``columns``.
 
-        The index is maintained synchronously by every write path, so its
+        The index is maintained synchronously by every write, so its
         matches are always a valid candidate superset for the planner's
         ``fts_index_scan`` access path.
         """
@@ -105,20 +122,6 @@ class Table:
     def fts_index(self) -> "TableFtsIndex | None":
         return self._fts
 
-    def _fts_add(self, row_id: int, row: Mapping[str, Any]) -> None:
-        if self._fts is not None:
-            self._fts.add_row(row_id, row)
-
-    def _fts_update(self, row_id: int, old_row: Mapping[str, Any], new_row: Mapping[str, Any]) -> None:
-        if self._fts is not None and any(
-            old_row.get(column) != new_row.get(column) for column in self._fts.columns
-        ):
-            self._fts.add_row(row_id, new_row)
-
-    def _fts_remove(self, row_id: int) -> None:
-        if self._fts is not None:
-            self._fts.remove_row(row_id)
-
     # ---------------------------------------------------------------- writes
 
     def _check_unique(self, row: Mapping[str, Any], ignore_row_id: int | None = None) -> None:
@@ -134,18 +137,53 @@ class Table:
                     f"{column!r} of table {self.name!r}"
                 )
 
+    def _write(self, row_id: int, new_row: dict[str, Any] | None) -> dict[str, Any] | None:
+        """Store ``new_row`` under ``row_id`` (``None`` deletes it); returns the old row.
+
+        The one place a stored row changes: every secondary index (touched
+        only where the column value changed), the full-text index
+        (re-tokenised only when an indexed column changed), the staleness
+        counter and the attached journal are maintained here and nowhere else.
+        Validation is the caller's job — :func:`undo` writes old rows back
+        through here unchecked.
+        """
+        old_row = self._rows.get(row_id)
+        if new_row is None:
+            del self._rows[row_id]
+        else:
+            self._rows[row_id] = new_row
+        old_values, new_values = old_row or {}, new_row or {}
+        for column, index in self._indexes.items():
+            old_value, new_value = old_values.get(column), new_values.get(column)
+            if old_value != new_value:
+                index.remove(row_id, old_value)
+                index.add(row_id, new_value)
+        fts = self._fts
+        if fts is not None:
+            if new_row is None:
+                fts.remove_row(row_id)
+            elif old_row is None or any(
+                old_row.get(column) != new_row.get(column) for column in fts.columns
+            ):
+                fts.add_row(row_id, new_row)
+        self._writes_since_analyze += 1
+        if self.journal is not None:
+            self.journal.append((self, row_id, old_row, new_row))
+        return old_row
+
+    def _put(self, row_id: int | None, row: dict[str, Any]) -> int:
+        """UNIQUE-check the normalised ``row``, then store it under ``row_id``
+        (a fresh id when ``None``)."""
+        self._check_unique(row, ignore_row_id=row_id)
+        if row_id is None:
+            row_id = self._next_row_id
+            self._next_row_id += 1
+        self._write(row_id, row)
+        return row_id
+
     def insert(self, row: Mapping[str, Any]) -> int:
         """Insert a row, returning its internal row id."""
-        normalized = self.schema.normalize_row(row)
-        self._check_unique(normalized)
-        row_id = self._next_row_id
-        self._next_row_id += 1
-        self._rows[row_id] = normalized
-        for column, index in self._indexes.items():
-            index.add(row_id, normalized.get(column))
-        self._fts_add(row_id, normalized)
-        self._note_writes(1)
-        return row_id
+        return self._put(None, self.schema.normalize_row(row))
 
     def insert_many(self, rows: list[Mapping[str, Any]]) -> list[int]:
         """Insert several rows (not atomic — use a transaction for atomicity)."""
@@ -156,33 +194,17 @@ class Table:
     ) -> int:
         """Update every row matching ``predicate``; returns the number updated."""
         normalized_changes = self.schema.normalize_update(changes)
-        updated = 0
-        for row_id in list(self._iter_matching_ids(predicate)):
-            old_row = self._rows[row_id]
-            new_row = dict(old_row)
-            new_row.update(normalized_changes)
-            self._check_unique(new_row, ignore_row_id=row_id)
-            for column, index in self._indexes.items():
-                if old_row.get(column) != new_row.get(column):
-                    index.remove(row_id, old_row.get(column))
-                    index.add(row_id, new_row.get(column))
-            self._rows[row_id] = new_row
-            self._fts_update(row_id, old_row, new_row)
-            updated += 1
-        self._note_writes(updated)
-        return updated
+        row_ids = list(self._iter_matching_ids(predicate))
+        for row_id in row_ids:
+            self._put(row_id, {**self._rows[row_id], **normalized_changes})
+        return len(row_ids)
 
     def delete_rows(self, predicate: Expression | Callable[[dict], bool] | None) -> int:
         """Delete every row matching ``predicate``; returns the number deleted."""
-        deleted = 0
-        for row_id in list(self._iter_matching_ids(predicate)):
-            row = self._rows.pop(row_id)
-            for column, index in self._indexes.items():
-                index.remove(row_id, row.get(column))
-            self._fts_remove(row_id)
-            deleted += 1
-        self._note_writes(deleted)
-        return deleted
+        row_ids = list(self._iter_matching_ids(predicate))
+        for row_id in row_ids:
+            self._write(row_id, None)
+        return len(row_ids)
 
     def upsert(self, row: Mapping[str, Any]) -> int:
         """Insert, or update the existing row with the same primary key."""
@@ -191,26 +213,12 @@ class Table:
             raise StorageError(f"table {self.name!r} has no primary key for upsert")
         normalized = self.schema.normalize_row(row)
         existing = self._indexes[pk].lookup(normalized[pk])
-        if existing:
-            (row_id,) = existing
-            old_row = self._rows[row_id]
-            for column, index in self._indexes.items():
-                if old_row.get(column) != normalized.get(column):
-                    index.remove(row_id, old_row.get(column))
-                    index.add(row_id, normalized.get(column))
-            self._rows[row_id] = normalized
-            self._fts_update(row_id, old_row, normalized)
-            self._note_writes(1)
-            return row_id
-        return self.insert(normalized)
+        return self._put(existing.pop() if existing else None, normalized)
 
     def truncate(self) -> None:
-        """Delete all rows (indexes are rebuilt empty)."""
-        self._rows.clear()
-        for column in list(self._indexes):
-            self._indexes[column] = build_index(self._indexes[column].kind, column)
-        if self._fts is not None:
-            self.create_fts_index(self._fts.columns)
+        """Delete all rows."""
+        for row_id in list(self._rows):
+            self._write(row_id, None)
         self.invalidate_stats()
 
     # ----------------------------------------------------------------- reads
@@ -307,10 +315,6 @@ class Table:
 
     # ------------------------------------------------------------ statistics
 
-    def _note_writes(self, count: int) -> None:
-        if count > 0:
-            self._writes_since_analyze += count
-
     def invalidate_stats(self) -> None:
         """Drop the statistics snapshot (schema-level change or bulk rewrite)."""
         self._stats = None
@@ -386,27 +390,16 @@ class Table:
             if row is not None and matcher(row):
                 yield row_id
 
-    # ------------------------------------------------------------- snapshots
 
-    def snapshot(self) -> dict[int, dict[str, Any]]:
-        """Deep-ish copy of the row storage (used by transactions)."""
-        return {row_id: dict(row) for row_id, row in self._rows.items()}
+#: One row change: ``(table, row_id, old_row, new_row)`` — ``old_row`` is
+#: ``None`` for an insert, ``new_row`` is ``None`` for a delete.
+JournalEntry = tuple[Table, int, dict[str, Any] | None, dict[str, Any] | None]
 
-    def restore(self, snapshot: dict[int, dict[str, Any]], next_row_id: int | None = None) -> None:
-        """Restore the table to a previously captured snapshot."""
-        self._rows = {row_id: dict(row) for row_id, row in snapshot.items()}
-        if next_row_id is not None:
-            self._next_row_id = next_row_id
-        else:
-            self._next_row_id = max(self._rows, default=0) + 1
-        for column in list(self._indexes):
-            index = build_index(self._indexes[column].kind, column)
-            for row_id, row in self._rows.items():
-                index.add(row_id, row.get(column))
-            self._indexes[column] = index
-        if self._fts is not None:
-            self.create_fts_index(self._fts.columns)
-        self.invalidate_stats()
+
+def undo(journal: Sequence[JournalEntry]) -> None:
+    """Write the old rows of ``journal`` back, newest first."""
+    for table, row_id, old_row, _new_row in reversed(journal):
+        table._write(row_id, old_row)
 
 
 def _project_row(row: Mapping[str, Any], columns: Sequence[str]) -> dict[str, Any]:

@@ -1,9 +1,19 @@
-"""Transactions: all-or-nothing groups of mutations.
+"""Transactions: all-or-nothing groups of write statements.
 
-The engine uses coarse-grained snapshot transactions: entering a transaction
-captures a snapshot of every table it touches lazily; rollback restores those
-snapshots.  This is sufficient for the single-writer operational workload of
-the platform and keeps the semantics easy to reason about.
+A transaction is the statement journal kept open.  Every statement the
+database runs while one is active hands over the row changes it journaled
+(see :mod:`.table`) and the WAL records derived from them, instead of
+appending the records to the log.  ``commit()`` is the commit point: it
+appends the held records in statement order, so LSNs are assigned at commit
+and the log — and everything that tails it: replay on reopen, the CDC
+publisher, the warehouse and the search index — sees only committed changes,
+in commit order.  ``rollback()`` writes the journaled old rows back, newest
+first, through the table's one mutator and drops the records.  There is no
+commit marker in the log (its format is not this module's): the records of
+one commit are appended one after another, and a crash between two of them
+leaves a prefix.
+
+DDL is not transactional — see :mod:`.database`.
 """
 
 from __future__ import annotations
@@ -11,9 +21,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ...errors import TransactionError
+from .table import JournalEntry, undo
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
+
+#: A WAL record that has no LSN yet: ``(operation, table, payload)``, the
+#: arguments of :meth:`~.wal.WriteAheadLog.append`.
+PendingRecord = tuple[str, str, dict[str, Any]]
 
 
 class Transaction:
@@ -21,40 +36,34 @@ class Transaction:
 
     def __init__(self, database: "Database") -> None:
         self._database = database
-        self._snapshots: dict[str, dict[int, dict[str, Any]]] = {}
+        self._journal: list[JournalEntry] = []
+        self._records: list[PendingRecord] = []
         self._active = True
-        self._committed = False
 
     @property
     def active(self) -> bool:
         return self._active
 
-    def capture(self, table_name: str) -> None:
-        """Snapshot ``table_name`` before its first mutation inside the transaction."""
-        if not self._active:
-            raise TransactionError("transaction is no longer active")
-        if table_name not in self._snapshots:
-            table = self._database.table(table_name)
-            self._snapshots[table_name] = table.snapshot()
+    def extend(self, journal: list[JournalEntry], records: list[PendingRecord]) -> None:
+        """Take over one successful statement's row changes and WAL records."""
+        self._journal += journal
+        self._records += records
 
     def commit(self) -> None:
         """Make every mutation performed during the transaction permanent."""
-        if not self._active:
-            raise TransactionError("transaction is no longer active")
-        self._active = False
-        self._committed = True
-        self._snapshots.clear()
-        self._database._end_transaction(self)
+        self._finish()
+        self._database._append(self._records)
 
     def rollback(self) -> None:
         """Undo every mutation performed during the transaction."""
+        self._finish()
+        undo(self._journal)
+
+    def _finish(self) -> None:
         if not self._active:
             raise TransactionError("transaction is no longer active")
-        for table_name, snapshot in self._snapshots.items():
-            self._database.table(table_name).restore(snapshot)
         self._active = False
-        self._snapshots.clear()
-        self._database._end_transaction(self)
+        self._database._end_transaction()
 
     # ------------------------------------------------------- context manager
 

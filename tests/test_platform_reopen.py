@@ -1,15 +1,17 @@
 """A platform reopened over its own ``data_dir`` comes back the same.
 
 What survives a reopen is the WAL and the cursor/offset files; the DFS and
-the broker are in-process and restart empty.  Three regressions, each of which
-failed before ``StorageSync`` owned the restart reconciliation:
+the broker are in-process and restart empty.  Four regressions, the first three
+of which failed before ``StorageSync`` owned the restart reconciliation:
 
 * the in-memory halves of ``register_outlet`` / ``add_expert_review`` are
   rehydrated from the replayed tables, so an evaluation does not change;
 * declaring the start-up indexes again is a no-op, so a reopen neither grows
   the WAL nor rebuilds an index;
 * a surviving CDC cursor over empty sinks rewinds, so ``process_cdc()`` alone
-  converges RDBMS ≡ warehouse ≡ FTS.
+  converges RDBMS ≡ warehouse ≡ FTS;
+* the extraction pipeline's known-article set is rehydrated too, so a posting
+  of a stored URL does not scrape it again over the stored row.
 """
 
 from dataclasses import replace
@@ -22,9 +24,11 @@ from repro.storage.rdbms.database import Database
 T0 = datetime(2020, 3, 1, 9)
 
 
-def open_platform(data_dir) -> SciLensPlatform:
+def open_platform(data_dir, **wiring) -> SciLensPlatform:
     config = PlatformConfig()
-    return SciLensPlatform(replace(config, storage=replace(config.storage, data_dir=data_dir)))
+    return SciLensPlatform(
+        replace(config, storage=replace(config.storage, data_dir=data_dir)), **wiring
+    )
 
 
 def article(i: int) -> Article:
@@ -138,3 +142,31 @@ def test_recover_reports_the_rewind_of_a_cursor_over_empty_sinks(tmp_path):
         "cursor": 0, "wal_lsn": reopened.database.wal_lsn(), "rewound": True,
         "pending": reopened.database.wal_lsn(),
     }
+
+
+def test_posting_of_a_stored_url_is_not_extracted_again_after_a_reopen(tmp_path, small_scenario):
+    wiring = {
+        "site_store": small_scenario.site_store,
+        "account_registry": small_scenario.outlets.account_registry(),
+    }
+    postings = list(small_scenario.posting_events())[:200]
+    platform = open_platform(tmp_path, **wiring)
+    platform.register_outlets(small_scenario.outlets.outlets())
+    platform.ingest_posting_events(postings)
+    first = platform.process_stream()
+    platform.assign_topics()
+    topics = {r["article_id"]: r["topics"] for r in platform.database.table("articles").rows()}
+    assert first["articles_extracted"] == len(topics) > 0
+    assert any(topics.values())
+
+    reopened = open_platform(tmp_path, **wiring)
+    lsn = reopened.database.wal_lsn()
+    reopened.ingest_posting_events(postings)
+    again = reopened.process_stream()
+    assert again["articles_extracted"] == 0
+    rows = reopened.database.table("articles").rows()
+    assert {r["article_id"]: r["topics"] for r in rows} == topics
+    # The WAL grew by the replayed postings' upserts and nothing else.
+    new_records = list(reopened.database.wal.records_after(lsn))
+    assert {(r.operation, r.table) for r in new_records} == {("upsert", "posts")}
+    assert len(new_records) == again["postings_seen"]

@@ -239,6 +239,48 @@ class TestMergeDeterminism:
 
 
 # ======================================================================
+# Only committed changes are captured
+# ======================================================================
+
+
+class TestCommittedChangesOnly:
+    def test_rolled_back_transaction_publishes_nothing(self):
+        ts = datetime(2020, 2, 1, 9)
+        db = _db([_row("a0", ts), _row("a1", ts + timedelta(days=1))])
+        warehouse, _job, publisher, applier = _pipeline(db)
+        before = repr(list(warehouse.table("articles").scan()))
+
+        tx = db.transaction()
+        db.insert("articles", _row("a2", ts + timedelta(hours=1)))
+        db.update("articles", col("article_id") == "a0", {"score": 0.5})
+        db.delete("articles", col("article_id") == "a1")
+        assert publisher.publish() == 0  # nothing is in the log before commit
+        tx.rollback()
+
+        assert publisher.pending() == 0
+        assert publisher.publish() == 0 and applier.apply().rows == 0
+        assert repr(list(warehouse.table("articles").scan())) == before
+        assert sorted(r["article_id"] for r in db.table("articles").rows()) == ["a0", "a1"]
+
+    def test_committed_transaction_publishes_in_statement_order(self):
+        ts = datetime(2020, 2, 1, 9)
+        db = _db([_row("a0", ts)])
+        warehouse, _job, publisher, applier = _pipeline(db)
+        with db.transaction():
+            db.insert("articles", _row("a1", ts + timedelta(hours=1)))
+            db.update("articles", col("article_id") == "a1", {"score": 0.5})
+            db.delete("articles", col("article_id") == "a0")
+        lsn = db.wal_lsn()
+        assert [r.operation for r in db.wal.records_after(lsn - 3)] == [
+            "insert", "upsert", "delete_pk",
+        ]
+        assert publisher.publish() == 3
+        applier.apply()
+        rows = list(warehouse.table("articles").scan())
+        assert [(r["article_id"], r["score"]) for r in rows] == [("a1", 0.5)]
+
+
+# ======================================================================
 # Exactly-once application
 # ======================================================================
 

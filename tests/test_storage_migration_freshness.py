@@ -253,8 +253,3 @@ class TestNoPrimaryKey:
         assert mapping.primary_key is None
         with pytest.raises(StorageError):
             publisher.add_mapping(mapping)
-
-    def test_cdc_needs_a_wal(self):
-        db = Database(wal_enabled=False)
-        with pytest.raises(StorageError):
-            CdcPublisher(db, MessageBroker(default_partitions=2))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ColumnNotFound, StorageError
+from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col, extract_constraints, match
 from repro.storage.rdbms.index import SortedIndex
 from repro.storage.rdbms.planner import (
@@ -438,14 +439,22 @@ class TestIndexMaintenance:
         assert len(index) == before - deleted
         assert table.select(col("reactions") < 500) == []
 
-    def test_restore_rebuilds_indexes(self):
-        table = build_table()
-        snapshot = table.snapshot()
-        table.delete_rows(col("category") == "b")
-        table.restore(snapshot)
+    def test_rollback_keeps_indexes_equal_to_a_scan(self):
+        source = build_table(indexed=False)
+        db = Database()
+        db.create_table(source.schema)
+        db.create_index("events", "reactions", kind="sorted")
+        db.insert_many("events", source.rows())
+        table = db.table("events")
+        with db.transaction() as tx:
+            db.delete("events", col("category") == "b")
+            db.update("events", col("category") == "a", {"reactions": 5000})
+            tx.rollback()
+        assert table.rows() == source.rows()
         index = table.index("reactions")
         assert isinstance(index, SortedIndex)
-        assert len(index) == table.row_count()
+        assert len(index) == table.row_count() == 200
+        assert index.lookup(5000) == set()
         fast = table.select((col("reactions") >= 10) & (col("reactions") < 300))
         slow = [r for r in table.rows() if 10 <= r["reactions"] < 300]
         assert sorted(r["id"] for r in fast) == sorted(r["id"] for r in slow)

@@ -125,6 +125,15 @@ class TestTransactions:
         tx.rollback()
         assert db.get("articles", "a1")["score"] == 0.2
 
+    def test_rollback_restores_deleted_rows(self):
+        db = make_db()
+        tx = db.transaction()
+        db.delete("articles", None)
+        assert db.table("articles").row_count() == 0
+        tx.rollback()
+        assert db.table("articles").row_count() == 4
+        assert db.get("articles", "a1") is not None
+
     def test_nested_transactions_rejected(self):
         db = make_db()
         tx = db.transaction()

@@ -12,7 +12,7 @@ from repro.storage.rdbms.stats import (
     build_table_stats,
     prefix_upper_bound,
 )
-from repro.storage.rdbms.table import Table
+from repro.storage.rdbms.table import Table, undo
 from repro.storage.rdbms.types import ColumnType
 
 
@@ -189,9 +189,16 @@ class TestTableStatisticsLifecycle:
         table.truncate()
         assert table.stats_state() == "missing"
 
-    def test_restore_invalidates_stats(self):
-        table = build_events()
-        snapshot = table.snapshot()
+    def test_undo_counts_toward_staleness(self):
+        # Undo goes through the same mutator as any write: 30 deletes plus the
+        # 30 rows written back pass the threshold of max(10, 0.2 * 200) = 40.
+        policy = StatsPolicy(stale_fraction=0.2, min_stale_writes=10)
+        table = build_events(policy=policy)
         table.analyze()
-        table.restore(snapshot)
-        assert table.stats_state() == "missing"
+        table.journal = journal = []
+        table.delete_rows(lambda row: row["id"] < 30)
+        table.journal = None
+        assert table.stats_state() == "fresh"
+        undo(journal)
+        assert table.row_count() == 200
+        assert table.stats_state() == "stale"

@@ -86,14 +86,15 @@ class TestTable:
         table = articles_table()
         assert table.count(lambda row: row["score"] and row["score"] > 0.5) == 2
 
-    def test_truncate_and_restore(self):
+    def test_truncate_empties_table_and_indexes(self):
         table = articles_table()
-        snapshot = table.snapshot()
+        table.create_index("reactions", kind="sorted")
         table.truncate()
         assert table.row_count() == 0
-        table.restore(snapshot)
-        assert table.row_count() == 4
-        assert table.get("a1") is not None
+        assert table.get("a1") is None
+        assert len(table.index("id")) == len(table.index("reactions")) == 0
+        table.insert({"id": "a1", "outlet": "x.example.com"})
+        assert table.row_count() == 1
 
 
 class TestQuery:
