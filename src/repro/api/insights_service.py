@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from datetime import datetime
 
-from ..errors import ArticleNotFound
+from ..errors import ArticleNotFound, ServiceError
 from .service import MicroService, ServiceRequest, ServiceResponse
 
 
@@ -31,15 +31,23 @@ class InsightsService(MicroService):
     # ------------------------------------------------------------- handlers
 
     def _insights_handler(self, render):
-        """The shell every insights view shares: compute, 404 on an empty
-        platform, else ``render(insights)`` as the payload."""
+        """The shell every insights view shares: 400 on a window the client
+        got wrong, compute, 404 on an empty platform, else ``render(insights)``
+        as the payload."""
 
         def handler(request: ServiceRequest) -> ServiceResponse:
+            window_start = _parse_ts(request, "window_start")
+            window_end = _parse_ts(request, "window_end")
+            if window_start is not None and window_end is not None and window_end < window_start:
+                raise ServiceError(
+                    f"window_end {window_end.isoformat()} is before "
+                    f"window_start {window_start.isoformat()}"
+                )
             try:
                 insights = self.platform.topic_insights(
                     topic_key=request.param("topic", "covid19"),
-                    window_start=_parse_ts(request.param("window_start")),
-                    window_end=_parse_ts(request.param("window_end")),
+                    window_start=window_start,
+                    window_end=window_end,
                 )
             except ArticleNotFound as exc:
                 return ServiceResponse.not_found(str(exc))
@@ -94,7 +102,12 @@ def _comparison_payload(insights, comparison) -> dict:
     }
 
 
-def _parse_ts(value) -> datetime | None:
+def _parse_ts(request: ServiceRequest, name: str) -> datetime | None:
+    """The timestamp parameter ``name`` (absent: ``None``); unparsable is the client's error."""
+    value = request.param(name)
     if value is None or isinstance(value, datetime):
         return value
-    return datetime.fromisoformat(str(value))
+    try:
+        return datetime.fromisoformat(str(value))
+    except ValueError:
+        raise ServiceError(f"parameter {name!r} is not an ISO-8601 timestamp: {value!r}") from None

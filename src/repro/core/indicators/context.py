@@ -71,12 +71,18 @@ class ContextIndicatorComputer:
     def compute(self, article: Article, links: Sequence[str] | None = None) -> ContextIndicators:
         """Compute the context indicators of ``article``.
 
-        ``links`` may be passed when the caller already extracted them (e.g.
-        from the scraper); otherwise they are parsed out of ``article.html``.
+        The cheapest source that is available wins: explicit ``links`` (the
+        caller already extracted them, e.g. the scraper) are classified;
+        otherwise the article's stored ``references`` (counted when it was
+        scraped or stored) are taken as they are; only an article with
+        neither has its ``html`` parsed.
         """
-        if links is None:
-            links = parse_html(article.html).link_hrefs() if article.html else []
-        profile = self.classifier.profile(list(links), article.outlet_domain)
+        if links is None and article.references is not None:
+            profile = article.references
+        else:
+            if links is None:
+                links = parse_html(article.html).link_hrefs() if article.html else []
+            profile = self.classifier.profile(list(links), article.outlet_domain)
         return self.from_profile(article.article_id, profile)
 
     @staticmethod

@@ -50,6 +50,7 @@ from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
 from ..streaming.checkpoint import CheckpointStore
 from ..streaming.pipeline import ArticleExtractionPipeline, article_id_for
+from ..web.references import ReferenceProfile
 from ..web.scraper import ArticleScraper
 from ..web.sitestore import SiteStore
 from .analytics import WarehouseAnalytics, standing_rollup_specs
@@ -76,8 +77,8 @@ SUPERVISED_TOPIC_KEYWORDS: dict[str, tuple[str, ...]] = {
     "science": ("study", "researchers", "experiment", "laboratory", "genome", "telescope"),
 }
 
-#: Article columns both full-text indexes cover (the table-attached one the
-#: planner probes for MATCH and the segment index ``search_articles`` reads).
+#: Article columns the segment full-text index covers (the one index over
+#: articles: ``search_articles`` and ``articles.search`` read it).
 ARTICLE_FTS_COLUMNS = ("title", "text")
 
 
@@ -140,10 +141,6 @@ class SciLensPlatform:
         self.database.create_index("articles", "outlet_domain", kind="hash")
         self.database.create_index("articles", "published_at", kind="sorted")
         self.database.create_index("reviews", "article_id", kind="hash")
-        # Full-text index over the article text columns: backs the planner's
-        # ``fts_index_scan`` access path for MATCH predicates (maintained
-        # synchronously by every table write, so it is never stale).
-        self.database.create_fts_index("articles", ARTICLE_FTS_COLUMNS)
 
         self.dfs = DistributedFileSystem(
             n_nodes=3,
@@ -336,7 +333,13 @@ class SciLensPlatform:
     # ====================================================================== #
 
     def store_article(self, article: Article, created_at: datetime | None = None) -> None:
-        """Insert or refresh an article in the operational store."""
+        """Insert or refresh an article in the operational store.
+
+        The row carries the article's reference counts — taken from the
+        scraper's parse when the article came off the stream, else parsed from
+        its HTML here, once — so no read has to derive them again.
+        """
+        context = self.context_computer.compute(article)
         self.database.upsert(
             "articles",
             {
@@ -351,6 +354,9 @@ class SciLensPlatform:
                 "topics": list(article.topics),
                 "created_at": created_at or datetime.utcnow(),
                 "ingested_at": datetime.utcnow(),
+                "internal_references": context.internal_references,
+                "external_references": context.external_references,
+                "scientific_references": context.scientific_references,
             },
         )
 
@@ -721,16 +727,18 @@ class SciLensPlatform:
     # ====================================================================== #
 
     def reactions_per_article(self, topic_key: str | None = None) -> dict[str, int]:
-        """Number of reactions per stored article (optionally only for one topic).
+        """Number of reactions per stored article (optionally only for one topic)."""
+        return self._reactions_per(_on_topic(self.articles(), topic_key))
+
+    def _reactions_per(self, articles: Sequence[Article]) -> dict[str, int]:
+        """Reactions per article of ``articles``.
 
         The per-post reaction roll-up is pushed down to the query engine as a
-        grouped aggregate (``GROUP BY post_id``) instead of counting reaction
-        rows one at a time here; only the post→article join map is walked.
+        grouped aggregate (``GROUP BY post_id``, which the planner answers from
+        the hash index on ``reactions.post_id`` without reading a reaction
+        row); only the post→article join map is walked.
         """
-        articles = self.database.query("articles").execute().rows
-        if topic_key is not None:
-            articles = [row for row in articles if topic_key in (row.get("topics") or [])]
-        url_to_id = {row["url"]: row["article_id"] for row in articles}
+        url_to_id = {article.url: article.article_id for article in articles}
 
         post_to_article: dict[str, str] = {}
         for row in self.database.query("posts").execute().rows:
@@ -754,14 +762,15 @@ class SciLensPlatform:
 
     def scientific_ratio_per_article(self, topic_key: str | None = None) -> dict[str, float]:
         """Scientific-reference ratio per stored article (from the context indicators)."""
-        ratios: dict[str, float] = {}
-        for row in self.database.query("articles").execute().rows:
-            if topic_key is not None and topic_key not in (row.get("topics") or []):
-                continue
-            article = _row_to_article(row)
-            context = self.context_computer.compute(article)
-            ratios[article.article_id] = context.scientific_ratio
-        return ratios
+        return self._scientific_ratios(_on_topic(self.articles(), topic_key))
+
+    def _scientific_ratios(self, articles: Sequence[Article]) -> dict[str, float]:
+        """Ratio per article of ``articles`` — from the counts stored with each
+        row, so nothing is parsed unless a row predates them."""
+        return {
+            article.article_id: self.context_computer.compute(article).scientific_ratio
+            for article in articles
+        }
 
     def topic_insights(
         self,
@@ -769,23 +778,25 @@ class SciLensPlatform:
         window_start: datetime | None = None,
         window_end: datetime | None = None,
     ) -> TopicInsights:
-        """Compute the three §4.2 axes for ``topic_key`` from the stored data."""
-        articles = [
-            _row_to_article(row) for row in self.database.query("articles").execute().rows
-        ]
+        """Compute the three §4.2 axes for ``topic_key`` from the stored data.
+
+        One scan of ``articles`` serves all three axes.
+        """
+        articles = self.articles()
         if not articles:
             raise ArticleNotFound("the platform holds no articles yet")
         window_start = window_start or min(a.published_at for a in articles)
         window_end = window_end or max(a.published_at for a in articles)
 
+        on_topic = _on_topic(articles, topic_key)
         engine = InsightsEngine(self.outlet_ratings)
         return engine.topic_insights(
             articles=articles,
             topic_key=topic_key,
             window_start=window_start,
             window_end=window_end,
-            reactions_per_article=self.reactions_per_article(topic_key),
-            scientific_ratio_per_article=self.scientific_ratio_per_article(topic_key),
+            reactions_per_article=self._reactions_per(on_topic),
+            scientific_ratio_per_article=self._scientific_ratios(on_topic),
         )
 
     # ====================================================================== #
@@ -834,9 +845,19 @@ class SciLensPlatform:
         }
 
 
+def _on_topic(articles: Sequence[Article], topic_key: str | None) -> list[Article]:
+    """The ``articles`` tagged ``topic_key`` (all of them for ``None``)."""
+    return [a for a in articles if topic_key is None or topic_key in a.topics]
+
+
 # --------------------------------------------------------------- row mapping
 
+#: The stored reference counts, in :class:`ReferenceProfile` field order.
+_REFERENCE_COLUMNS = ("internal_references", "external_references", "scientific_references")
+
+
 def _row_to_article(row: Mapping[str, Any]) -> Article:
+    counts = [row.get(column) for column in _REFERENCE_COLUMNS]
     return Article(
         article_id=row["article_id"],
         url=row["url"],
@@ -847,6 +868,8 @@ def _row_to_article(row: Mapping[str, Any]) -> Article:
         html=row.get("html") or "",
         author=row.get("author"),
         topics=tuple(row.get("topics") or ()),
+        # NULL counts (a row from an older log, or a raw upsert): derive from the HTML.
+        references=None if None in counts else ReferenceProfile(*counts),
     )
 
 

@@ -12,6 +12,14 @@ from ..storage.rdbms.types import ColumnType
 
 
 def articles_schema() -> TableSchema:
+    """Articles, each with the reference counts of its ``html``.
+
+    The three ``*_references`` columns are derived facts stored beside their
+    source: ``SciLensPlatform.store_article`` fills them on every write of a
+    whole row, so readers (insights, evaluation) never re-parse the HTML.
+    They are nullable because a row can predate them (an older WAL) or arrive
+    through a raw ``database.upsert``; NULL means "derive from ``html``".
+    """
     return TableSchema(
         name="articles",
         primary_key="article_id",
@@ -27,6 +35,9 @@ def articles_schema() -> TableSchema:
             Column("topics", ColumnType.JSON, default=[]),
             Column("created_at", ColumnType.TIMESTAMP, nullable=False),
             Column("ingested_at", ColumnType.TIMESTAMP, nullable=False),
+            Column("internal_references", ColumnType.INTEGER),
+            Column("external_references", ColumnType.INTEGER),
+            Column("scientific_references", ColumnType.INTEGER),
         ),
     )
 

@@ -13,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only, the module stays a leaf
+    from .web.references import ReferenceProfile
 
 
 class RatingClass(str, Enum):
@@ -121,6 +125,11 @@ class Article:
     html: str = ""
     author: str | None = None
     topics: tuple[str, ...] = ()
+    #: Reference counts of ``html`` when whoever built the article already
+    #: classified its links (the scraper, or the stored row); ``None`` means
+    #: "parse ``html``".  A derived fact, so not part of equality — and to be
+    #: dropped by anyone who swaps ``html`` on a copy.
+    references: "ReferenceProfile | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.article_id:

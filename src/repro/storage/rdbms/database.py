@@ -59,11 +59,20 @@ class Database:
     # ----------------------------------------------------------------- tables
 
     def create_table(self, schema: TableSchema, if_not_exists: bool = False) -> Table:
-        """Create a table from ``schema`` (optionally tolerating re-creation)."""
+        """Create a table from ``schema`` (optionally tolerating re-creation).
+
+        With ``if_not_exists``, a table replayed from a log written before
+        ``schema`` gained trailing nullable columns is widened to it (logged
+        once, as a second ``create_table`` record), so start-up code can add
+        such a column without a migration step.
+        """
         if schema.name in self._tables:
-            if if_not_exists:
-                return self._tables[schema.name]
-            raise StorageError(f"table {schema.name!r} already exists")
+            if not if_not_exists:
+                raise StorageError(f"table {schema.name!r} already exists")
+            table = self._tables[schema.name]
+            if table.widen_schema(schema):
+                self._wal.append("create_table", schema.name, {"schema": _schema_to_payload(schema)})
+            return table
         table = Table(schema, stats_policy=self.stats_policy)
         self._tables[schema.name] = table
         self._wal.append("create_table", schema.name, {"schema": _schema_to_payload(schema)})
@@ -317,6 +326,8 @@ class Database:
                 schema = _schema_from_payload(record.payload["schema"])
                 if schema.name not in self._tables:
                     self._tables[schema.name] = Table(schema, stats_policy=self.stats_policy)
+                else:
+                    self._tables[schema.name].widen_schema(schema)
                 continue
             if record.operation == "drop_table":
                 self._tables.pop(record.table, None)

@@ -51,6 +51,10 @@ class HashIndex:
         """Distinct indexed values (unsorted)."""
         return list(self._buckets)
 
+    def counts(self) -> dict[Any, int]:
+        """Number of rows per distinct indexed value (NULLs are not indexed)."""
+        return {value: len(bucket) for value, bucket in self._buckets.items()}
+
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 

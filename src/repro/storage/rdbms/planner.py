@@ -26,6 +26,9 @@ Access paths
 * ``fts_index_scan`` — full-text MATCH answered from the table's FTS index
   (posting-list intersection; prefix terms expand over the vocabulary).
 * ``index-intersect``— several of the above intersected.
+* ``index-group-count`` — ``GROUP BY <hash-indexed column>`` with only
+  ``COUNT(*)`` over the whole table: one result row per index bucket (its
+  size), no stored row is read.
 
 Ordering strategies
 -------------------
@@ -50,6 +53,9 @@ Known limits
   a fixed selectivity prior (no term-frequency statistics at plan time).
 * LIKE-prefix pushdown needs a sorted index on a TEXT column and a pattern
   with a literal prefix (``'abc%'`` yes, ``'%abc'`` no).
+* ``index-group-count`` needs no predicate, no join, exactly one group column
+  with a *hash* index, and ``COUNT(*)`` as every aggregate; any other grouped
+  query aggregates over scanned rows.
 
 See ``docs/query-planner.md`` for the full vocabulary with examples, and
 ``examples/explain_demo.py`` for a runnable tour of every plan shape.
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .expressions import (
     BranchAtom,
@@ -68,7 +74,7 @@ from .expressions import (
     RangeConstraint,
     extract_constraints,
 )
-from .index import SortedIndex
+from .index import HashIndex, SortedIndex
 from .stats import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_MATCH_SELECTIVITY,
@@ -88,6 +94,7 @@ INDEX_RANGE = "index-range"
 INDEX_UNION = "index-union"
 FTS_INDEX_SCAN = "fts_index_scan"
 INDEX_INTERSECT = "index-intersect"
+INDEX_GROUP_COUNT = "index-group-count"
 #: Step label of a LIKE-prefix probe (an ``index-range`` under the hood).
 LIKE_PREFIX = "like-prefix"
 
@@ -547,6 +554,30 @@ def plan_access(table: "Table", predicate: Any) -> AccessPlan:
     if not steps:
         return AccessPlan()
     return _cost_plan(steps, total)
+
+
+def plan_group_count(
+    table: "Table",
+    group_by: Sequence[str],
+    aggregates: Mapping[str, tuple[str, str]],
+    filtered: bool,
+) -> AccessPlan | None:
+    """The ``index-group-count`` plan when the query has exactly that shape.
+
+    Eligible: no predicate and no join (``filtered``), one group column that
+    carries a hash index, and ``COUNT(*)`` as every aggregate — then the index
+    buckets *are* the groups and their sizes the counts (rows whose group
+    column is NULL are not indexed; the executor adds them as one NULL group).
+    ``None`` sends the query down the ordinary scan-and-aggregate path.
+    """
+    if filtered or len(group_by) != 1 or not aggregates:
+        return None
+    if any(aggregate != ("count", "*") for aggregate in aggregates.values()):
+        return None
+    (column,) = group_by
+    if not table.has_index(column) or not isinstance(table.index(column), HashIndex):
+        return None
+    return AccessPlan(path=INDEX_GROUP_COUNT, steps=(f"{INDEX_GROUP_COUNT}({column})",))
 
 
 @dataclass

@@ -23,10 +23,12 @@ from ...errors import ColumnNotFound, StorageError
 from .expressions import Expression
 from .index import SortedIndex
 from .planner import (
+    INDEX_GROUP_COUNT,
     ORDER_INDEX,
     ORDER_SORT,
     ORDER_TOP_K,
     QueryPlan,
+    plan_group_count,
 )
 from .table import Table
 
@@ -170,7 +172,16 @@ class Query:
     def _plan(self) -> QueryPlan:
         """Choose access path, ordering strategy and projection pushdown."""
         table = self._table
-        access = table.plan_access(self._predicate)
+        access = plan_group_count(
+            table,
+            self._group_by,
+            self._aggregates,
+            filtered=self._predicate is not None or bool(self._joins),
+        )
+        if access is None:
+            access = table.plan_access(self._predicate)
+        else:
+            table.planner_metrics.record_plan(access)
         aggregated = bool(self._aggregates or self._group_by)
 
         access_path = access.path
@@ -235,8 +246,9 @@ class Query:
 
         The returned :class:`~repro.storage.rdbms.planner.QueryPlan` names the
         access path (``full-scan`` / ``index-eq`` / ``index-range`` /
-        ``index-union`` / ``index-intersect`` / ``index-ordered``) and the
-        ordering strategy (``sort`` / ``top-k`` / ``index-ordered``).  When
+        ``index-union`` / ``index-intersect`` / ``index-ordered`` /
+        ``index-group-count``) and the ordering strategy (``sort`` /
+        ``top-k`` / ``index-ordered``).  When
         the cost model planned the query (``stats_mode == "cost"``) it also
         carries the estimated rows, the chosen plan's cost, per-step
         estimates, and every considered-but-rejected alternative
@@ -274,10 +286,13 @@ class Query:
             if self._offset:
                 rows = rows[self._offset:]
         else:
-            candidate_ids = plan._access.row_ids if plan._access is not None else None
-            rows = self._base_rows(plan.projection_pushdown, candidate_ids)
-            if aggregated:
-                rows = self._run_aggregation(rows)
+            if plan.access_path == INDEX_GROUP_COUNT:
+                rows = self._count_groups_from_index()
+            else:
+                candidate_ids = plan._access.row_ids if plan._access is not None else None
+                rows = self._base_rows(plan.projection_pushdown, candidate_ids)
+                if aggregated:
+                    rows = self._run_aggregation(rows)
             if plan.order_strategy == ORDER_TOP_K:
                 rows = _top_k(rows, self._order_by, self._offset + self._limit)
                 rows = rows[self._offset:]
@@ -306,6 +321,20 @@ class Query:
         if not self._joins:
             return self._table.count(self._predicate)
         return len(self._base_rows())
+
+    def _count_groups_from_index(self) -> list[dict[str, Any]]:
+        """The ``index-group-count`` path: what :meth:`_run_aggregation` returns
+        for ``GROUP BY column`` + ``COUNT(*)`` over every row, read off the
+        hash index (bucket sizes, plus the un-indexed NULLs as one group)."""
+        (column,) = self._group_by
+        counts = self._table.index(column).counts()
+        nulls = self._table.row_count() - sum(counts.values())
+        if nulls:
+            counts[None] = nulls
+        return [
+            {column: value, **dict.fromkeys(self._aggregates, counts[value])}
+            for value in sorted(counts, key=_sort_key)
+        ]
 
     def _run_aggregation(self, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         if not self._aggregates:

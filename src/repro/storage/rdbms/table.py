@@ -78,6 +78,25 @@ class Table:
     def row_count(self) -> int:
         return len(self._rows)
 
+    def widen_schema(self, schema: TableSchema) -> bool:
+        """Adopt ``schema`` if it is this table's schema plus trailing nullable
+        columns (stored rows take the new columns' defaults); ``False`` — and
+        nothing changes — for the same schema or any other difference."""
+        current = self.schema.columns
+        added = schema.columns[len(current):]
+        if (
+            not added
+            or schema.columns[: len(current)] != current
+            or schema.primary_key != self.schema.primary_key
+            or any(column.unique or not column.nullable for column in added)
+        ):
+            return False
+        for row in self._rows.values():
+            for column in added:
+                row[column.name] = column.default
+        self.schema = schema
+        return True
+
     # --------------------------------------------------------------- indexes
 
     def create_index(self, column: str, kind: str = "hash") -> None:

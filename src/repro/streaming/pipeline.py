@@ -23,11 +23,16 @@ from typing import Callable
 from ..errors import StreamingError
 from ..models import Article, Reaction, ReactionKind, SocialPost
 from ..social.accounts import AccountRegistry
+from ..web.references import ReferenceClassifier
 from ..web.scraper import ArticleScraper, ScrapedArticle
 from ..web.urls import domain_of, normalize_url
 from .broker import MessageBroker
 from .consumer import Consumer
 from .message import Message
+
+
+#: Classifies the links the scraper already extracted (the §3.1 shortlist).
+_REFERENCE_CLASSIFIER = ReferenceClassifier()
 
 
 def article_id_for(url: str) -> str:
@@ -167,16 +172,22 @@ def scraped_to_article(
     article_id: str | None = None,
     fallback_published: datetime | None = None,
 ) -> Article:
-    """Convert a :class:`ScrapedArticle` into the :class:`Article` domain object."""
+    """Convert a :class:`ScrapedArticle` into the :class:`Article` domain object.
+
+    The scraper's parse already extracted the links, so their reference
+    counts ride along: nothing downstream has to parse the HTML again.
+    """
+    outlet_domain = domain_of(scraped.url)
     return Article(
         article_id=article_id or article_id_for(scraped.url),
         url=scraped.url,
-        outlet_domain=domain_of(scraped.url),
+        outlet_domain=outlet_domain,
         title=scraped.title,
         published_at=scraped.published_at or fallback_published or datetime.utcnow(),
         text=scraped.text,
         html=scraped.html,
         author=scraped.author,
+        references=_REFERENCE_CLASSIFIER.profile(scraped.links, outlet_domain),
     )
 
 

@@ -277,6 +277,25 @@ class TestInsightsService:
         evidence = gateway.handle("insights.evidence_seeking", {"topic": "covid19"})
         assert evidence.ok
 
+    WINDOW_ROUTES = ("topic", "newsroom_activity", "social_engagement", "evidence_seeking")
+
+    @pytest.mark.parametrize("operation", WINDOW_ROUTES)
+    @pytest.mark.parametrize("name", ["window_start", "window_end"])
+    def test_an_unparsable_timestamp_is_the_clients_error(self, gateway, operation, name):
+        response = gateway.handle(f"insights.{operation}", {name: "not-a-date"})
+        assert response.status == 400
+        assert name in response.error and "not-a-date" in response.error
+
+    @pytest.mark.parametrize("operation", WINDOW_ROUTES)
+    def test_an_inverted_window_is_the_clients_error(self, gateway, operation):
+        window = {"window_start": "2020-02-01", "window_end": "2020-01-01"}
+        response = gateway.handle(f"insights.{operation}", window)
+        assert response.status == 400
+        assert "window_end" in response.error and "before" in response.error
+        # Equal bounds and datetime objects are still a valid window.
+        same_day = {"window_start": "2020-01-20", "window_end": "2020-01-20"}
+        assert gateway.handle(f"insights.{operation}", same_day).ok
+
     def test_outlet_segments(self, gateway, small_scenario):
         response = gateway.handle("insights.outlet_segments")
         assert response.ok

@@ -458,6 +458,20 @@ class TestServingTierIntegration:
         assert response.status == 404
         assert "articles.list" in response.error
 
+    def test_a_bad_window_comes_back_as_a_typed_400_and_is_not_cached(self, serving_tier):
+        for window in (
+            {"window_start": "not-a-date"},
+            {"window_start": "2020-02-01", "window_end": "2020-01-01"},
+        ):
+            shard = serving_tier.shard(serving_tier.shard_for("insights.topic", window))
+            cached_before, hits_before = len(shard.cache), shard.cache.hits
+            first = serving_tier.handle("insights.topic", window, tenant="bad-window")
+            again = serving_tier.handle("insights.topic", window, tenant="bad-window")
+            assert first.status == again.status == 400
+            assert first.payload is None and "window" in first.error
+            # Only successes are cached: nothing stored, the repeat not served from it.
+            assert (len(shard.cache), shard.cache.hits) == (cached_before, hits_before)
+
     def test_async_gateway_parity_with_sync_dispatch(self, loaded_platform, serving_tier):
         requests = [
             ("articles.list", {"limit": 5}),

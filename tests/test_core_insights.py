@@ -1,8 +1,12 @@
 """Tests for the §4.2 insights engine (newsroom activity, engagement, evidence)."""
 
+import hashlib
+import json
 from datetime import datetime, timedelta
 
 import pytest
+
+from repro.api import build_gateway
 
 from repro.core.insights import DistributionComparison, InsightsEngine, NewsroomActivity
 from repro.errors import ValidationError
@@ -147,3 +151,32 @@ class TestTopicInsightsBundle:
         assert insights.newsroom_activity.divergence() > 0
         assert insights.social_engagement.low_mean_higher()
         assert not insights.evidence_seeking.low_mean_higher()
+
+
+# Captured on the commit before reference counts were stored with the row and
+# reactions counted from the hash index: sha256 of ``json.dumps(payload,
+# sort_keys=True)`` of each ``insights.*`` route over ``loaded_platform``.
+# The request path got faster; what it answers must not move by a bit.
+WHOLE_CORPUS: dict = {}
+TEN_DAYS = {"window_start": "2020-01-20T00:00:00", "window_end": "2020-01-30T00:00:00"}
+PINNED_PAYLOADS = [
+    ("topic", WHOLE_CORPUS, "27e7e6cee63b9f527084c1e09143a47b54f42b49f1c0ee9f196a0b2f427d684e"),
+    ("newsroom_activity", WHOLE_CORPUS, "56a18bcbd22f062d5b94a8564f09a003c7b5e69602d73fe9e92e664778732f63"),
+    ("social_engagement", WHOLE_CORPUS, "9b5749f78d71ca04c22bb47279d18793bbcc50901b653e89dfb856363b239c3c"),
+    ("evidence_seeking", WHOLE_CORPUS, "ccf3faac65fde27866292d14b8865555eb0aca10178f3e640b4272b6d4792714"),
+    ("topic", TEN_DAYS, "8a076518533973e28a039d79320779d30e902eb4e50bf12810dfaa77708d17a6"),
+    ("newsroom_activity", TEN_DAYS, "7687ad111102f54d84c9b38150642ef6c663ec1d6a633c700b9d0d0696aa86b8"),
+    ("social_engagement", TEN_DAYS, "9b5749f78d71ca04c22bb47279d18793bbcc50901b653e89dfb856363b239c3c"),
+    ("evidence_seeking", TEN_DAYS, "ccf3faac65fde27866292d14b8865555eb0aca10178f3e640b4272b6d4792714"),
+]
+
+
+class TestServedPayloadsDidNotMove:
+    @pytest.mark.parametrize("operation, window, digest", PINNED_PAYLOADS)
+    def test_payload_is_byte_identical_to_the_recomputing_request_path(
+        self, loaded_platform, operation, window, digest
+    ):
+        response = build_gateway(loaded_platform).handle(f"insights.{operation}", dict(window))
+        assert response.ok
+        served = json.dumps(response.payload, sort_keys=True).encode()
+        assert hashlib.sha256(served).hexdigest() == digest

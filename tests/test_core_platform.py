@@ -1,11 +1,19 @@
 """Tests for the SciLensPlatform orchestrator (uses the shared loaded platform)."""
 
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
 
+from repro import PlatformConfig, SciLensPlatform
+from repro.core.indicators.context import ContextIndicatorComputer
+from repro.core.schemas import articles_schema
 from repro.errors import ArticleNotFound
-from repro.models import ExpertReview, RatingClass
+from repro.models import Article, ExpertReview, RatingClass
+from repro.storage.rdbms import Database, TableSchema
+from repro.web.html import parse_html
 
 
 class TestIngestion:
@@ -187,3 +195,206 @@ class TestOutletRegistration:
         assert loaded_platform.status()["outlets"] == before
         assert loaded_platform.outlet_rating(outlet.domain) is outlet.rating_class
         assert loaded_platform.outlet_rating("unknown.example.com") is None
+
+
+# --------------------------------------------------------------------------- #
+# Reference counts stored with the article; reactions counted from the index
+# --------------------------------------------------------------------------- #
+
+REFERENCE_COLUMNS = ("internal_references", "external_references", "scientific_references")
+
+
+@contextmanager
+def counted_parses():
+    """Count every ``parse_html`` call made from ``src`` while the block runs."""
+    calls: list[str] = []
+
+    def counting(html):
+        calls.append(html)
+        return parse_html(html)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.web.scraper.parse_html", counting)
+        patch.setattr("repro.core.indicators.context.parse_html", counting)
+        yield calls
+
+
+def open_over(data_dir, **wiring) -> SciLensPlatform:
+    config = PlatformConfig()
+    return SciLensPlatform(
+        replace(config, storage=replace(config.storage, data_dir=data_dir)), **wiring
+    )
+
+
+def parsed_counts(article: Article) -> tuple[int, int, int]:
+    """The reference counts of ``article`` derived the old way: from its HTML."""
+    context = ContextIndicatorComputer().compute(replace(article, references=None))
+    return (context.internal_references, context.external_references, context.scientific_references)
+
+
+def stored_counts(platform, article_id: str) -> tuple:
+    row = platform.database.get("articles", article_id)
+    return tuple(row[column] for column in REFERENCE_COLUMNS)
+
+
+def linking_article(article_id: str = "ref-1", *hrefs: str) -> Article:
+    links = "".join(f'<a href="{href}">source</a> ' for href in hrefs)
+    return Article(
+        article_id=article_id,
+        url=f"https://daily.example.com/{article_id}",
+        outlet_domain="daily.example.com",
+        title="Coronavirus vaccine study",
+        published_at=datetime(2020, 3, 2, 9),
+        text="Researchers report an outbreak finding about the pandemic virus.",
+        html=f"<html><body><p>Researchers report. {links}</p></body></html>",
+    )
+
+
+def row_without_counts(article: Article) -> dict:
+    """An ``articles`` row as a writer that knows nothing of the count columns builds it."""
+    return {
+        "article_id": article.article_id, "url": article.url,
+        "outlet_domain": article.outlet_domain, "title": article.title,
+        "published_at": article.published_at, "text": article.text, "html": article.html,
+        "created_at": article.published_at, "ingested_at": article.published_at,
+    }
+
+
+SCIENCE, ELSEWHERE, HOME = (
+    "https://nature.com/articles/1",
+    "https://othernews.example.org/report",
+    "https://daily.example.com/related",
+)
+
+
+@pytest.fixture(scope="module")
+def durable_ingest(small_scenario, tmp_path_factory):
+    """``loaded_platform``'s twin over a ``data_dir``, its ingest run under the parse counter."""
+    data_dir = tmp_path_factory.mktemp("durable-platform")
+    platform = open_over(
+        data_dir,
+        site_store=small_scenario.site_store,
+        account_registry=small_scenario.outlets.account_registry(),
+    )
+    platform.register_outlets(small_scenario.outlets.outlets())
+    platform.ingest_posting_events(small_scenario.posting_events())
+    platform.ingest_reaction_events(small_scenario.reaction_events())
+    with counted_parses() as calls:
+        stats = platform.process_stream()
+    platform.assign_topics()
+    return platform, data_dir, len(calls), stats
+
+
+class TestStoredFactsEqualDerivedOnes:
+    def check_every_article(self, platform):
+        articles = platform.articles()
+        assert articles
+        for article in articles:
+            assert article.references is not None
+            counts = parsed_counts(article)
+            assert stored_counts(platform, article.article_id) == counts
+            assert (
+                article.references.internal,
+                article.references.external,
+                article.references.scientific,
+            ) == counts
+
+        # Reactions per article against a brute-force count over the raw rows.
+        url_to_id = {article.url: article.article_id for article in articles}
+        post_article = {
+            row["post_id"]: url_to_id[row["article_url"]]
+            for row in platform.database.table("posts").rows()
+            if row["article_url"] in url_to_id
+        }
+        brute = Counter(dict.fromkeys(url_to_id.values(), 0))
+        for row in platform.database.table("reactions").rows():
+            if row["post_id"] in post_article:
+                brute[post_article[row["post_id"]]] += 1
+        assert platform.reactions_per_article() == dict(brute)
+        assert sum(brute.values()) > 0
+
+    def test_on_the_streamed_platform(self, loaded_platform):
+        self.check_every_article(loaded_platform)
+
+    def test_on_a_durable_platform_and_after_its_reopen(self, durable_ingest, loaded_platform):
+        platform, data_dir, _parses, _stats = durable_ingest
+        self.check_every_article(platform)
+        reopened = open_over(data_dir)
+        self.check_every_article(reopened)
+        assert reopened.scientific_ratio_per_article("covid19") == (
+            loaded_platform.scientific_ratio_per_article("covid19")
+        )
+        assert reopened.reactions_per_article("covid19") == (
+            loaded_platform.reactions_per_article("covid19")
+        )
+
+    def test_one_parse_per_article_ever(self, durable_ingest):
+        platform, _data_dir, parses_during_ingest, stats = durable_ingest
+        # The scraper's parse is the only one: storing classifies its links.
+        assert parses_during_ingest == stats["articles_extracted"] > 0
+        with counted_parses() as calls:
+            platform.topic_insights("covid19")
+            platform.scientific_ratio_per_article()
+            for article in platform.articles()[:5]:
+                platform.evaluate_article(article.article_id)
+        assert calls == []
+
+    def test_a_directly_stored_article_is_parsed_once_at_store(self):
+        platform = SciLensPlatform()
+        with counted_parses() as calls:
+            platform.store_article(linking_article("ref-1", SCIENCE, ELSEWHERE, HOME, "/relative"))
+            assert len(calls) == 1
+            assert platform.scientific_ratio_per_article() == {"ref-1": pytest.approx(1 / 3)}
+            platform.evaluate_article("ref-1")
+            assert len(calls) == 1
+        assert stored_counts(platform, "ref-1") == (1, 1, 1)
+
+    def test_counts_follow_the_html_and_nothing_else(self):
+        platform = SciLensPlatform()
+        platform.store_article(linking_article("ref-1", SCIENCE, HOME))
+        assert stored_counts(platform, "ref-1") == (1, 0, 1)
+        platform.assign_topics()  # rewrites ``topics`` only
+        assert "covid19" in platform.get_article("ref-1").topics
+        assert stored_counts(platform, "ref-1") == (1, 0, 1)
+        # A re-scrape with other links upserts the whole row: the counts are recomputed.
+        platform.store_article(linking_article("ref-1", SCIENCE, SCIENCE, ELSEWHERE))
+        assert stored_counts(platform, "ref-1") == (0, 1, 2)
+        assert platform.scientific_ratio_per_article() == {"ref-1": pytest.approx(2 / 3)}
+        # Explicit links still win over the stored counts (the ``evaluate_url`` path).
+        article = platform.get_article("ref-1")
+        assert platform.context_computer.compute(article, links=[HOME]).internal_references == 1
+
+    def test_a_row_without_counts_is_derived_from_its_html(self, tmp_path):
+        platform = open_over(tmp_path)
+        article = linking_article("raw-1", SCIENCE, ELSEWHERE)
+        platform.database.upsert("articles", row_without_counts(article))
+        for opened in (platform, open_over(tmp_path)):
+            assert stored_counts(opened, "raw-1") == (None, None, None)
+            assert opened.get_article("raw-1").references is None
+            assert opened.scientific_ratio_per_article() == {"raw-1": 0.5}
+            assert opened.evaluate_article("raw-1").profile.context.scientific_references == 1
+
+    def test_a_log_written_before_the_columns_existed_still_opens_reads_and_writes(self, tmp_path):
+        current = articles_schema()
+        assert tuple(c.name for c in current.columns[-3:]) == REFERENCE_COLUMNS
+        before = TableSchema(
+            name=current.name, primary_key=current.primary_key, columns=current.columns[:-3]
+        )
+        article = linking_article("old-1", SCIENCE, ELSEWHERE)
+        old = Database(data_dir=tmp_path)
+        old.create_table(before)
+        old.upsert("articles", row_without_counts(article))
+        assert "internal_references" not in (tmp_path / "wal.jsonl").read_text()
+
+        platform = open_over(tmp_path)
+        assert stored_counts(platform, "old-1") == (None, None, None)  # no backfill on open
+        assert platform.scientific_ratio_per_article() == {"old-1": 0.5}
+        platform.store_article(linking_article("new-1", SCIENCE))  # the widened table takes it
+        lsn = platform.database.wal_lsn()
+
+        for _ in range(2):  # widening was logged once; reopening adds nothing
+            reopened = open_over(tmp_path)
+            assert reopened.database.wal_lsn() == lsn
+            assert stored_counts(reopened, "old-1") == (None, None, None)
+            assert stored_counts(reopened, "new-1") == (0, 0, 1)
+            assert reopened.scientific_ratio_per_article() == {"old-1": 0.5, "new-1": 1.0}

@@ -8,6 +8,12 @@ touch them:
 * **cost** — indexed, statistics re-analyzed whenever they go stale: the
   planner estimates selectivities and picks the cheapest access path.
 
+The grouped-count properties at the end do the same for the
+``index-group-count`` path: ``GROUP BY`` + ``COUNT(*)`` over a hash-indexed, a
+sorted-indexed and an un-indexed column, with and without a predicate and
+with NULLs in the group column, must return the rows — in the order — the
+scan-and-aggregate path returns, and only the one eligible shape may take it.
+
 Whatever access path the cost model picks — an index probe, a union, a
 LIKE-prefix range, or rejecting every index — the rows returned must be
 *identical* to the forced full scan, because candidates are only ever a
@@ -24,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.rdbms.expressions import col
-from repro.storage.rdbms.planner import STATS_COST
+from repro.storage.rdbms.planner import FULL_SCAN, INDEX_GROUP_COUNT, STATS_COST
 from repro.storage.rdbms.query import Query
 from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.stats import StatsPolicy
@@ -197,3 +203,95 @@ class TestStaleStatisticsDegradation:
         plain, cost = build_tables([])
         predicate = (col("category") == "a") | (col("reactions") > 10)
         assert cost.select(predicate) == plain.select(predicate) == []
+
+
+# ------------------------------------------------------------ grouped count
+
+
+def build_grouping_tables(rows, null_ids):
+    """(plain, indexed): ``category`` hash-indexed and NULL for ``null_ids``,
+    ``score`` sorted-indexed (NULLs from the row strategy), ``domain`` un-indexed."""
+    rows = [dict(row, category=None) if row["id"] in null_ids else row for row in rows]
+    plain, indexed = Table(SCHEMA), Table(SCHEMA)
+    for table in (plain, indexed):
+        for row in rows:
+            table.insert(dict(row))
+    indexed.create_index("category", kind="hash")
+    indexed.create_index("score", kind="sorted")
+    return plain, indexed
+
+
+def grouped_count(table, column, predicate=None):
+    query = Query(table).group_by(column).aggregate(n=("count", "*"))
+    return query if predicate is None else query.where(predicate)
+
+
+class TestGroupedCountFromIndex:
+    @relaxed
+    @given(
+        rows=rows_strategy(),
+        null_ids=st.sets(st.integers(min_value=0, max_value=39), max_size=10),
+        column=st.sampled_from(["category", "score", "domain"]),
+        predicate=st.none() | predicate_strategy(depth=1),
+    )
+    def test_grouped_count_matches_scan_and_aggregate(self, rows, null_ids, column, predicate):
+        plain, indexed = build_grouping_tables(rows, null_ids)
+        slow = grouped_count(plain, column, predicate)
+        fast = grouped_count(indexed, column, predicate)
+        assert slow.explain().access_path == FULL_SCAN
+        assert fast.execute().rows == slow.execute().rows  # same rows, same order
+        eligible = column == "category" and predicate is None
+        assert (fast.explain().access_path == INDEX_GROUP_COUNT) == eligible
+
+    @relaxed
+    @given(rows=rows_strategy(), null_ids=st.sets(st.integers(0, 39), max_size=10))
+    def test_ordering_limit_and_projection_run_on_top_of_the_path(self, rows, null_ids):
+        plain, indexed = build_grouping_tables(rows, null_ids)
+
+        def pipeline(table):
+            query = Query(table).group_by("category").aggregate(n=("count", "*"), m=("count", "*"))
+            return query.order_by("n", descending=True).offset(1).limit(2).select("category", "m")
+
+        assert pipeline(indexed).explain().access_path == INDEX_GROUP_COUNT
+        assert pipeline(indexed).execute().rows == pipeline(plain).execute().rows
+
+    def test_only_the_one_eligible_shape_takes_the_path(self):
+        rows = [
+            {"id": i, "category": CATEGORIES[i % 3], "domain": "d", "score": 0.5, "reactions": i}
+            for i in range(9)
+        ]
+        _, indexed = build_grouping_tables(rows, null_ids={4})
+        count = ("count", "*")
+
+        def path(query):
+            return query.explain().access_path
+
+        eligible = Query(indexed).group_by("category").aggregate(n=count)
+        assert path(eligible) == INDEX_GROUP_COUNT
+        assert eligible.explain().access_steps == ("index-group-count(category)",)
+        assert "index-group-count" in eligible.explain().describe()
+        assert eligible.execute().rows == [
+            {"category": None, "n": 1},
+            {"category": "a", "n": 3},
+            {"category": "b", "n": 2},
+            {"category": "c", "n": 3},
+        ]
+        before = dict(indexed.planner_metrics.plans_by_path)
+        eligible.execute()
+        assert indexed.planner_metrics.plans_by_path[INDEX_GROUP_COUNT] == before[INDEX_GROUP_COUNT] + 1
+        assert indexed.planner_metrics.plans_by_path.get(FULL_SCAN, 0) == before.get(FULL_SCAN, 0)
+
+        group = Query(indexed).group_by("category")
+        assert path(group.aggregate(n=count, total=("sum", "reactions"))) == FULL_SCAN
+        assert path(Query(indexed).group_by("category").aggregate(n=("count", "score"))) == FULL_SCAN
+        assert path(Query(indexed).group_by("category", "domain").aggregate(n=count)) == FULL_SCAN
+        assert path(Query(indexed).aggregate(n=count)) == FULL_SCAN
+        assert path(Query(indexed).group_by("score").aggregate(n=count)) == FULL_SCAN
+        assert path(Query(indexed).group_by("category").aggregate(n=count).where(lambda row: True)) == FULL_SCAN
+        other = Table(SCHEMA)
+        assert path(Query(indexed).group_by("category").aggregate(n=count).join(other, "id", "id")) == FULL_SCAN
+
+    def test_empty_table_has_no_groups(self):
+        plain, indexed = build_grouping_tables([], null_ids=set())
+        assert grouped_count(indexed, "category").execute().rows == []
+        assert grouped_count(plain, "category").execute().rows == []

@@ -78,6 +78,7 @@ def test_reopen_without_writes_leaves_the_wal_untouched(tmp_path):
 def test_redeclaring_an_index_is_a_noop_but_a_new_kind_replaces(tmp_path):
     platform = open_platform(tmp_path)
     database = platform.database
+    database.create_fts_index("articles", ("title", "text"))
     index = database.table("articles").index("outlet_domain")
     fts = database.table("articles").fts_index
     lsn = database.wal_lsn()

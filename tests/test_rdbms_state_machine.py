@@ -8,8 +8,10 @@ begin / commit / rollback / reopen and checks it against two dicts: the
 
 * ``table.rows()`` ≡ the live model;
 * every index agrees with a scan — equality lookups per value,
-  ``len(index)`` ≡ non-null rows, at most one row per UNIQUE value, and the
-  full-text index (directly and through the planner's MATCH) ≡ a token scan;
+  ``len(index)`` ≡ non-null rows, at most one row per UNIQUE value, the
+  full-text index (directly and through the planner's MATCH) ≡ a token scan,
+  and ``GROUP BY outlet`` + ``COUNT(*)`` read off the hash index ≡ the model
+  (a row moved between buckets, a bucket emptied, a bucket rolled back);
 * a fresh ``Database`` over the same directory ≡ the committed model — the
   log holds exactly what was committed.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -233,6 +236,15 @@ class DatabaseMachine(RuleBasedStateMachine):
             }
             assert indexed == expected, word
             assert planned == expected, word
+
+    @invariant()
+    def grouped_count_from_the_hash_index_agrees_with_the_model(self):
+        query = self.db.query("pages").group_by("outlet").aggregate(n=("count", "*"))
+        assert query.explain().access_path == "index-group-count"
+        expected = Counter(row["outlet"] for row in self.live.values())
+        # NULLs first, then the outlets in order — the aggregation's group order.
+        keys = sorted(expected, key=lambda outlet: (outlet is not None, outlet))
+        assert query.execute().rows == [{"outlet": k, "n": expected[k]} for k in keys]
 
     @invariant()
     def log_holds_exactly_what_was_committed(self):

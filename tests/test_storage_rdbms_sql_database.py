@@ -72,6 +72,20 @@ class TestDatabaseSql:
         assert by_outlet["low.example.com"]["n"] == 2
         assert by_outlet["high.example.com"]["mean_score"] == pytest.approx(0.85)
 
+    def test_grouped_count_over_a_hash_indexed_column_is_read_off_the_index(self):
+        db = make_db()
+        sql = "SELECT outlet, COUNT(*) AS n FROM articles GROUP BY outlet"
+        scanned = db.execute(sql).rows
+        db.create_index("articles", "outlet", kind="hash")
+        assert db.execute(sql).rows == scanned == [
+            {"outlet": "high.example.com", "n": 2},
+            {"outlet": "low.example.com", "n": 2},
+        ]
+        assert db.planner_status()["plans_by_path"] == {"full-scan": 1, "index-group-count": 1}
+        # A WHERE clause sends the same statement back to scan-and-aggregate.
+        db.execute("SELECT outlet, COUNT(*) AS n FROM articles WHERE covid = TRUE GROUP BY outlet")
+        assert db.planner_status()["plans_by_path"]["index-group-count"] == 1
+
     def test_update_and_delete(self):
         db = make_db()
         assert db.execute("UPDATE articles SET score = 0.5 WHERE outlet = 'low.example.com'")[0]["updated"] == 2
@@ -171,6 +185,45 @@ class TestWal:
         assert reopened.table("events").row_count() == 1
         assert reopened.get("events", "e1")["value"] == 10
         assert reopened.get("events", "e2") is None
+
+    def test_if_not_exists_widens_a_replayed_table_by_trailing_nullable_columns(self, tmp_path):
+        narrow = TableSchema(
+            name="events",
+            primary_key="id",
+            columns=(Column("id", ColumnType.TEXT, nullable=False), Column("value", ColumnType.INTEGER)),
+        )
+        wide = TableSchema(
+            name="events",
+            primary_key="id",
+            columns=narrow.columns + (Column("hits", ColumnType.INTEGER), Column("tag", ColumnType.TEXT, default="new")),
+        )
+        db = Database(data_dir=tmp_path)
+        db.create_table(narrow)
+        db.insert("events", {"id": "e1", "value": 1})
+
+        reopened = Database(data_dir=tmp_path)  # the log recreates the narrow table
+        assert reopened.table("events").schema == narrow
+        lsn = reopened.wal_lsn()
+        table = reopened.create_table(wide, if_not_exists=True)
+        assert table.schema == wide and reopened.wal_lsn() == lsn + 1
+        assert reopened.get("events", "e1") == {"id": "e1", "value": 1, "hits": None, "tag": "new"}
+        reopened.create_table(wide, if_not_exists=True)  # same schema: nothing to do or to log
+        reopened.upsert("events", {"id": "e2", "value": 2, "hits": 7})
+        assert reopened.wal_lsn() == lsn + 2
+
+        again = Database(data_dir=tmp_path)  # replay widens before the wide rows arrive
+        assert again.table("events").schema == wide
+        assert again.get("events", "e2") == {"id": "e2", "value": 2, "hits": 7, "tag": "new"}
+        assert again.get("events", "e1")["hits"] is None
+
+        # Anything but added trailing nullable columns leaves the table as it is.
+        for other in (
+            narrow,
+            TableSchema(name="events", primary_key="id", columns=narrow.columns + (Column("must", ColumnType.TEXT, nullable=False, default="x"),)),
+            TableSchema(name="events", primary_key="id", columns=(narrow.columns[0], Column("hits", ColumnType.INTEGER))),
+        ):
+            assert again.create_table(other, if_not_exists=True).schema == wide
+        assert again.wal_lsn() == lsn + 2
 
     def test_checkpoint_truncates_log(self, tmp_path):
         db = Database(data_dir=tmp_path)
