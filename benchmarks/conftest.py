@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from _timings import write_timings_if_configured
 from repro import PlatformConfig, SciLensPlatform
 from repro.simulation import CovidScenarioConfig, generate_covid_scenario
 
@@ -44,14 +43,6 @@ def paper_platform(paper_scenario):
     platform.process_stream()
     platform.assign_topics()
     return platform
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _write_gate_timings():
-    """Write all gates registered via ``_timings.record_gate_timing`` to
-    ``$BENCH_TIMINGS_JSON`` (the CI artifact) at session teardown."""
-    yield
-    write_timings_if_configured()
 
 
 def mean_seconds(benchmark) -> float:

@@ -17,11 +17,9 @@ from .social_activity import SocialActivityGenerator
 from .scenario import ScenarioData
 from .covid import CovidScenarioConfig, generate_covid_scenario
 from .load import (
-    LoadReport,
     ServingLoadConfig,
     SimulatedRequest,
     generate_serving_workload,
-    run_serving_load,
     zipf_weights,
 )
 
@@ -39,10 +37,8 @@ __all__ = [
     "ScenarioData",
     "CovidScenarioConfig",
     "generate_covid_scenario",
-    "LoadReport",
     "ServingLoadConfig",
     "SimulatedRequest",
     "generate_serving_workload",
-    "run_serving_load",
     "zipf_weights",
 ]

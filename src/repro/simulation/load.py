@@ -4,23 +4,18 @@ Real dashboard traffic is doubly skewed: a few tenants generate most of the
 requests, and a few hot keys (today's roll-ups, the front-page listing)
 receive most of the reads.  This module generates that shape
 deterministically — rank-weighted zipfian draws over a tenant population and
-a request pool, seeded through :class:`SeededRng` — and provides a threaded
-load runner that measures what the serving tier is gated on in CI:
-throughput, latency percentiles (p50/p99) and per-status outcome counts.
-
-The workload is transport-agnostic: ``run_serving_load`` drives any handler
-``(SimulatedRequest) -> response`` where the response carries a ``status``
-attribute, so the same workload replays against a bare ``ApiGateway``, the
-``ShardedGateway`` front door, or an ``AsyncGateway`` wrapper.
+a request pool, seeded through :class:`SeededRng` — as plain
+:class:`SimulatedRequest` records that any front door can replay (the
+end-to-end benchmark's ``dashboard_htap`` workload drives them through the
+serving tier), plus the nearest-rank :func:`percentile` it reports latencies
+with.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -104,107 +99,3 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
         raise ValueError("cannot take a percentile of no samples")
     index = max(0, math.ceil(q * len(sorted_values)) - 1)
     return float(sorted_values[index])
-
-
-@dataclass
-class LoadReport:
-    """What one load run measured."""
-
-    n_requests: int
-    concurrency: int
-    elapsed_s: float
-    status_counts: dict[int, int]
-    #: Per-request wall-clock latencies (seconds), ascending.
-    latencies_s: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.n_requests / self.elapsed_s if self.elapsed_s > 0 else float("inf")
-
-    @property
-    def p50_s(self) -> float:
-        return percentile(self.latencies_s, 0.50)
-
-    @property
-    def p99_s(self) -> float:
-        return percentile(self.latencies_s, 0.99)
-
-    def ok_count(self) -> int:
-        return sum(n for status, n in self.status_counts.items() if 200 <= status < 300)
-
-    def throttled_count(self) -> int:
-        return self.status_counts.get(429, 0)
-
-    def summary(self) -> dict[str, float | int]:
-        return {
-            "requests": self.n_requests,
-            "concurrency": self.concurrency,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "throughput_rps": round(self.throughput_rps, 1),
-            "p50_ms": round(self.p50_s * 1e3, 3),
-            "p99_ms": round(self.p99_s * 1e3, 3),
-            "ok": self.ok_count(),
-            "throttled": self.throttled_count(),
-        }
-
-
-def run_serving_load(
-    handler: Callable[[SimulatedRequest], Any],
-    workload: Sequence[SimulatedRequest],
-    concurrency: int = 8,
-) -> LoadReport:
-    """Replay ``workload`` through ``handler`` from ``concurrency`` client threads.
-
-    Threads pull the next request off a shared cursor, so identical hot-key
-    requests genuinely overlap in flight — the condition request coalescing
-    exists for.  Each response must expose ``status`` (an int); exceptions
-    are recorded as status 599.
-    """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    cursor_lock = threading.Lock()
-    cursor = 0
-    latencies: list[list[float]] = [[] for _ in range(concurrency)]
-    statuses: list[dict[int, int]] = [{} for _ in range(concurrency)]
-
-    def client(slot: int) -> None:
-        nonlocal cursor
-        while True:
-            with cursor_lock:
-                index = cursor
-                if index >= len(workload):
-                    return
-                cursor = index + 1
-            request = workload[index]
-            started = time.perf_counter()
-            try:
-                response = handler(request)
-                status = int(response.status)
-            except Exception:
-                status = 599
-            latencies[slot].append(time.perf_counter() - started)
-            statuses[slot][status] = statuses[slot].get(status, 0) + 1
-
-    threads = [
-        threading.Thread(target=client, args=(slot,), name=f"load-client-{slot}")
-        for slot in range(concurrency)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-
-    merged_statuses: dict[int, int] = {}
-    for per_thread in statuses:
-        for status, count in per_thread.items():
-            merged_statuses[status] = merged_statuses.get(status, 0) + count
-    all_latencies = sorted(latency for per_thread in latencies for latency in per_thread)
-    return LoadReport(
-        n_requests=len(workload),
-        concurrency=concurrency,
-        elapsed_s=elapsed,
-        status_counts=merged_statuses,
-        latencies_s=all_latencies,
-    )

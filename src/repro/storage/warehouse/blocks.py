@@ -12,8 +12,8 @@ encoding specs) followed by a binary body holding the bulk column data as
 fixed-width typed arrays: dictionary codes and integer columns as
 narrowest-fitting signed integers, float columns as C doubles.  The expensive
 part of decode (``zlib.decompress`` plus ``array.frombytes``) runs outside the
-GIL, so executor workers genuinely overlap block decode — not just DFS fetch
-latency — during parallel scans.  Incompressible payloads fall back to a
+GIL, so executor workers genuinely overlap block decode during parallel
+scans.  Incompressible payloads fall back to a
 stored (uncompressed) codec rather than growing on the wire.
 
 Per column the header picks an encoding: **run-length** (``[count, value]``

@@ -349,31 +349,24 @@ class BlockCatalog:
         executor workers.
 
         The parallel path cuts the block list into a few chunks per worker —
-        enough tasks to overlap DFS read latency and decode work across the
-        pool, few enough that dispatch overhead stays negligible when there
-        are many small blocks — and relies on :meth:`LocalExecutor.run`
-        preserving task order, so results stream back in the exact order of
-        the sequential path.
+        enough tasks to overlap decode work across the pool, few enough that
+        dispatch overhead stays negligible when there are many small blocks —
+        and relies on :meth:`LocalExecutor.run` preserving task order, so
+        results stream back in the exact order of the sequential path.
 
         Thread workers only pay off while per-block work happens *outside*
-        the GIL.  Two such sources exist: a DFS read latency (standing in for
-        the network round-trip of a real distributed file system) and
-        ``zlib`` decompression plus typed-array materialisation, both of
-        which release the GIL.  The fan-out therefore engages when the DFS
-        charges a latency *or* the table writes compressed blocks; with
-        neither (a zero-latency DFS holding raw blocks), and likewise when
-        every requested block is already decoded in the cache, per-block work
-        is GIL-bound Python and the fan-out is skipped — thread dispatch
-        would add contention and win nothing.
+        the GIL: ``zlib`` decompression plus typed-array materialisation
+        release it.  The fan-out therefore engages only when the table writes
+        compressed blocks; for raw blocks, and likewise when every requested
+        block is already decoded in the cache, per-block work is GIL-bound
+        Python and the fan-out is skipped — thread dispatch would add
+        contention and win nothing.
         """
         if (
             executor is None
             or executor.max_workers <= 1
             or len(refs) <= 1
-            or (
-                getattr(self.dfs, "read_latency", 0) <= 0
-                and self.compression_level == 0
-            )
+            or self.compression_level == 0
             or self.cache.resident(ref.path for ref in refs)
         ):
             return (fn(self.load(ref)) for ref in refs)

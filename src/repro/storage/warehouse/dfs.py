@@ -22,7 +22,6 @@ exhaustion.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
@@ -82,7 +81,6 @@ class DistributedFileSystem:
         n_nodes: int = 3,
         replication: int = 2,
         block_size: int = 64 * 1024,
-        read_latency: float = 0.0,
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
         health: SubsystemHealth | None = None,
@@ -93,8 +91,6 @@ class DistributedFileSystem:
             raise WarehouseError("replication must be >= 1")
         if block_size < 1:
             raise WarehouseError("block_size must be >= 1")
-        if read_latency < 0:
-            raise WarehouseError("read_latency must be >= 0")
         self.replication = min(replication, n_nodes)
         self.block_size = block_size
         self.nodes: dict[str, DataNode] = {
@@ -109,11 +105,6 @@ class DistributedFileSystem:
         #: allocation, file registration, location lists and node liveness.
         #: Parallel scans, compaction and rebalance mutate these concurrently.
         self._meta_lock = threading.RLock()
-        #: Simulated network round-trip paid on every read_file call.  The
-        #: default of 0 keeps in-process tests instant; benchmarks set it to
-        #: model remote block fetches, which parallel scans then overlap
-        #: (the sleep releases the GIL, like real socket I/O would).
-        self.read_latency = read_latency
         #: Number of read_file calls served and the total bytes they returned
         #: (lets callers assert stats-only warehouse aggregates never touch
         #: the data nodes, and lets benchmarks report scan IO volume).
@@ -206,8 +197,6 @@ class DistributedFileSystem:
             with self._read_count_lock:
                 self.read_count += 1
                 self.bytes_read += sum(block.size for block in blocks)
-            if self.read_latency > 0:
-                time.sleep(self.read_latency)
             chunks: list[bytes] = []
             for block in blocks:
                 chunks.append(self._read_block(block.block_id))

@@ -477,6 +477,9 @@ class TestServingTierIntegration:
             ("articles.list", {"limit": 5}),
             ("articles.outlets", None),
             ("insights.newsroom_activity", {"topic": "covid19"}),
+            ("insights.social_engagement", {"topic": "covid19"}),
+            ("insights.evidence_seeking", {"topic": "covid19"}),
+            ("insights.topic", {"topic": "covid19"}),
             ("articles.list", {"limit": 5}),
             ("articles.nope", None),
         ]

@@ -195,17 +195,26 @@ class TestChaosRestartMidCdc:
         applier.apply()
         expected = _snapshot(warehouse.table("articles"))
 
+        def reopen():
+            reopened = Warehouse(warehouse.dfs, block_rows=4)
+            return reopened, reopened.create_table(
+                "articles",
+                columns=["article_id", "outlet", "score", "created_at"],
+                partition_column="created_at", partition_by="day",
+                sort_key=["created_at"], primary_key="article_id",
+                recover=False,
+            )
+
+        # An intact manifest is adopted: same rows, same exactly-once index.
+        _, table = reopen()
+        assert table.recover()["source"] == "manifest"
+        assert _snapshot(table) == expected
+        assert table.delta_high_water() == warehouse.table("articles").delta_high_water()
+
         # Tear the recovery manifest: the reopened table must detect the
         # damage and rebuild its delta index from a full block rescan.
         warehouse.dfs.write_file(manifest_path("articles"), b"{torn mid-write")
-        reopened = Warehouse(warehouse.dfs, block_rows=4)
-        table = reopened.create_table(
-            "articles",
-            columns=["article_id", "outlet", "score", "created_at"],
-            partition_column="created_at", partition_by="day",
-            sort_key=["created_at"], primary_key="article_id",
-            recover=False,
-        )
+        reopened, table = reopen()
         assert table.recover()["source"] == "scan"
         assert _snapshot(table) == expected
         # The rescan reseeds the manifest, so the *next* reopen is fast path.

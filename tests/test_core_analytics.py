@@ -1,10 +1,15 @@
 """Tests for the warehouse batch-analytics jobs (repro.core.analytics)."""
 
+from collections import Counter, defaultdict
 from datetime import datetime
 
 import pytest
 
-from repro.core.analytics import WarehouseAnalytics
+from repro.core.analytics import (
+    OutletActivityProfile,
+    WarehouseAnalytics,
+    summarize_profiles_by_rating,
+)
 from repro.errors import WarehouseError
 from repro.models import RatingClass
 from repro.storage.warehouse.catalog import manifest_path
@@ -16,6 +21,34 @@ def migrated(loaded_platform):
     """The shared platform with its history migrated into the warehouse."""
     loaded_platform.run_daily_migration(now=datetime(2020, 3, 20))
     return loaded_platform
+
+
+def _row_at_a_time_profiles(warehouse, topic_key):
+    """Per-outlet profiles from full row dicts and per-row counting: the
+    reference the grouped-aggregate pushdown must reproduce exactly."""
+    url_to_outlet, articles, topic_articles = {}, Counter(), Counter()
+    active_days = defaultdict(set)
+    for row in warehouse.table("articles").scan():
+        outlet = row["outlet_domain"]
+        url_to_outlet[row["url"]] = outlet
+        articles[outlet] += 1
+        topic_articles[outlet] += topic_key in (row["topics"] or [])
+        active_days[outlet].add(row["published_at"].date())
+    post_to_outlet, posts = {}, Counter()
+    for row in warehouse.table("posts").scan():
+        outlet = post_to_outlet[row["post_id"]] = url_to_outlet.get(row["article_url"])
+        posts[outlet] += 1
+    reactions = Counter(
+        post_to_outlet.get(row["post_id"]) for row in warehouse.table("reactions").scan()
+    )
+    return {
+        outlet: OutletActivityProfile(
+            outlet_domain=outlet, articles=count, topic_articles=topic_articles[outlet],
+            active_days=len(active_days[outlet]), posts=posts[outlet],
+            reactions=reactions[outlet],
+        )
+        for outlet, count in articles.items()
+    }
 
 
 class TestWarehouseAnalytics:
@@ -57,6 +90,10 @@ class TestWarehouseAnalytics:
         analytics = migrated.warehouse_analytics()
         summary = analytics.rating_class_summary(migrated.outlet_ratings, "covid19")
         assert summary, "at least one rating class must be present"
+        # The pushed-down aggregates ≡ the same profiles built row by row.
+        assert summary == summarize_profiles_by_rating(
+            _row_at_a_time_profiles(migrated.warehouse, "covid19"), migrated.outlet_ratings
+        )
         low_classes = [v for k, v in summary.items() if RatingClass(k).is_low_quality]
         high_classes = [v for k, v in summary.items() if RatingClass(k).is_high_quality]
         if low_classes and high_classes:

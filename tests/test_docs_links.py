@@ -1,4 +1,5 @@
-"""Tier-1 mirror of the docs-link-check CI job: intra-repo links resolve."""
+"""Tier-1 mirror of the docs-link-check CI job: intra-repo links, and the
+repo paths CI workflows name, resolve."""
 
 from __future__ import annotations
 
@@ -37,5 +38,15 @@ def test_checker_flags_a_broken_link(tmp_path):
         encoding="utf-8",
     )
     (tmp_path / "real.md").write_text("hello", encoding="utf-8")
+    # A workflow step that runs a file which is gone, beside one that exists.
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "real.py").write_text("", encoding="utf-8")
+    workflows = tmp_path / ".github" / "workflows"
+    workflows.mkdir(parents=True)
+    (workflows / "ci.yml").write_text(
+        "jobs:\n  gate:\n    steps:\n"
+        "      - run: python benchmarks/real.py && pytest tests/test_gone.py -q\n",
+        encoding="utf-8",
+    )
     problems = checker.broken_links(tmp_path)
-    assert problems == ["index.md:1: nowhere.md"]
+    assert problems == ["index.md:1: nowhere.md", ".github/workflows/ci.yml:4: tests/test_gone.py"]

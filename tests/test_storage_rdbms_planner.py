@@ -228,6 +228,7 @@ class TestCostBasedSelection:
         )
         assert plan.access_path == INDEX_EQ
         assert plan.access_steps == ("index-eq(category)",)
+        assert any(alt.path == INDEX_INTERSECT for alt in plan.alternatives if not alt.chosen)
         fast = table.select((col("category") == "a") & (col("reactions") < 900))
         slow = [r for r in table.rows() if r["category"] == "a" and r["reactions"] < 900]
         assert sorted(r["id"] for r in fast) == sorted(r["id"] for r in slow)
@@ -327,22 +328,19 @@ class TestOrderStrategies:
 
     def test_top_k_results_match_full_sort(self):
         indexed, plain = build_table(), build_table(indexed=False)
+        on_a = col("category") == "a"
+
+        def top(table, descending, predicate=None):
+            query = Query(table) if predicate is None else Query(table).where(predicate)
+            return query.order_by("reactions", descending=descending).limit(17)
+
         for descending in (False, True):
-            fast = (
-                Query(indexed)
-                .order_by("reactions", descending=descending)
-                .limit(17)
-                .execute()
-                .rows
-            )
-            slow = (
-                Query(plain)
-                .order_by("reactions", descending=descending)
-                .limit(17)
-                .execute()
-                .rows
-            )
-            assert fast == slow
+            # The whole table, and the candidates of an equality probe.
+            for predicate in (None, on_a):
+                fast = top(indexed, descending, predicate).execute().rows
+                assert fast == top(plain, descending, predicate).execute().rows
+        plan = top(indexed, True, on_a).explain()
+        assert (plan.access_path, plan.order_strategy) == (INDEX_EQ, ORDER_TOP_K)
 
     def test_limit_zero_returns_no_rows_on_every_path(self):
         indexed, plain = build_table(), build_table(indexed=False)

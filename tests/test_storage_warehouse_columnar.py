@@ -240,7 +240,9 @@ class TestVectorisedScan:
 class TestAggregates:
     def test_stats_only_aggregates_do_not_read_blocks(self):
         warehouse, table = _table(block_rows=4, n=12)
+        table.read_column("reactions")  # warm cache: no block may be touched, cached or not
         before = warehouse.dfs.read_count
+        cache_before = table.cache_info()
         result = table.aggregate(
             {
                 "total": ("count", "*"),
@@ -250,6 +252,7 @@ class TestAggregates:
             }
         )
         assert warehouse.dfs.read_count == before
+        assert table.cache_info() == cache_before
         assert result == {"total": 12, "n_outlets": 12, "lo": 0, "hi": 11}
 
     def test_stats_only_falls_back_on_mixed_type_columns(self):
@@ -557,11 +560,8 @@ class TestSortKeys:
 
 
 class TestClusteredTables:
-    def _make(self, read_latency=0.0, **kwargs):
-        from repro.storage.warehouse.warehouse import Warehouse as _Warehouse
-
-        dfs = DistributedFileSystem(read_latency=read_latency)
-        warehouse = _Warehouse(dfs=dfs, block_rows=kwargs.pop("block_rows", 100))
+    def _make(self, block_rows=100):
+        warehouse = Warehouse(block_rows=block_rows)
         table = warehouse.create_table(
             "m", ["day", "score", "tag"], "day", partition_by="value",
             sort_key=["score"],
@@ -627,12 +627,11 @@ class TestClusteredTables:
 # ======================================================================
 
 
-def _grouped_fixture(n=400, block_rows=64, read_latency=0.0, seed=11):
+def _grouped_fixture(n=400, block_rows=64, seed=11):
     import random as _random
 
     rng = _random.Random(seed)
-    dfs = DistributedFileSystem(read_latency=read_latency)
-    warehouse = Warehouse(dfs=dfs, block_rows=block_rows)
+    warehouse = Warehouse(block_rows=block_rows)
     table = warehouse.create_table(
         "g", ["day", "outlet", "kind", "score", "weight"], "day", partition_by="value"
     )
@@ -765,7 +764,7 @@ class TestParallelScans:
         return [None, LocalExecutor(max_workers=1), LocalExecutor(max_workers=4)]
 
     def test_scan_columns_identical_at_any_worker_count(self):
-        _, table = _grouped_fixture(read_latency=0.0005)
+        _, table = _grouped_fixture()
         results = [
             list(
                 table.scan_columns(
@@ -779,7 +778,7 @@ class TestParallelScans:
         assert results[0] == results[1] == results[2]
 
     def test_scan_filtered_identical_at_any_worker_count(self):
-        _, table = _grouped_fixture(read_latency=0.0005)
+        _, table = _grouped_fixture()
         results = [
             list(table.scan_filtered(range_filters=[("score", None, 700)], executor=ex))
             for ex in self._executors()
@@ -787,7 +786,7 @@ class TestParallelScans:
         assert results[0] == results[1] == results[2]
 
     def test_aggregate_identical_at_any_worker_count_including_float_sums(self):
-        _, table = _grouped_fixture(n=600, read_latency=0.0005)
+        _, table = _grouped_fixture(n=600)
         results = [
             table.aggregate(
                 {"n": ("count", "*"), "w": ("sum", "weight"), "mean": ("avg", "weight")},
@@ -803,8 +802,7 @@ class TestParallelScans:
     def test_parallel_scan_on_clustered_table_is_deterministic(self):
         from repro.compute.executor import LocalExecutor
 
-        dfs = DistributedFileSystem(read_latency=0.0005)
-        warehouse = Warehouse(dfs=dfs, block_rows=32)
+        warehouse = Warehouse(block_rows=32)
         table = warehouse.create_table(
             "s", ["day", "score"], "day", partition_by="value", sort_key=["score"]
         )
@@ -822,7 +820,7 @@ class TestParallelScans:
     def test_parallel_aggregate_shares_the_block_cache(self):
         from repro.compute.executor import LocalExecutor
 
-        warehouse, table = _grouped_fixture(read_latency=0.0005)
+        warehouse, table = _grouped_fixture()
         table.aggregate(
             {"n": ("count", "*")}, group_by="outlet",
             executor=LocalExecutor(max_workers=4),

@@ -201,7 +201,7 @@ class TestStorageStats:
             for block in partition["blocks"]:
                 assert block["compressed_bytes"] == warehouse.dfs.file_size(block["path"])
                 assert block["uncompressed_bytes"] >= block["compressed_bytes"]
-        assert stats["compression_ratio"] > 1.0
+        assert stats["compression_ratio"] >= 1.5
 
     def test_level_zero_table_writes_raw_blocks(self):
         warehouse = Warehouse(block_rows=64, compression_level=0)
@@ -274,6 +274,7 @@ class TestCompaction:
         report = table.compact_partition(partition)
         assert report["blocks_before"] == blocks_before
         assert report["blocks_after"] == -(-rows_before // table.block_rows)
+        assert report["blocks_after"] <= blocks_before / 4
         assert report["rows"] == rows_before == table.row_count(partition)
         assert report["compressed_bytes_after"] < report["compressed_bytes_before"]
 
@@ -361,7 +362,7 @@ class TestCompaction:
 
 
 # ======================================================================
-# Parallel decode determinism (compressed blocks, zero latency)
+# Parallel decode determinism (compressed blocks)
 # ======================================================================
 
 
@@ -378,7 +379,6 @@ class TestParallelCompressedDecode:
              "w": rng.random()}
             for i in range(600)
         )
-        assert warehouse.dfs.read_latency == 0
         executors = [None] + [LocalExecutor(max_workers=n) for n in (1, 2, 4)]
         scans = [
             list(table.scan_columns(["outlet", "w"], executor=ex)) for ex in executors
