@@ -1,21 +1,17 @@
 """Batch-compute substrate.
 
-A miniature Spark: partitioned datasets with lazy, lineage-tracked
-transformations (map/filter/flatMap, key-based shuffles, joins), executed by a
-thread-pool executor, plus a job tracker used by the platform's daily
-migration and periodic training jobs.
+A thread-pool executor that fans block work out for parallel warehouse
+scans, the process-independent key hashing shared by partition placement and
+the serving tier's shard ring, and the job tracker used by the platform's
+daily migration and periodic training jobs.
 """
 
 from .executor import LocalExecutor, TaskMetrics
-from .dataset import Dataset
-from .shuffle import hash_partition
 from .jobs import JobResult, JobTracker
 
 __all__ = [
     "LocalExecutor",
     "TaskMetrics",
-    "Dataset",
-    "hash_partition",
     "JobResult",
     "JobTracker",
 ]

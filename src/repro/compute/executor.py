@@ -35,7 +35,7 @@ class LocalExecutor:
     """Runs one task per partition on a persistent thread pool.
 
     The pool is created lazily on the first parallel stage and reused for the
-    executor's whole lifetime, so multi-stage ``Dataset`` lineages do not pay
+    executor's whole lifetime, so a scan of many stages does not pay
     thread-pool construction/teardown on every stage.  ``max_workers=1``
     degenerates to sequential execution, which is handy for debugging and for
     deterministic benchmarks.
@@ -86,9 +86,8 @@ class LocalExecutor:
         self.shutdown()
 
     def __del__(self) -> None:
-        # Datasets often create executors implicitly; wind the worker threads
-        # down when the executor is garbage-collected so long-lived processes
-        # do not leak a pool per dataset.
+        # Wind the worker threads down when the executor is garbage-collected
+        # so long-lived processes do not leak a pool per executor.
         try:
             self.shutdown(wait=False)
         except Exception:  # pragma: no cover - interpreter teardown

@@ -1,14 +1,9 @@
-"""Shuffle: repartitioning of keyed records by key hash."""
+"""Process-independent key hashing: one canonical form, one stable hash."""
 
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, Iterable, Sequence, TypeVar
-
-from ..errors import ComputeError
-
-K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
+from typing import Hashable
 
 
 def canonical_key(key: Hashable) -> Hashable:
@@ -16,10 +11,9 @@ def canonical_key(key: Hashable) -> Hashable:
 
     Python's numeric tower makes ``1 == 1.0 == True``, but their ``repr``
     differs, so hashing the repr directly would scatter equal keys across
-    partitions and make ``reduce_by_key``/``group_by_key``/``join`` emit
-    duplicate keys.  Booleans and integral floats are normalised to ``int``
-    (a float that equals an int is always exactly representable), and tuple
-    keys are canonicalised element-wise.
+    partitions (or shards).  Booleans and integral floats are normalised to
+    ``int`` (a float that equals an int is always exactly representable), and
+    tuple keys are canonicalised element-wise.
 
     Shared with :func:`repro.storage.warehouse.warehouse.value_partitioner`,
     which uses the same canonical form for partition keys.
@@ -33,45 +27,13 @@ def canonical_key(key: Hashable) -> Hashable:
     return key
 
 
-#: Backwards-compatible alias (pre-publication name).
-_canonical_key = canonical_key
-
-
 def stable_hash(key: Hashable) -> int:
     """A process-independent 64-bit hash of ``canonical_key(key)``.
 
     Unlike the built-in ``hash`` this is not randomised per interpreter run,
     so it is safe to use wherever placement must be reproducible across
-    processes and restarts: shuffle partitioning here, warehouse partition
-    placement, and the serving tier's consistent-hash shard ring.
+    processes and restarts: warehouse partition placement and the serving
+    tier's consistent-hash shard ring.
     """
     digest = hashlib.blake2b(repr(canonical_key(key)).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-#: Backwards-compatible alias (pre-publication name).
-_stable_hash = stable_hash
-
-
-def hash_partition(
-    records: Iterable[tuple[K, V]], n_partitions: int
-) -> list[list[tuple[K, V]]]:
-    """Distribute ``(key, value)`` records into ``n_partitions`` by key hash.
-
-    All records sharing a key land in the same partition, which is what the
-    key-based transformations (reduce-by-key, group-by-key, join) rely on.
-    """
-    if n_partitions < 1:
-        raise ComputeError("n_partitions must be >= 1")
-    partitions: list[list[tuple[K, V]]] = [[] for _ in range(n_partitions)]
-    for key, value in records:
-        partitions[_stable_hash(key) % n_partitions].append((key, value))
-    return partitions
-
-
-def merge_partitions(partitions: Sequence[Sequence[tuple[K, V]]]) -> list[tuple[K, V]]:
-    """Flatten shuffled partitions back into a single record list."""
-    out: list[tuple[K, V]] = []
-    for partition in partitions:
-        out.extend(partition)
-    return out

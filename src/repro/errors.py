@@ -43,10 +43,6 @@ class TransactionError(StorageError):
     """Raised for illegal transaction state transitions."""
 
 
-class SQLSyntaxError(StorageError):
-    """Raised by the SQL parser on malformed statements."""
-
-
 class WarehouseError(StorageError):
     """Raised by the distributed-storage (warehouse) layer."""
 
@@ -97,7 +93,7 @@ class OffsetOutOfRange(StreamingError):
 
 
 class ComputeError(SciLensError):
-    """Raised by the batch-compute (dataset) engine."""
+    """Raised by the batch-compute substrate (executor, job tracker)."""
 
 
 class ModelError(SciLensError):

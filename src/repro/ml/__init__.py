@@ -4,12 +4,11 @@ The SciLens platform "periodically trains Machine Learning models on top of
 the Distributed Storage" and uses them to extract quality indicators and
 topic segments.  This package provides the from-scratch building blocks:
 vectorisers, classifiers, probabilistic hierarchical topic clustering, kernel
-density estimation, evaluation metrics, model selection and a model registry.
+density estimation, evaluation metrics and a model registry.
 """
 
 from .vectorize import CountVectorizer, TfidfVectorizer
 from .naive_bayes import MultinomialNaiveBayes, TextClassifier
-from .logistic import LogisticRegression
 from .kde import GaussianKDE
 from .clustering import TopicNode, HierarchicalTopicModel, TopicAssignment
 from .metrics import (
@@ -20,7 +19,6 @@ from .metrics import (
     confusion_matrix,
     roc_auc_score,
 )
-from .model_selection import train_test_split, k_fold_indices, cross_validate
 from .registry import ModelRegistry, ModelRecord
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "TfidfVectorizer",
     "MultinomialNaiveBayes",
     "TextClassifier",
-    "LogisticRegression",
     "GaussianKDE",
     "TopicNode",
     "HierarchicalTopicModel",
@@ -39,9 +36,6 @@ __all__ = [
     "f1_score",
     "confusion_matrix",
     "roc_auc_score",
-    "train_test_split",
-    "k_fold_indices",
-    "cross_validate",
     "ModelRegistry",
     "ModelRecord",
 ]

@@ -23,7 +23,6 @@ from .subjectivity import SubjectivityScorer, subjectivity_score
 from .clickbait import ClickbaitScorer, clickbait_score
 from .stance import Stance, StanceClassifier, classify_stance
 from .features import ngrams, bag_of_words, hashed_features
-from .similarity import cosine_similarity, jaccard_similarity
 
 __all__ = [
     "tokenize",
@@ -51,6 +50,4 @@ __all__ = [
     "ngrams",
     "bag_of_words",
     "hashed_features",
-    "cosine_similarity",
-    "jaccard_similarity",
 ]

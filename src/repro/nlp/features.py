@@ -1,7 +1,7 @@
 """Text feature extraction: n-grams, bags of words and hashed feature vectors.
 
-These primitives feed the ML substrate (vectorisers, Naive Bayes, logistic
-regression) and the topic-clustering component of the analytics layer.
+These primitives feed the ML substrate (vectorisers, Naive Bayes) and the
+topic-clustering component of the analytics layer.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """Social-media substrate.
 
 Models social accounts, postings and reactions, computes reach (the paper's
-popularity proxy), aggregates stance across the posts discussing an article,
-and provides a diffusion-cascade model of how postings spread.
+popularity proxy) and aggregates stance across the posts discussing an
+article.
 """
 
 from .accounts import SocialAccount, AccountRegistry
 from .reach import ReachReport, compute_reach, reactions_per_article
 from .stance_aggregate import StanceDistribution, aggregate_stance
-from .cascade import Cascade, build_cascade, cascade_metrics
 
 __all__ = [
     "SocialAccount",
@@ -18,7 +17,4 @@ __all__ = [
     "reactions_per_article",
     "StanceDistribution",
     "aggregate_stance",
-    "Cascade",
-    "build_cascade",
-    "cascade_metrics",
 ]

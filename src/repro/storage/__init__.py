@@ -5,7 +5,7 @@ Distributed Storage for historical analytics (Figure 2).  Both are provided
 here as from-scratch substrates:
 
 * :mod:`repro.storage.rdbms` — an embedded relational engine (typed schemas,
-  indexes, a small SQL dialect, transactions, write-ahead log);
+  indexes, a cost-based query builder, transactions, write-ahead log);
 * :mod:`repro.storage.warehouse` — a partitioned columnar store on top of a
   simulated block-replicated distributed file system;
 * :mod:`repro.storage.cdc` — continuous change-data capture: the WAL is
@@ -16,9 +16,8 @@ here as from-scratch substrates:
   compaction that remain around the CDC stream;
 * :mod:`repro.storage.sync` — the one owner of the synchronisation protocol
   over those mechanisms: bootstrap → drain → restart reconciliation;
-* :mod:`repro.storage.fts` — full-text search: BM25 posting-list segments
-  fed from the CDC stream, exposed through the RDBMS planner as the
-  ``fts_index_scan`` access path;
+* :mod:`repro.storage.fts` — full-text search: one BM25 index of
+  posting-list segments on the DFS, fed from the CDC stream;
 * :mod:`repro.storage.faults` — the shared fault-injection, retry,
   circuit-breaker and health primitives the layers above wire together,
   and the one retry guard they call.
@@ -50,7 +49,7 @@ from .cdc import (
     TableMapping,
     cdc_topic,
 )
-from .fts import FtsIndex, FtsIndexer, TableFtsIndex
+from .fts import FtsIndex, FtsIndexer
 from .migration import MigrationJob, MigrationReport
 from .sync import StorageSync
 
@@ -82,5 +81,4 @@ __all__ = [
     "StorageSync",
     "FtsIndex",
     "FtsIndexer",
-    "TableFtsIndex",
 ]

@@ -2,8 +2,8 @@
 
 The subsystem has four layers:
 
-* :mod:`.analysis` — tokenisation (shared with ``nlp/tokenize``), MATCH
-  query parsing and the BM25 arithmetic, all specification-grade and
+* :mod:`.analysis` — tokenisation (shared with ``nlp/tokenize``), query
+  parsing and the BM25 arithmetic, all specification-grade and
   mirrored by the differential oracle in ``tests/fts_oracle.py``;
 * :mod:`.segments` — immutable typed-binary posting-list segments on the
   warehouse format-4 wire (tombstones travel inside segments);
@@ -12,9 +12,9 @@ The subsystem has four layers:
 * :mod:`.indexer` — the CDC consumer group that keeps a DFS-backed index
   fresh from ``cdc.<table>`` topics, exactly-once.
 
-The planner consumes :class:`TableFtsIndex` (synchronously maintained per
-table) as the ``fts_index_scan`` access path; the platform serves
-:class:`FtsIndex` + :class:`FtsIndexer` for persistent, streamed search.
+There is one index: the platform serves search from a DFS-backed
+:class:`FtsIndex` kept fresh by an :class:`FtsIndexer`.  Without a DFS the
+same class runs in memory, which the tests use as a reference.
 """
 
 from .analysis import (
@@ -26,7 +26,7 @@ from .analysis import (
     document_text,
     parse_query,
 )
-from .index import FtsIndex, TableFtsIndex
+from .index import FtsIndex
 from .indexer import FtsIndexer
 from .segments import Segment, build_segment_from_docs, build_segment_payload
 
@@ -39,7 +39,6 @@ __all__ = [
     "document_text",
     "parse_query",
     "FtsIndex",
-    "TableFtsIndex",
     "FtsIndexer",
     "Segment",
     "build_segment_from_docs",

@@ -1,5 +1,4 @@
-"""Text analysis shared by the FTS engine, the planner's MATCH predicate and
-the table-attached index.
+"""Text analysis of the FTS engine: tokens, queries and BM25 scores.
 
 Everything here is deliberately small and *specification-grade*: the
 differential oracle in ``tests/fts_oracle.py`` re-implements each function
@@ -43,9 +42,7 @@ def document_text(row: Mapping, columns: Sequence[str]) -> str:
 
     ``None``/missing values are skipped; the rest are stringified and joined
     with a single space (the space is a token boundary, so column values never
-    merge into one token).  Used identically by the table-attached index, the
-    CDC indexer and the MATCH predicate's row-level evaluation, so the three
-    always agree on what a row's document is.
+    merge into one token).  The CDC indexer builds every document with it.
     """
     parts = []
     for column in columns:
@@ -62,14 +59,9 @@ class QueryTerm:
     term: str
     prefix: bool = False
 
-    def matches_token(self, token: str) -> bool:
-        if self.prefix:
-            return token.startswith(self.term)
-        return token == self.term
-
 
 def parse_query(query: str | None) -> list[QueryTerm]:
-    """Analyze a MATCH query into AND-ed :class:`QueryTerm` terms.
+    """Analyze a search query into AND-ed :class:`QueryTerm` terms.
 
     The query is split on whitespace; a chunk ending in ``*`` marks a prefix
     term.  Each chunk is then analyzed with the document tokenizer, so query

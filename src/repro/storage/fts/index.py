@@ -20,10 +20,10 @@ differential oracle in ``tests/fts_oracle.py``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ...errors import FtsError
-from .analysis import analyze, bm25_term_score, document_text, parse_query
+from .analysis import analyze, bm25_term_score, parse_query
 from .segments import (
     TOMBSTONE_LEN,
     Segment,
@@ -46,9 +46,9 @@ class _BufferedDoc:
 class FtsIndex:
     """A crash-safe incremental BM25 index over ``(doc_id, text)`` documents.
 
-    With ``dfs=None`` the index is purely in-memory (the planner-attached
-    per-table variant); with a DFS it persists flushed segments under
-    ``prefix`` and recovers from them via :meth:`recover`.
+    With ``dfs=None`` the index is purely in-memory (a reference for tests);
+    with a DFS it persists flushed segments under ``prefix`` and recovers
+    from them via :meth:`recover`.
     """
 
     def __init__(
@@ -320,10 +320,9 @@ class FtsIndex:
     def match_ids(self, query: str) -> set:
         """Live documents matching every query term (no scoring).
 
-        The planner's candidate source: because the table-attached index is
-        maintained synchronously with the table, this is always a superset of
-        the rows the MATCH predicate accepts.  An empty/punctuation-only
-        query has no terms and matches nothing.
+        The match set :meth:`search` ranks, checked against the oracle by
+        the differential tests.  An empty/punctuation-only query has no
+        terms and matches nothing.
         """
         terms = parse_query(query)
         if not terms or self._n_docs == 0:
@@ -438,29 +437,3 @@ class FtsIndex:
             "buffered_docs": len(self._buffer),
             "last_lsn": self.last_lsn,
         }
-
-
-class TableFtsIndex:
-    """Synchronously-maintained FTS index over a Table's rows.
-
-    Documents are row ids; the indexed text is :func:`document_text` over the
-    declared columns.  The table calls back on every mutation, so the index
-    is always exactly as fresh as the table — the planner can hand its
-    matches out as access-path candidates without a freshness check.
-    """
-
-    def __init__(self, columns: Iterable[str]) -> None:
-        self.columns = tuple(columns)
-        self._index = FtsIndex("table", dfs=None, flush_docs=None)
-
-    def __len__(self) -> int:
-        return self._index.doc_count
-
-    def add_row(self, row_id: int, row: dict) -> None:
-        self._index.add(row_id, text=document_text(row, self.columns))
-
-    def remove_row(self, row_id: int) -> None:
-        self._index.delete(row_id)
-
-    def match_row_ids(self, query: str) -> set[int]:
-        return self._index.match_ids(query)

@@ -5,12 +5,10 @@ from .schema import Column, TableSchema
 from .expressions import (
     BranchAtom,
     Expression,
-    Match,
     col,
     extract_constraints,
     like_prefix,
     lit,
-    match,
 )
 from .stats import ColumnStats, StatsPolicy, TableStats, build_table_stats
 from .table import Table
@@ -25,7 +23,6 @@ from .planner import (
 )
 from .query import Query, QueryResult
 from .database import Database
-from .sql import parse_sql
 from .wal import WriteAheadLog
 
 __all__ = [
@@ -34,10 +31,8 @@ __all__ = [
     "TableSchema",
     "BranchAtom",
     "Expression",
-    "Match",
     "col",
     "lit",
-    "match",
     "extract_constraints",
     "like_prefix",
     "ColumnStats",
@@ -56,6 +51,5 @@ __all__ = [
     "Query",
     "QueryResult",
     "Database",
-    "parse_sql",
     "WriteAheadLog",
 ]

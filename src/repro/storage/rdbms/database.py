@@ -1,7 +1,8 @@
 """The embedded relational database.
 
-``Database`` ties together tables, the query builder, the SQL front-end,
-transactions and the write-ahead log.  The log is always there — a file under
+``Database`` ties together tables, the query builder (:class:`~.query.Query`,
+the one read surface), transactions and the write-ahead log.  The log is
+always there — a file under
 the data directory, replayed on the next open, or in memory without one — and
 it holds exactly what was committed: every ``insert`` / ``upsert`` /
 ``update`` / ``delete`` runs through :meth:`Database._statement`, which
@@ -9,36 +10,27 @@ journals the row changes (see :mod:`.table`), takes them back out if the
 statement raises, and otherwise derives one WAL record per changed row —
 appended at once in autocommit, at ``commit()`` inside a transaction
 (:mod:`.transactions`).  DDL (``create_table``, ``drop_table``,
-``create_index``, ``create_fts_index``) is not transactional: it is applied
-and logged at once, inside a transaction or not.
+``create_index``) is not transactional: it is applied and logged at once,
+inside a transaction or not.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from ...errors import StorageError, TableNotFound
 from .planner import estimation_error_summary
-from .query import Query, QueryResult
+from .query import Query
 from .schema import TableSchema
 from .stats import StatsPolicy, TableStats
-from .sql import (
-    CreateTableStatement,
-    DeleteStatement,
-    InsertStatement,
-    SelectStatement,
-    Statement,
-    UpdateStatement,
-    parse_sql,
-)
 from .table import Table, undo
 from .transactions import PendingRecord, Transaction
 from .wal import WriteAheadLog
 
 
 class Database:
-    """A collection of tables with SQL and query-builder front-ends."""
+    """A collection of tables behind one query builder and one write path."""
 
     def __init__(
         self,
@@ -101,20 +93,6 @@ class Database:
             return
         table.create_index(column, kind=kind)
         self._wal.append("create_index", table_name, {"column": column, "kind": kind})
-
-    def create_fts_index(self, table_name: str, columns: Sequence[str]) -> None:
-        """Create a full-text index on ``table_name`` over ``columns``.
-
-        The index backs the planner's ``fts_index_scan`` access path for
-        MATCH predicates and is maintained synchronously by every write.
-        WAL-logged, so it is rebuilt automatically when the database reopens;
-        re-declaring the index over the same columns is a no-op.
-        """
-        table = self.table(table_name)
-        if table.fts_index is not None and table.fts_index.columns == tuple(columns):
-            return
-        table.create_fts_index(tuple(columns))
-        self._wal.append("create_fts_index", table_name, {"columns": list(columns)})
 
     def table(self, name: str) -> Table:
         """Return the table named ``name`` or raise :class:`TableNotFound`."""
@@ -240,53 +218,6 @@ class Database:
         """Point lookup by primary key."""
         return self.table(table_name).get(primary_key_value)
 
-    # ------------------------------------------------------------------- SQL
-
-    def execute(self, sql: str) -> QueryResult:
-        """Parse and execute one SQL statement.
-
-        Always returns a :class:`QueryResult`; for DML statements the result
-        holds a single row reporting the number of affected rows.
-        """
-        statement = parse_sql(sql)
-        return self._execute_statement(statement)
-
-    def _execute_statement(self, statement: Statement) -> QueryResult:
-        if isinstance(statement, CreateTableStatement):
-            self.create_table(statement.schema)
-            return QueryResult(rows=[{"created": statement.schema.name}], columns=["created"])
-        if isinstance(statement, InsertStatement):
-            for row in statement.rows:
-                self.insert(statement.table, row)
-            return QueryResult(rows=[{"inserted": len(statement.rows)}], columns=["inserted"])
-        if isinstance(statement, UpdateStatement):
-            updated = self.update(statement.table, statement.where, statement.changes)
-            return QueryResult(rows=[{"updated": updated}], columns=["updated"])
-        if isinstance(statement, DeleteStatement):
-            deleted = self.delete(statement.table, statement.where)
-            return QueryResult(rows=[{"deleted": deleted}], columns=["deleted"])
-        if isinstance(statement, SelectStatement):
-            return self._execute_select(statement)
-        raise StorageError(f"unsupported statement type: {type(statement).__name__}")
-
-    def _execute_select(self, statement: SelectStatement) -> QueryResult:
-        query = self.query(statement.table)
-        if statement.where is not None:
-            query = query.where(statement.where)
-        if statement.aggregates:
-            query = query.aggregate(**statement.aggregates)
-        if statement.group_by:
-            query = query.group_by(*statement.group_by)
-        if statement.columns and not statement.aggregates:
-            query = query.select(*statement.columns)
-        for column, descending in statement.order_by:
-            query = query.order_by(column, descending=descending)
-        if statement.limit is not None:
-            query = query.limit(statement.limit)
-        if statement.offset:
-            query = query.offset(statement.offset)
-        return query.execute()
-
     # ----------------------------------------------------------- transactions
 
     def transaction(self) -> Transaction:
@@ -320,6 +251,9 @@ class Database:
         Row records go through the same :class:`Table` methods as live writes
         (so they are re-validated: a log holding two rows with one UNIQUE
         value fails loudly here), with no journal attached — nothing is logged.
+        A record of any other operation — such as the index declaration of the
+        retired table-attached full-text index, in logs written before it
+        went — matches no branch and is skipped.
         """
         for record in self._wal.replay():
             if record.operation == "create_table":
@@ -339,8 +273,6 @@ class Database:
                 table.create_index(
                     record.payload["column"], kind=record.payload.get("kind", "hash")
                 )
-            elif record.operation == "create_fts_index":
-                table.create_fts_index(tuple(record.payload.get("columns", ())))
             elif record.operation == "insert":
                 table.insert(_row_from_payload(table, record.payload["row"]))
             elif record.operation == "upsert":
@@ -351,10 +283,6 @@ class Database:
                     record.payload["primary_key"]
                 ):
                     table._write(row_id, None)
-
-    def checkpoint(self) -> None:
-        """Truncate the WAL after the state has been migrated/persisted elsewhere."""
-        self._wal.truncate()
 
 
 # ------------------------------------------------------------- WAL payloads
@@ -372,7 +300,7 @@ def _row_records(
     the right warehouse partition.  A row that is there is logged in its
     stored post-state under ``operation``.  Without a primary key there is no
     row identity to log an update or a delete against: such tables log
-    inserts only and rely on checkpoints.
+    inserts only.
     """
     pk = table.schema.primary_key
     if pk is None:

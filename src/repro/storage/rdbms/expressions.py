@@ -1,8 +1,8 @@
-"""Expression AST used by the query layer and the SQL parser.
+"""Expression AST used by the query layer.
 
-Expressions are built either programmatically (``col("rating") == "high"``,
-``(col("reactions") > 10) & col("is_covid")``) or by the SQL parser, and are
-evaluated against plain row dictionaries.
+Expressions are built programmatically (``col("rating") == "high"``,
+``(col("reactions") > 10) & col("is_covid")``) and are evaluated against
+plain row dictionaries.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class Expression:
 
     def like(self, pattern: str) -> "Like":
         return Like(self, pattern)
-
-    def match(self, query: str) -> "Match":
-        """Full-text MATCH over the referenced column(s)."""
-        return Match(tuple(sorted(self.columns())), query)
 
     # dataclass-like equality is intentionally repurposed for the DSL, so the
     # objects are identity-hashed.
@@ -291,47 +287,6 @@ class Like(Expression):
         return f"{self.operand!r} LIKE {self.pattern!r}"
 
 
-class Match(Expression):
-    """Full-text MATCH predicate over one or more text columns.
-
-    The analyzed query terms are ANDed; a term with a trailing ``*`` matches
-    any token extending it.  Row-level evaluation re-analyzes the row's text
-    with the *same* analyzer the FTS engine indexes with
-    (:mod:`repro.storage.fts.analysis`), so the executor can verify any
-    index-provided candidate — and a table without an FTS index still answers
-    MATCH correctly via a full scan.
-    """
-
-    def __init__(self, columns, query: str) -> None:
-        self.match_columns = tuple(columns)
-        self.query = query
-
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        from ..fts.analysis import analyze, document_text, parse_query
-
-        terms = parse_query(self.query)
-        if not terms:
-            return False  # an empty/punctuation-only query matches nothing
-        tokens = analyze(document_text(row, self.match_columns))
-        return all(
-            any(term.matches_token(token) for token in tokens) for term in terms
-        )
-
-    def columns(self) -> set[str]:
-        return set(self.match_columns)
-
-    def __repr__(self) -> str:
-        cols = ",".join(self.match_columns)
-        return f"MATCH({cols}, {self.query!r})"
-
-
-def match(columns, query: str) -> Match:
-    """Build a MATCH predicate over ``columns`` (a name or an iterable)."""
-    if isinstance(columns, str):
-        columns = (columns,)
-    return Match(tuple(columns), query)
-
-
 def col(name: str) -> ColumnRef:
     """Build a column reference (entry point of the expression DSL)."""
     return ColumnRef(name)
@@ -426,8 +381,6 @@ class PredicateConstraints:
       longest literal prefix per column (answerable as a sorted-index range).
     * ``disjunctions`` — OR conjuncts whose every branch normalises to a
       :class:`BranchAtom` (equality, IN list, range or LIKE prefix).
-    * ``matches`` — full-text :class:`Match` conjuncts, answerable from a
-      table's FTS index when one covers the matched columns.
 
     Every entry is a necessary condition of the predicate, so candidate rows
     derived from any subset remain a superset of the true matches.
@@ -437,16 +390,9 @@ class PredicateConstraints:
     ranges: dict[str, RangeConstraint] = field(default_factory=dict)
     prefixes: dict[str, str] = field(default_factory=dict)
     disjunctions: list[list[BranchAtom]] = field(default_factory=list)
-    matches: list["Match"] = field(default_factory=list)
 
     def is_empty(self) -> bool:
-        return not (
-            self.equalities
-            or self.ranges
-            or self.prefixes
-            or self.disjunctions
-            or self.matches
-        )
+        return not (self.equalities or self.ranges or self.prefixes or self.disjunctions)
 
 
 _RANGE_SYMBOLS = {"<", "<=", ">", ">="}
@@ -530,9 +476,6 @@ def extract_constraints(expression: Expression | None) -> PredicateConstraints:
             for operand in node.operands:
                 visit(operand)
             return
-        if isinstance(node, Match):
-            constraints.matches.append(node)
-            return
         if isinstance(node, Comparison):
             normalized = _column_literal(node)
             if normalized is None:
@@ -563,13 +506,3 @@ def extract_constraints(expression: Expression | None) -> PredicateConstraints:
 
     visit(expression)
     return constraints
-
-
-def equality_lookup(expression: Expression | None) -> dict[str, Any]:
-    """Extract ``column = literal`` constraints from a predicate.
-
-    Kept as the historical entry point; the planner now uses the richer
-    :func:`extract_constraints`.  Only top-level comparisons and
-    AND-combinations contribute.
-    """
-    return extract_constraints(expression).equalities

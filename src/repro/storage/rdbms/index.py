@@ -159,9 +159,3 @@ def build_index(kind: str, column: str) -> HashIndex | SortedIndex:
     if kind == "sorted":
         return SortedIndex(column)
     raise ValueError(f"unknown index kind: {kind!r}")
-
-
-def bulk_load(index: HashIndex | SortedIndex, rows: Iterable[tuple[int, Any]]) -> None:
-    """Populate ``index`` from ``(row_id, value)`` pairs."""
-    for row_id, value in rows:
-        index.add(row_id, value)

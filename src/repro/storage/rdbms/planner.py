@@ -23,8 +23,6 @@ Access paths
   ``like-prefix(col)`` marks the latter).
 * ``index-union``    — union of per-branch probes for an OR conjunct whose
   branches are equalities, IN lists, ranges or LIKE prefixes.
-* ``fts_index_scan`` — full-text MATCH answered from the table's FTS index
-  (posting-list intersection; prefix terms expand over the vocabulary).
 * ``index-intersect``— several of the above intersected.
 * ``index-group-count`` — ``GROUP BY <hash-indexed column>`` with only
   ``COUNT(*)`` over the whole table: one result row per index bucket (its
@@ -49,8 +47,8 @@ Known limits
   correlation statistics, no join reordering.
 * ``index-ordered`` needs a single ORDER BY key whose sorted index covers
   every row (the index skips NULLs), and no joins or aggregation.
-* MATCH pushdown needs an FTS index covering every matched column, and uses
-  a fixed selectivity prior (no term-frequency statistics at plan time).
+* No full-text predicate: search is the segment index of
+  :mod:`repro.storage.fts`, not a table access path.
 * LIKE-prefix pushdown needs a sorted index on a TEXT column and a pattern
   with a literal prefix (``'abc%'`` yes, ``'%abc'`` no).
 * ``index-group-count`` needs no predicate, no join, exactly one group column
@@ -77,7 +75,6 @@ from .expressions import (
 from .index import HashIndex, SortedIndex
 from .stats import (
     DEFAULT_EQ_SELECTIVITY,
-    DEFAULT_MATCH_SELECTIVITY,
     DEFAULT_PREFIX_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
     TableStats,
@@ -92,6 +89,7 @@ FULL_SCAN = "full-scan"
 INDEX_EQ = "index-eq"
 INDEX_RANGE = "index-range"
 INDEX_UNION = "index-union"
+#: No plan takes this path any more; kept by name for the benchmark's layer map.
 FTS_INDEX_SCAN = "fts_index_scan"
 INDEX_INTERSECT = "index-intersect"
 INDEX_GROUP_COUNT = "index-group-count"
@@ -421,22 +419,6 @@ def _discover_steps(
                 f"{LIKE_PREFIX}({column})",
                 _est_prefix(stats, column, prefix, total),
                 lambda index=index, prefix=prefix: _prefix_probe(index, prefix),
-            )
-        )
-
-    for match_node in constraints.matches:
-        fts = table.fts_index
-        if fts is None or not set(match_node.match_columns) <= set(fts.columns):
-            continue  # no covering FTS index — executor evaluates MATCH itself
-        # The index covers a superset of the matched columns, so its matches
-        # are a superset of the predicate's (a term found in one column is
-        # found in the concatenated document); the executor re-checks.
-        steps.append(
-            _Step(
-                FTS_INDEX_SCAN,
-                f"{FTS_INDEX_SCAN}({','.join(fts.columns)})",
-                DEFAULT_MATCH_SELECTIVITY * total,
-                lambda fts=fts, query=match_node.query: fts.match_row_ids(query),
             )
         )
 

@@ -28,9 +28,6 @@ from typing import Any, Iterable, Mapping, Sequence
 DEFAULT_EQ_SELECTIVITY = 0.05
 DEFAULT_RANGE_SELECTIVITY = 0.3
 DEFAULT_PREFIX_SELECTIVITY = 0.1
-#: Selectivity assumed for a full-text MATCH conjunct (term frequencies are
-#: the FTS index's business; the planner only needs a rough prior).
-DEFAULT_MATCH_SELECTIVITY = 0.1
 
 
 @dataclass(frozen=True)

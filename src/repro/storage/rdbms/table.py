@@ -3,7 +3,7 @@
 **Writes.**  A stored row changes in exactly one function,
 :meth:`Table._write`: it is the only code that assigns to or deletes from the
 row store, and therefore the only code that maintains the secondary indexes,
-the full-text index, the statistics staleness counter and the journal.
+the statistics staleness counter and the journal.
 ``insert`` / ``upsert`` / ``update_rows`` / ``delete_rows`` / ``truncate``
 compute ``(row_id, new_row)``, validate (normalise, then UNIQUE check) and
 call it.  While a :class:`~.database.Database` statement runs, the database
@@ -23,7 +23,7 @@ for index-ordered ORDER BY execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...errors import ColumnNotFound, ConstraintViolation, StorageError
 from .expressions import Expression
@@ -31,9 +31,6 @@ from .index import HashIndex, SortedIndex, build_index
 from .planner import AccessPlan, PlannerMetrics, plan_access
 from .schema import TableSchema
 from .stats import StatsPolicy, TableStats, build_table_stats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..fts.index import TableFtsIndex
 
 
 class Table:
@@ -55,7 +52,6 @@ class Table:
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_row_id = 1
         self._indexes: dict[str, HashIndex | SortedIndex] = {}
-        self._fts: "TableFtsIndex | None" = None
         self.stats_policy = stats_policy or StatsPolicy()
         self.planner_metrics = PlannerMetrics()
         self._stats: TableStats | None = None
@@ -118,29 +114,6 @@ class Table:
             raise StorageError(f"table {self.name!r} has no index on {column!r}")
         return self._indexes[column]
 
-    def create_fts_index(self, columns: Sequence[str]) -> None:
-        """Create (or rebuild) the table's full-text index over ``columns``.
-
-        The index is maintained synchronously by every write, so its
-        matches are always a valid candidate superset for the planner's
-        ``fts_index_scan`` access path.
-        """
-        from ..fts.index import TableFtsIndex  # deferred: fts builds on storage
-
-        for column in columns:
-            self.schema.column(column)  # validates the column exists
-        fts = TableFtsIndex(columns)
-        for row_id, row in self._rows.items():
-            fts.add_row(row_id, row)
-        self._fts = fts
-
-    def has_fts_index(self) -> bool:
-        return self._fts is not None
-
-    @property
-    def fts_index(self) -> "TableFtsIndex | None":
-        return self._fts
-
     # ---------------------------------------------------------------- writes
 
     def _check_unique(self, row: Mapping[str, Any], ignore_row_id: int | None = None) -> None:
@@ -160,9 +133,8 @@ class Table:
         """Store ``new_row`` under ``row_id`` (``None`` deletes it); returns the old row.
 
         The one place a stored row changes: every secondary index (touched
-        only where the column value changed), the full-text index
-        (re-tokenised only when an indexed column changed), the staleness
-        counter and the attached journal are maintained here and nowhere else.
+        only where the column value changed), the staleness counter and the
+        attached journal are maintained here and nowhere else.
         Validation is the caller's job — :func:`undo` writes old rows back
         through here unchecked.
         """
@@ -177,14 +149,6 @@ class Table:
             if old_value != new_value:
                 index.remove(row_id, old_value)
                 index.add(row_id, new_value)
-        fts = self._fts
-        if fts is not None:
-            if new_row is None:
-                fts.remove_row(row_id)
-            elif old_row is None or any(
-                old_row.get(column) != new_row.get(column) for column in fts.columns
-            ):
-                fts.add_row(row_id, new_row)
         self._writes_since_analyze += 1
         if self.journal is not None:
             self.journal.append((self, row_id, old_row, new_row))
@@ -256,8 +220,8 @@ class Table:
     def row_by_id(self, row_id: int) -> dict[str, Any] | None:
         """Point lookup by internal row id (``None`` when absent).
 
-        Row ids are what indexes — including the full-text index — hand back,
-        so callers ranking by index score use this to materialise the rows.
+        Row ids are what indexes hand back, so callers holding index results
+        use this to materialise the rows.
         """
         row = self._rows.get(row_id)
         return dict(row) if row is not None else None

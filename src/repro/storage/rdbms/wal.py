@@ -156,10 +156,12 @@ class WriteAheadLog:
                 yield record
 
     def truncate(self) -> None:
-        """Discard the log contents (used after a checkpoint).
+        """Discard the log contents.
 
-        The sequence counter is *not* rewound: LSNs stay monotonic across
-        checkpoints so CDC cursors never see a sequence number twice.
+        The sequence counter is *not* rewound: LSNs stay monotonic across a
+        truncation so CDC cursors never see a sequence number twice.  A
+        file-backed database reopened after this replays nothing — the log
+        is its only copy of the rows.
         """
         if self.path is not None:
             if self.path.exists():

@@ -2,28 +2,22 @@
 
 Replaces the Datastreamer-based ingestion of the original deployment with an
 in-process message broker (topics, partitions, offsets, consumer groups), a
-producer/consumer API, offset checkpointing, event-time windowing and the
-article-extraction pipeline that turns raw posting events into articles,
-posts and reactions.
+consumer API, offset checkpointing and the article-extraction pipeline that
+turns raw posting events into articles, posts and reactions.
 """
 
 from .message import Message
 from .broker import MessageBroker, TopicStats
-from .producer import Producer
 from .consumer import Consumer
 from .checkpoint import CheckpointStore
-from .windowing import TumblingWindow, WindowedCounter
 from .pipeline import ArticleExtractionPipeline, PipelineStats
 
 __all__ = [
     "Message",
     "MessageBroker",
     "TopicStats",
-    "Producer",
     "Consumer",
     "CheckpointStore",
-    "TumblingWindow",
-    "WindowedCounter",
     "ArticleExtractionPipeline",
     "PipelineStats",
 ]

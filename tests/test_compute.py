@@ -1,104 +1,31 @@
-"""Tests for the batch-compute substrate (datasets, executor, shuffle, jobs)."""
+"""Tests for the batch-compute substrate (executor, stable hashing, jobs)."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.compute.dataset import Dataset
+import repro
 from repro.compute.executor import LocalExecutor
 from repro.compute.jobs import JobTracker
-from repro.compute.shuffle import hash_partition, merge_partitions
+from repro.compute.shuffle import canonical_key, stable_hash
 from repro.errors import ComputeError
 
 
-class TestDataset:
-    def _numbers(self, n=20, partitions=4):
-        return Dataset.from_iterable(range(n), n_partitions=partitions)
-
-    def test_collect_and_count(self):
-        ds = self._numbers()
-        assert sorted(ds.collect()) == list(range(20))
-        assert ds.count() == 20
-
-    def test_map_filter_flat_map(self):
-        ds = self._numbers(10)
-        assert sorted(ds.map(lambda x: x * 2).collect()) == [x * 2 for x in range(10)]
-        assert ds.filter(lambda x: x % 2 == 0).count() == 5
-        assert ds.flat_map(lambda x: [x, x]).count() == 20
-
-    def test_map_partitions(self):
-        ds = self._numbers(8, partitions=2)
-        sums = ds.map_partitions(lambda part: [sum(part)]).collect()
-        assert sum(sums) == sum(range(8))
-        assert len(sums) == 2
-
-    def test_reduce_by_key_and_count_by_key(self):
-        ds = self._numbers(10).key_by(lambda x: "even" if x % 2 == 0 else "odd")
-        totals = dict(ds.reduce_by_key(lambda a, b: a + b).collect())
-        assert totals == {"even": 20, "odd": 25}
-        counts = ds.count_by_key()
-        assert counts == {"even": 5, "odd": 5}
-
-    def test_group_by_key(self):
-        ds = Dataset.from_iterable(["a", "bb", "cc", "d"], n_partitions=2)
-        groups = dict(ds.key_by(len).group_by_key().collect())
-        assert sorted(groups[1]) == ["a", "d"]
-        assert sorted(groups[2]) == ["bb", "cc"]
-
-    def test_join(self):
-        left = Dataset.from_iterable([("a", 1), ("b", 2)], n_partitions=2)
-        right = Dataset.from_iterable([("a", "x"), ("a", "y"), ("c", "z")], n_partitions=2)
-        joined = sorted(left.join(right).collect())
-        assert joined == [("a", (1, "x")), ("a", (1, "y"))]
-
-    def test_keyed_ops_require_pairs(self):
-        with pytest.raises(ComputeError):
-            self._numbers(4).reduce_by_key(lambda a, b: a + b).collect()
-
-    def test_union_distinct_repartition(self):
-        a = Dataset.from_iterable([1, 2, 3], n_partitions=2)
-        b = Dataset.from_iterable([3, 4], n_partitions=1)
-        union = a.union(b)
-        assert sorted(union.collect()) == [1, 2, 3, 3, 4]
-        assert sorted(union.distinct().collect()) == [1, 2, 3, 4]
-        assert union.repartition(2).n_partitions == 2
-        assert sorted(union.repartition(2).collect()) == [1, 2, 3, 3, 4]
-
-    def test_take_first_reduce(self):
-        ds = self._numbers(10)
-        assert len(ds.take(3)) == 3
-        assert isinstance(ds.first(), int)
-        assert ds.reduce(lambda a, b: a + b) == 45
-        with pytest.raises(ComputeError):
-            Dataset.from_iterable([], n_partitions=1).first()
-        with pytest.raises(ComputeError):
-            Dataset.from_iterable([], n_partitions=1).reduce(lambda a, b: a + b)
-
-    def test_lineage_explain(self):
-        ds = self._numbers().map(lambda x: x).filter(lambda x: True)
-        assert ds.explain() == "from_iterable -> map -> filter"
-
-    def test_cache_materialises_once(self):
-        calls = {"n": 0}
-
-        def counting(x):
-            calls["n"] += 1
-            return x
-
-        ds = self._numbers(10).map(counting).cache()
-        ds.collect()
-        ds.collect()
-        assert calls["n"] == 10  # second collect served from cache
-
+class TestExecutor:
     def test_executor_metrics_accumulate(self):
         executor = LocalExecutor(max_workers=2)
-        ds = Dataset.from_iterable(range(10), n_partitions=2, executor=executor)
-        ds.map(lambda x: x + 1).collect()
+        assert executor.run([[1, 2], [3]], lambda part: [x + 1 for x in part]) == [[2, 3], [4]]
         assert executor.metrics.tasks_run >= 1
         assert executor.metrics.partitions_processed >= 2
 
     def test_sequential_executor(self):
         executor = LocalExecutor(max_workers=1)
-        ds = Dataset.from_iterable(range(5), n_partitions=3, executor=executor)
-        assert sorted(ds.map(lambda x: x).collect()) == list(range(5))
+        assert executor.run([[0, 1], [2, 3], [4]], lambda part: part) == [[0, 1], [2, 3], [4]]
+        assert executor._pool is None  # one worker never builds a pool
 
     def test_executor_reuses_one_thread_pool(self):
         executor = LocalExecutor(max_workers=2)
@@ -118,52 +45,78 @@ class TestDataset:
             assert executor._pool is not None
         assert executor._pool is None
 
+    def test_invalid_worker_count(self):
+        with pytest.raises(ComputeError):
+            LocalExecutor(max_workers=0)
+
+    def test_empty_stage_runs_no_task(self):
+        executor = LocalExecutor(max_workers=2)
+        calls = []
+        assert executor.run([], calls.append, description="nothing") == []
+        assert calls == [] and executor._pool is None
+        assert executor.metrics.tasks_run == 1 and executor.metrics.partitions_processed == 0
+        assert list(executor.metrics.stage_descriptions) == ["nothing"]
+
+    def test_parallel_results_keep_partition_order(self):
+        def later_partitions_finish_first(part):
+            time.sleep(0.01 * (3 - part[0]))
+            return [part[0] * 10]
+
+        with LocalExecutor(max_workers=3) as executor:
+            assert executor.run([[0], [1], [2]], later_partitions_finish_first) == [[0], [10], [20]]
+
+    def test_a_failing_task_fails_the_stage_and_the_pool_survives(self):
+        with LocalExecutor(max_workers=2) as executor:
+            with pytest.raises(ZeroDivisionError):
+                executor.run([[1], [0]], lambda part: [1 / part[0]])
+            assert executor.run([[1], [2]], lambda part: part) == [[1], [2]]
+
+    def test_tasks_get_copies_of_their_partitions(self):
+        partitions = [[1, 2], [3]]
+        LocalExecutor(max_workers=1).run(partitions, lambda part: part.clear() or [])
+        assert partitions == [[1, 2], [3]]
+
 
 class TestShuffle:
-    def test_same_key_lands_in_same_partition(self):
-        records = [("a", 1), ("a", 2), ("b", 3), ("c", 4)]
-        partitions = hash_partition(records, 3)
-        location = {}
-        for index, partition in enumerate(partitions):
-            for key, _value in partition:
-                location.setdefault(key, set()).add(index)
-        assert all(len(indexes) == 1 for indexes in location.values())
-        assert sorted(merge_partitions(partitions)) == sorted(records)
+    def test_canonical_key_collapses_only_equal_values(self):
+        assert canonical_key(True) == 1 and type(canonical_key(True)) is int
+        assert canonical_key(2.0) == 2 and type(canonical_key(2.0)) is int
+        assert canonical_key(2.5) == 2.5
+        assert canonical_key((True, (1.0, "x"))) == (1, (1, "x"))
+        assert canonical_key("1") == "1"
 
-    def test_invalid_partition_count(self):
-        with pytest.raises(ComputeError):
-            hash_partition([("a", 1)], 0)
+    def test_stable_hash_is_the_same_in_every_process(self):
+        # Placement must not move between runs: unlike hash(), stable_hash
+        # ignores the interpreter's per-process hash seed.
+        keys = ["article-1", ("ring", "shard-0", 3), 42]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "from repro.compute.shuffle import stable_hash; "
+            f"print([stable_hash(k) for k in {keys!r}])"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout.strip()
+            for seed in ("1", "2")
+        }
+        assert outputs == {repr([stable_hash(key) for key in keys])}
 
     def test_equal_numeric_keys_share_a_partition(self):
-        # 1 == 1.0 == True in Python; they must co-partition or the keyed
-        # transformations (reduce_by_key/group_by_key/join) emit duplicates.
-        records = [(1, "int"), (1.0, "float"), (True, "bool"), (0, "zero"), (0.0, "fzero"), (False, "f")]
+        # 1 == 1.0 == True in Python; they must land on one partition (or
+        # shard) or a keyed lookup misses the other spellings.
         for n_partitions in (2, 3, 5, 7):
-            partitions = hash_partition(records, n_partitions)
-            location = {}
-            for index, partition in enumerate(partitions):
-                for key, _value in partition:
-                    location.setdefault(key, set()).add(index)
-            # dict key equality already collapses 1/1.0/True: one entry each
-            assert all(len(indexes) == 1 for indexes in location.values())
+            for keys in ((1, 1.0, True), (0, 0.0, False)):
+                assert len({stable_hash(key) % n_partitions for key in keys}) == 1
 
     def test_equal_tuple_keys_share_a_partition(self):
-        records = [((1, 2.0), "a"), ((1.0, 2), "b")]
-        partitions = hash_partition(records, 5)
-        non_empty = [p for p in partitions if p]
-        assert len(non_empty) == 1 and len(non_empty[0]) == 2
+        assert stable_hash((1, 2.0)) == stable_hash((1.0, 2))
 
     def test_distinct_types_stay_distinct(self):
         # "1" (a string) must not collide with the number 1 by canonicalisation.
-        from repro.compute.shuffle import _stable_hash
-
-        assert _stable_hash("1") != _stable_hash(1)
-        assert _stable_hash(1) == _stable_hash(1.0) == _stable_hash(True)
-
-    def test_reduce_by_key_merges_mixed_numeric_keys(self):
-        ds = Dataset.from_iterable([(1, 10), (1.0, 5), (True, 1)], n_partitions=3)
-        reduced = ds.reduce_by_key(lambda a, b: a + b).collect()
-        assert len(reduced) == 1 and reduced[0][1] == 16
+        assert stable_hash("1") != stable_hash(1)
+        assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
 
 
 class TestJobTracker:

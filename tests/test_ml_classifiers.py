@@ -1,10 +1,9 @@
-"""Tests for Naive Bayes, the text-classification pipeline and logistic regression."""
+"""Tests for Naive Bayes and the text-classification pipeline."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError, NotFittedError
-from repro.ml.logistic import LogisticRegression
 from repro.ml.naive_bayes import MultinomialNaiveBayes, TextClassifier
 
 CLICKBAIT_TITLES = [
@@ -79,48 +78,3 @@ class TestTextClassifier:
         with pytest.raises(ModelError):
             model.predict_proba(["a b"])
 
-
-class TestLogisticRegression:
-    def _data(self, n=120, seed=3):
-        rng = np.random.default_rng(seed)
-        X0 = rng.normal(loc=-1.0, scale=0.8, size=(n // 2, 2))
-        X1 = rng.normal(loc=1.0, scale=0.8, size=(n // 2, 2))
-        X = np.vstack([X0, X1])
-        y = [0] * (n // 2) + [1] * (n // 2)
-        return X, y
-
-    def test_learns_separable_classes(self):
-        X, y = self._data()
-        model = LogisticRegression(n_iterations=300)
-        model.fit(X, y)
-        predictions = model.predict(X)
-        accuracy = sum(1 for p, t in zip(predictions, y) if p == t) / len(y)
-        assert accuracy >= 0.9
-
-    def test_probabilities_are_bounded(self):
-        X, y = self._data()
-        model = LogisticRegression().fit(X, y)
-        proba = model.predict_proba(X)
-        assert np.all((proba >= 0.0) & (proba <= 1.0))
-
-    def test_requires_two_classes(self):
-        with pytest.raises(ModelError):
-            LogisticRegression().fit(np.ones((3, 2)), [1, 1, 1])
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            LogisticRegression().predict(np.ones((1, 2)))
-
-    def test_l2_regularisation_shrinks_weights(self):
-        X, y = self._data()
-        free = LogisticRegression(l2=0.0).fit(X, y)
-        shrunk = LogisticRegression(l2=5.0).fit(X, y)
-        assert np.linalg.norm(shrunk.weights_) < np.linalg.norm(free.weights_)
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ModelError):
-            LogisticRegression(learning_rate=0)
-        with pytest.raises(ModelError):
-            LogisticRegression(n_iterations=0)
-        with pytest.raises(ModelError):
-            LogisticRegression(l2=-1)

@@ -1,4 +1,4 @@
-"""Tests for the KDE, the classification metrics and model selection."""
+"""Tests for the KDE and the classification metrics."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.ml.metrics import (
     recall_score,
     roc_auc_score,
 )
-from repro.ml.model_selection import cross_validate, k_fold_indices, train_test_split
 
 
 class TestGaussianKDE:
@@ -87,50 +86,3 @@ class TestMetrics:
         with pytest.raises(ModelError):
             accuracy_score([1], [1, 0])
 
-
-class TestModelSelection:
-    def test_train_test_split_sizes_and_determinism(self):
-        samples = list(range(20))
-        labels = [i % 2 for i in samples]
-        a = train_test_split(samples, labels, test_fraction=0.25, random_seed=1)
-        b = train_test_split(samples, labels, test_fraction=0.25, random_seed=1)
-        assert a == b
-        train_x, test_x, train_y, test_y = a
-        assert len(test_x) == 5 and len(train_x) == 15
-        assert len(train_y) == 15 and len(test_y) == 5
-        assert set(train_x) | set(test_x) == set(samples)
-
-    def test_train_test_split_validation(self):
-        with pytest.raises(ModelError):
-            train_test_split([1], [1], test_fraction=0.5)
-        with pytest.raises(ModelError):
-            train_test_split([1, 2], [1], test_fraction=0.5)
-        with pytest.raises(ModelError):
-            train_test_split([1, 2], [0, 1], test_fraction=1.5)
-
-    def test_k_fold_partitions_everything_once(self):
-        splits = k_fold_indices(17, n_folds=4)
-        all_test = np.concatenate([test for _, test in splits])
-        assert sorted(all_test.tolist()) == list(range(17))
-        for train, test in splits:
-            assert set(train.tolist()).isdisjoint(set(test.tolist()))
-
-    def test_k_fold_validation(self):
-        with pytest.raises(ModelError):
-            k_fold_indices(3, n_folds=5)
-        with pytest.raises(ModelError):
-            k_fold_indices(10, n_folds=1)
-
-    def test_cross_validate_runs_factory_per_fold(self):
-        class MajorityModel:
-            def fit(self, xs, ys):
-                self.label = max(set(ys), key=ys.count)
-
-            def predict(self, xs):
-                return [self.label] * len(xs)
-
-        samples = list(range(30))
-        labels = [0] * 20 + [1] * 10
-        scores = cross_validate(MajorityModel, samples, labels, accuracy_score, n_folds=3)
-        assert len(scores) == 3
-        assert all(0.0 <= s <= 1.0 for s in scores)

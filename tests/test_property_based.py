@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 from collections import Counter
-from datetime import datetime, timedelta
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +20,6 @@ from repro.storage.rdbms.table import Table
 from repro.storage.rdbms.types import ColumnType
 from repro.storage.warehouse.blocks import ColumnarBlock
 from repro.streaming.broker import MessageBroker
-from repro.streaming.windowing import window_start
 
 # Text strategies: printable-ish text including punctuation and unicode.
 texts = st.text(min_size=0, max_size=400)
@@ -140,15 +138,6 @@ class TestStreamingProperties:
             if partition in seen:
                 assert message.offset > seen[partition]
             seen[partition] = message.offset
-
-    @given(st.datetimes(min_value=datetime(2019, 1, 1), max_value=datetime(2021, 1, 1)),
-           st.integers(min_value=1, max_value=72))
-    @settings(max_examples=60, deadline=None)
-    def test_window_start_is_idempotent_and_contains_timestamp(self, ts, hours):
-        duration = timedelta(hours=hours)
-        start = window_start(ts, duration)
-        assert start <= ts < start + duration
-        assert window_start(start, duration) == start
 
 
 class TestMathProperties:

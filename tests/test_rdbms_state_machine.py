@@ -8,9 +8,8 @@ begin / commit / rollback / reopen and checks it against two dicts: the
 
 * ``table.rows()`` ≡ the live model;
 * every index agrees with a scan — equality lookups per value,
-  ``len(index)`` ≡ non-null rows, at most one row per UNIQUE value, the
-  full-text index (directly and through the planner's MATCH) ≡ a token scan,
-  and ``GROUP BY outlet`` + ``COUNT(*)`` read off the hash index ≡ the model
+  ``len(index)`` ≡ non-null rows, at most one row per UNIQUE value, and
+  ``GROUP BY outlet`` + ``COUNT(*)`` read off the hash index ≡ the model
   (a row moved between buckets, a bucket emptied, a bucket rolled back);
 * a fresh ``Database`` over the same directory ≡ the committed model — the
   log holds exactly what was committed.
@@ -33,7 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.errors import ConstraintViolation
-from repro.storage.rdbms import Column, ColumnType, Database, TableSchema, col, match
+from repro.storage.rdbms import Column, ColumnType, Database, TableSchema, col
 
 SCHEMA = TableSchema(
     name="pages",
@@ -88,7 +87,6 @@ class DatabaseMachine(RuleBasedStateMachine):
         self.db.create_table(SCHEMA)
         self.db.create_index("pages", "score", kind="sorted")
         self.db.create_index("pages", "outlet", kind="hash")
-        self.db.create_fts_index("pages", ("title",))
         self.live: dict[int, dict] = {}
         self.committed: dict[int, dict] = {}
         self.transaction = None
@@ -219,23 +217,6 @@ class DatabaseMachine(RuleBasedStateMachine):
                     assert len(index.lookup(value)) <= 1, (column, value)
             non_null = sum(1 for row in self.live.values() if row[column] is not None)
             assert len(index) == non_null, column
-
-    @invariant()
-    def full_text_index_agrees_with_a_token_scan(self):
-        table = self.db.table("pages")
-        assert len(table.fts_index) == len(self.live)
-        for word in WORDS:
-            expected = {
-                k for k, row in self.live.items() if word in (row["title"] or "").split()
-            }
-            indexed = {
-                table.row_by_id(row_id)["id"] for row_id in table.fts_index.match_row_ids(word)
-            }
-            planned = {
-                row["id"] for row in self.db.query("pages").where(match("title", word)).execute()
-            }
-            assert indexed == expected, word
-            assert planned == expected, word
 
     @invariant()
     def grouped_count_from_the_hash_index_agrees_with_the_model(self):

@@ -1,4 +1,4 @@
-"""Tests for the social substrate: accounts, reach, stance aggregation, cascades."""
+"""Tests for the social substrate: accounts, reach, stance aggregation."""
 
 from datetime import datetime
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.models import Reaction, ReactionKind, SocialPost
 from repro.social.accounts import AccountRegistry, SocialAccount
-from repro.social.cascade import build_cascade, cascade_metrics, share_reactions
 from repro.social.reach import compute_reach, posts_per_article, reactions_per_article
 from repro.social.stance_aggregate import aggregate_stance
 
@@ -113,33 +112,3 @@ class TestStanceAggregation:
         assert distribution.n_classified == 0
         assert distribution.positive_fraction == 0.0
 
-
-class TestCascade:
-    def test_cascade_structure_and_metrics(self):
-        posts = [
-            _post("root1"),
-            _post("childA", reply_to="root1"),
-            _post("childB", reply_to="root1"),
-            _post("grandchild", reply_to="childA"),
-            _post("orphan", reply_to="missing-post"),
-        ]
-        reactions = [_reaction("r1", "root1", ReactionKind.SHARE), _reaction("r2", "childB", ReactionKind.QUOTE)]
-        cascade = build_cascade(URL, posts, reactions)
-        metrics = cascade_metrics(cascade)
-        assert cascade.size == 7
-        assert set(cascade.roots) == {"root1", "orphan"}
-        assert metrics["depth"] >= 2
-        assert metrics["breadth"] >= 2
-        assert metrics["virality"] > 0
-
-    def test_empty_cascade(self):
-        metrics = cascade_metrics(build_cascade(URL, [], []))
-        assert metrics["size"] == 0.0
-
-    def test_share_reactions_filter(self):
-        reactions = [
-            _reaction("r1", "p", ReactionKind.LIKE),
-            _reaction("r2", "p", ReactionKind.SHARE),
-            _reaction("r3", "p", ReactionKind.QUOTE),
-        ]
-        assert {r.reaction_id for r in share_reactions(reactions)} == {"r2", "r3"}

@@ -11,6 +11,7 @@ from datetime import datetime
 
 import pytest
 
+from fts_oracle import FtsOracle
 from repro.core.platform import SciLensPlatform
 from repro.errors import FtsError, StorageError
 from repro.models import Article
@@ -136,6 +137,41 @@ class TestFtsIndex:
             ("state-of-the", True),
             ("art", False),
         ]
+
+
+CORPUS = [
+    ("measles vaccine trial", "efficacy results published"),
+    ("quantum computing advance", "qubits entangled"),
+    ("vaccine hesitancy grows", "survey of parents"),
+    ("local sports roundup", "the match went to extra time"),
+]
+
+
+class TestIndexMatchesOracle:
+    """Fixed queries answered exactly as the brute-force oracle answers them,
+    wherever the documents live: the write buffer, one segment per document,
+    or a compacted segment next to a buffer."""
+
+    def build(self, layout: str):
+        index = FtsIndex("docs", dfs=make_dfs(), flush_docs=None)
+        oracle = FtsOracle()
+        for doc_id, (title, body) in enumerate(CORPUS):
+            index.add(doc_id, text=f"{title} {body}")
+            oracle.add(doc_id, f"{title} {body}")
+            if layout == "segments" or (layout == "compacted+buffer" and doc_id < 2):
+                index.flush()
+        if layout == "compacted+buffer":
+            index.compact()
+        return index, oracle
+
+    @pytest.mark.parametrize("layout", ["buffer", "segments", "compacted+buffer"])
+    @pytest.mark.parametrize(
+        "query", ["vaccine", "vaccine trial", "qu*", "vacc* trial", "match", "", "!!!"]
+    )
+    def test_fixed_queries_match_the_oracle(self, layout, query):
+        index, oracle = self.build(layout)
+        assert index.match_ids(query) == oracle.match_ids(query)
+        assert index.search(query) == oracle.search(query)
 
 
 # --------------------------------------------------------------- durability
@@ -316,6 +352,21 @@ class TestPlatformSearch:
         assert platform.search_articles("vaccine")
         platform.database.delete("articles", col("article_id") == "a0")
         assert platform.search_articles("vaccine") == []
+
+    def test_index_stays_fresh_under_updates(self):
+        from repro.storage.rdbms.expressions import col
+
+        platform = SciLensPlatform()
+        platform.store_article(article(0, "measles vaccine trial"))
+        platform.store_article(article(1, "quantum computing advance"))
+        assert {a.article_id for a, _ in platform.search_articles("vaccine")} == {"a0"}
+        platform.database.update(
+            "articles", col("article_id") == "a1", {"title": "vaccine rollout schedule"}
+        )
+        assert {a.article_id for a, _ in platform.search_articles("vaccine")} == {"a0", "a1"}
+        assert platform.search_articles("quantum") == []
+        platform.store_article(article(0, "measles booster trial"))
+        assert {a.article_id for a, _ in platform.search_articles("vaccine")} == {"a1"}
 
     def test_migration_bootstrap_backfills_index(self):
         platform = SciLensPlatform()

@@ -5,7 +5,7 @@ from datetime import datetime
 import pytest
 
 from repro.errors import ColumnNotFound, SchemaError
-from repro.storage.rdbms.expressions import col, equality_lookup, lit
+from repro.storage.rdbms.expressions import col, extract_constraints, lit
 from repro.storage.rdbms.index import HashIndex, SortedIndex, build_index
 from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.types import ColumnType
@@ -133,8 +133,8 @@ class TestExpressions:
     def test_columns_introspection_and_equality_lookup(self):
         expr = (col("a") == 1) & (col("b") > 2)
         assert expr.columns() == {"a", "b"}
-        assert equality_lookup(expr) == {"a": 1}
-        assert equality_lookup(None) == {}
+        assert extract_constraints(expr).equalities == {"a": 1}
+        assert extract_constraints(None).equalities == {}
 
 
 class TestIndexes:

@@ -6,10 +6,9 @@ import pytest
 
 from repro.errors import ColumnNotFound, StorageError
 from repro.storage.rdbms.database import Database
-from repro.storage.rdbms.expressions import col, extract_constraints, match
+from repro.storage.rdbms.expressions import col, extract_constraints
 from repro.storage.rdbms.index import SortedIndex
 from repro.storage.rdbms.planner import (
-    FTS_INDEX_SCAN,
     FULL_SCAN,
     INDEX_EQ,
     INDEX_INTERSECT,
@@ -494,107 +493,3 @@ class TestAggregateProjection:
         with pytest.raises(ColumnNotFound):
             Query(table).select("does_not_exist").execute()
 
-
-class TestFtsAccessPath:
-    """MATCH predicates served from the table-attached FTS index."""
-
-    def build_docs(self, with_fts: bool = True) -> Table:
-        schema = TableSchema(
-            name="docs",
-            primary_key="id",
-            columns=(
-                Column("id", ColumnType.INTEGER, nullable=False),
-                Column("title", ColumnType.TEXT),
-                Column("body", ColumnType.TEXT),
-                Column("rank", ColumnType.INTEGER, default=0),
-            ),
-        )
-        table = Table(schema)
-        corpus = [
-            ("measles vaccine trial", "efficacy results published"),
-            ("quantum computing advance", "qubits entangled"),
-            ("vaccine hesitancy grows", "survey of parents"),
-            ("local sports roundup", "the match went to extra time"),
-        ]
-        for i, (title, body) in enumerate(corpus):
-            table.insert({"id": i, "title": title, "body": body, "rank": i * 10})
-        if with_fts:
-            table.create_fts_index(("title", "body"))
-        table.create_index("rank", kind="sorted")
-        return table
-
-    def test_explain_shows_fts_index_scan(self):
-        table = self.build_docs()
-        plan = Query(table).where(match(("title", "body"), "vaccine")).explain()
-        assert plan.access_path == FTS_INDEX_SCAN
-        assert plan.access_steps == ("fts_index_scan(title,body)",)
-        assert plan.candidate_rows == 2
-
-    def test_fts_composes_with_range_index(self):
-        # On the 4-row corpus one probe is enough; with 400 rows and two
-        # conjuncts that each keep ~10%, the second probe pays for itself.
-        table = self.build_docs()
-        for i in range(4, 400):
-            title = "vaccine update" if i % 10 == 0 else "council meeting"
-            table.insert({"id": i, "title": title, "body": "minutes", "rank": i})
-        predicate = match(("title", "body"), "vaccine") & (col("rank") >= 360)
-        plan = Query(table).where(predicate).explain()
-        assert plan.access_path == INDEX_INTERSECT
-        assert plan.stats_mode == STATS_COST
-        assert "fts_index_scan(title,body)" in plan.access_steps
-        assert "index-range(rank)" in plan.access_steps
-        rows = Query(table).where(predicate).execute().rows
-        assert sorted(row["id"] for row in rows) == [360, 370, 380, 390]
-
-    def test_subset_columns_use_the_covering_index(self):
-        # The index covers (title, body); MATCH on title alone is a subset,
-        # so the index's candidates are a valid superset and the executor's
-        # re-evaluation trims them to title-only matches.
-        table = self.build_docs()
-        plan = Query(table).where(match("title", "match")).explain()
-        assert plan.access_path == FTS_INDEX_SCAN
-        rows = Query(table).where(match("title", "match")).execute().rows
-        assert rows == []  # "match" appears only in a body
-        body_rows = Query(table).where(match("body", "match")).execute().rows
-        assert [row["id"] for row in body_rows] == [3]
-
-    def test_no_fts_index_falls_back_to_full_scan(self):
-        table = self.build_docs(with_fts=False)
-        plan = Query(table).where(match(("title", "body"), "vaccine")).explain()
-        assert plan.access_path == FULL_SCAN
-        rows = Query(table).where(match(("title", "body"), "vaccine")).execute().rows
-        assert [row["id"] for row in rows] == [0, 2]
-
-    def test_uncovered_column_falls_back_but_stays_correct(self):
-        schema = TableSchema(
-            name="notes",
-            primary_key="id",
-            columns=(
-                Column("id", ColumnType.INTEGER, nullable=False),
-                Column("title", ColumnType.TEXT),
-                Column("secret", ColumnType.TEXT),
-            ),
-        )
-        table = Table(schema)
-        table.insert({"id": 0, "title": "alpha", "secret": "omega"})
-        table.create_fts_index(("title",))  # does not cover "secret"
-        plan = Query(table).where(match("secret", "omega")).explain()
-        assert plan.access_path == FULL_SCAN
-        rows = Query(table).where(match("secret", "omega")).execute().rows
-        assert [row["id"] for row in rows] == [0]
-
-    def test_fts_equivalence_with_full_scan(self):
-        indexed, plain = self.build_docs(), self.build_docs(with_fts=False)
-        for query in ("vaccine", "vaccine trial", "qu*", "match", "", "!!!"):
-            predicate = match(("title", "body"), query)
-            fast = Query(indexed).where(predicate).execute().rows
-            slow = Query(plain).where(predicate).execute().rows
-            assert fast == slow
-
-    def test_index_stays_fresh_under_mutations(self):
-        table = self.build_docs()
-        table.update_rows(col("id") == 1, {"title": "vaccine rollout schedule"})
-        predicate = match(("title", "body"), "vaccine")
-        assert {r["id"] for r in Query(table).where(predicate).execute().rows} == {0, 1, 2}
-        table.delete_rows(col("id") == 0)
-        assert {r["id"] for r in Query(table).where(predicate).execute().rows} == {1, 2}

@@ -1,72 +1,75 @@
-"""Tests for the SQL dialect, the Database facade, transactions and the WAL."""
+"""Tests for the Database facade, transactions and the WAL."""
 
 import pytest
 
-from repro.errors import SQLSyntaxError, StorageError, TableNotFound, TransactionError
+from repro.errors import StorageError, TableNotFound, TransactionError
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, TableSchema
-from repro.storage.rdbms.sql import SelectStatement, parse_sql
 from repro.storage.rdbms.types import ColumnType
 from repro.storage.rdbms.wal import WriteAheadLog
+
+ARTICLES = TableSchema(
+    name="articles",
+    primary_key="id",
+    columns=(
+        Column("id", ColumnType.TEXT, nullable=False),
+        Column("outlet", ColumnType.TEXT, nullable=False),
+        Column("reactions", ColumnType.INTEGER),
+        Column("score", ColumnType.FLOAT),
+        Column("covid", ColumnType.BOOLEAN),
+    ),
+)
 
 
 def make_db() -> Database:
     db = Database()
-    db.execute(
-        "CREATE TABLE articles (id TEXT PRIMARY KEY, outlet TEXT NOT NULL, "
-        "reactions INTEGER, score FLOAT, covid BOOLEAN)"
-    )
-    db.execute(
-        "INSERT INTO articles (id, outlet, reactions, score, covid) VALUES "
-        "('a1', 'low.example.com', 50, 0.2, TRUE), "
-        "('a2', 'low.example.com', 120, 0.3, TRUE), "
-        "('a3', 'high.example.com', 10, 0.8, FALSE), "
-        "('a4', 'high.example.com', 5, 0.9, TRUE)"
-    )
+    db.create_table(ARTICLES)
+    for id_, outlet, reactions, score, covid in (
+        ("a1", "low.example.com", 50, 0.2, True),
+        ("a2", "low.example.com", 120, 0.3, True),
+        ("a3", "high.example.com", 10, 0.8, False),
+        ("a4", "high.example.com", 5, 0.9, True),
+    ):
+        db.insert(
+            "articles",
+            {"id": id_, "outlet": outlet, "reactions": reactions, "score": score, "covid": covid},
+        )
     return db
 
 
-class TestSqlParsing:
-    def test_select_statement_structure(self):
-        statement = parse_sql(
-            "SELECT id, score FROM articles WHERE covid = TRUE AND reactions >= 10 "
-            "ORDER BY score DESC LIMIT 5 OFFSET 2"
-        )
-        assert isinstance(statement, SelectStatement)
-        assert statement.columns == ["id", "score"]
-        assert statement.limit == 5 and statement.offset == 2
-        assert statement.order_by == [("score", True)]
+class TestDatabase:
+    def test_duplicate_table_creation_rejected(self):
+        db = make_db()
+        with pytest.raises(StorageError):
+            db.create_table(TableSchema(
+                name="articles", primary_key="id",
+                columns=(Column("id", ColumnType.TEXT, nullable=False),),
+            ))
 
-    def test_string_escaping(self):
-        statement = parse_sql("SELECT * FROM t WHERE name = 'O''Brien'")
-        assert "O'Brien" in repr(statement.where)
+    def test_unknown_table(self):
+        db = make_db()
+        with pytest.raises(TableNotFound):
+            db.query("missing")
 
-    def test_malformed_statements_raise(self):
-        for bad in (
-            "",
-            "SELEC id FROM t",
-            "SELECT FROM t",
-            "INSERT INTO t (a) VALUES (1, 2)",
-            "SELECT * FROM t WHERE",
-            "DROP TABLE t",
-        ):
-            with pytest.raises(SQLSyntaxError):
-                parse_sql(bad)
-
-
-class TestDatabaseSql:
     def test_select_where_and_order(self):
         db = make_db()
-        result = db.execute(
-            "SELECT id FROM articles WHERE covid = TRUE ORDER BY reactions DESC LIMIT 2"
+        result = (
+            db.query("articles")
+            .where(col("covid") == True)  # noqa: E712 - builds an expression
+            .order_by("reactions", descending=True)
+            .limit(2)
+            .execute()
         )
         assert [row["id"] for row in result] == ["a2", "a1"]
 
     def test_aggregation_with_group_by(self):
         db = make_db()
-        result = db.execute(
-            "SELECT outlet, COUNT(*) AS n, AVG(score) AS mean_score FROM articles GROUP BY outlet"
+        result = (
+            db.query("articles")
+            .group_by("outlet")
+            .aggregate(n=("count", "*"), mean_score=("avg", "score"))
+            .execute()
         )
         by_outlet = {row["outlet"]: row for row in result}
         assert by_outlet["low.example.com"]["n"] == 2
@@ -74,45 +77,58 @@ class TestDatabaseSql:
 
     def test_grouped_count_over_a_hash_indexed_column_is_read_off_the_index(self):
         db = make_db()
-        sql = "SELECT outlet, COUNT(*) AS n FROM articles GROUP BY outlet"
-        scanned = db.execute(sql).rows
+
+        def grouped(predicate=None):
+            query = db.query("articles")
+            if predicate is not None:
+                query = query.where(predicate)
+            query = query.group_by("outlet").aggregate(n=("count", "*"))
+            return query.order_by("outlet").execute().rows
+
+        scanned = grouped()
         db.create_index("articles", "outlet", kind="hash")
-        assert db.execute(sql).rows == scanned == [
+        assert grouped() == scanned == [
             {"outlet": "high.example.com", "n": 2},
             {"outlet": "low.example.com", "n": 2},
         ]
         assert db.planner_status()["plans_by_path"] == {"full-scan": 1, "index-group-count": 1}
-        # A WHERE clause sends the same statement back to scan-and-aggregate.
-        db.execute("SELECT outlet, COUNT(*) AS n FROM articles WHERE covid = TRUE GROUP BY outlet")
+        # A WHERE clause sends the same grouping back to scan-and-aggregate.
+        grouped(col("covid") == True)  # noqa: E712 - builds an expression
         assert db.planner_status()["plans_by_path"]["index-group-count"] == 1
 
     def test_update_and_delete(self):
         db = make_db()
-        assert db.execute("UPDATE articles SET score = 0.5 WHERE outlet = 'low.example.com'")[0]["updated"] == 2
+        assert db.update("articles", col("outlet") == "low.example.com", {"score": 0.5}) == 2
         assert db.get("articles", "a1")["score"] == 0.5
-        assert db.execute("DELETE FROM articles WHERE reactions < 20")[0]["deleted"] == 2
+        assert db.delete("articles", col("reactions") < 20) == 2
         assert db.table("articles").row_count() == 2
 
     def test_like_and_in_predicates(self):
         db = make_db()
-        assert len(db.execute("SELECT * FROM articles WHERE outlet LIKE 'low%'")) == 2
-        assert len(db.execute("SELECT * FROM articles WHERE id IN ('a1', 'a4')")) == 2
+        assert len(db.query("articles").where(col("outlet").like("low%")).execute()) == 2
+        assert len(db.query("articles").where(col("id").is_in(["a1", "a4"])).execute()) == 2
 
     def test_is_null(self):
         db = make_db()
-        db.execute("INSERT INTO articles (id, outlet) VALUES ('a5', 'x.example.com')")
-        assert [r["id"] for r in db.execute("SELECT id FROM articles WHERE score IS NULL")] == ["a5"]
-        assert len(db.execute("SELECT id FROM articles WHERE score IS NOT NULL")) == 4
+        db.insert("articles", {"id": "a5", "outlet": "x.example.com"})
+        nulls = db.query("articles").where(col("score").is_null()).select("id").execute()
+        assert [row["id"] for row in nulls] == ["a5"]
+        assert db.query("articles").where(col("score").is_not_null()).count() == 4
 
-    def test_duplicate_table_creation_rejected(self):
-        db = make_db()
-        with pytest.raises(StorageError):
-            db.execute("CREATE TABLE articles (id TEXT PRIMARY KEY)")
-
-    def test_unknown_table(self):
-        db = make_db()
+    def test_drop_table_is_logged_and_replayed(self, tmp_path):
+        db = Database(data_dir=tmp_path)
+        db.create_table(ARTICLES)
+        db.insert("articles", {"id": "a1", "outlet": "x.example.com"})
+        db.drop_table("articles")
+        assert not db.has_table("articles") and db.table_names() == []
         with pytest.raises(TableNotFound):
-            db.execute("SELECT * FROM missing")
+            db.drop_table("articles")
+        # Created again after the drop: replay must not bring back the old row.
+        db.create_table(ARTICLES)
+        db.insert("articles", {"id": "a2", "outlet": "y.example.com"})
+        reopened = Database(data_dir=tmp_path)
+        assert reopened.table_names() == ["articles"]
+        assert [row["id"] for row in reopened.table("articles").rows()] == ["a2"]
 
 
 class TestTransactions:
@@ -224,14 +240,6 @@ class TestWal:
         ):
             assert again.create_table(other, if_not_exists=True).schema == wide
         assert again.wal_lsn() == lsn + 2
-
-    def test_checkpoint_truncates_log(self, tmp_path):
-        db = Database(data_dir=tmp_path)
-        db.execute("CREATE TABLE t (id TEXT PRIMARY KEY)")
-        db.execute("INSERT INTO t (id) VALUES ('x')")
-        assert len(WriteAheadLog(tmp_path / "wal.jsonl")) >= 2
-        db.checkpoint()
-        assert len(WriteAheadLog(tmp_path / "wal.jsonl")) == 0
 
     def test_wal_records_are_sequenced(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.jsonl")

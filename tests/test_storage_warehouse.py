@@ -194,7 +194,9 @@ class TestMigration:
 
     def test_missing_timestamp_column_rejected(self):
         db = Database()
-        db.execute("CREATE TABLE t (id TEXT PRIMARY KEY)")
+        db.create_table(TableSchema(
+            name="t", primary_key="id", columns=(Column("id", ColumnType.TEXT, nullable=False),),
+        ))
         job = MigrationJob(db, Warehouse())
         with pytest.raises(Exception):
             job.add_table("t")

@@ -1,6 +1,4 @@
-"""Tests for the message broker, producer, consumer, checkpointing and windowing."""
-
-from datetime import datetime, timedelta
+"""Tests for the message broker, consumer and checkpointing."""
 
 import pytest
 
@@ -9,8 +7,6 @@ from repro.streaming.broker import MessageBroker
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.consumer import Consumer
 from repro.streaming.message import Message
-from repro.streaming.producer import Producer
-from repro.streaming.windowing import TumblingWindow, WindowedCounter, aggregate_by_window, window_start
 
 
 class TestBroker:
@@ -107,27 +103,32 @@ class TestBroker:
         broker.produce_many("t", [("a", {"i": 1}), ("b", {"i": 2})])
         assert len(broker.read_all("t")) == 2
 
+    def test_produce_many_appends_a_batch_in_order(self):
+        broker = MessageBroker(default_partitions=1)
+        broker.create_topic("t")
+        assert broker.produce_many("t", [(None, {"i": i}) for i in range(3)]) == 3
+        assert broker.topic_stats("t").total_messages == 3
+        assert [(m.offset, m.value["i"]) for m in broker.read_all("t")] == [(0, 0), (1, 1), (2, 2)]
+
+    def test_produce_many_routes_keys_like_produce(self):
+        broker = MessageBroker(default_partitions=4)
+        broker.create_topic("t")
+        broker.produce_many("t", [(f"k{i % 3}", {"i": i}) for i in range(9)])
+        single = {key: broker.produce("t", {}, key=key).partition for key in ("k0", "k1", "k2")}
+        for message in broker.read_all("t"):
+            assert message.partition == single[message.key]
+
+    def test_topic_needs_a_partition_and_poll_a_budget(self):
+        broker = MessageBroker()
+        with pytest.raises(StreamingError):
+            broker.create_topic("t", partitions=0)
+        assert not broker.has_topic("t")
+        broker.create_topic("u")
+        with pytest.raises(StreamingError):
+            broker.poll("g", "u", max_messages=0)
+
 
 class TestProducerConsumer:
-    def test_producer_batches_and_flushes(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        producer = Producer(broker, batch_size=3)
-        producer.send("t", {"i": 1})
-        producer.send("t", {"i": 2})
-        assert producer.pending == 2
-        assert broker.topic_stats("t").total_messages == 0
-        producer.send("t", {"i": 3})  # triggers automatic flush
-        assert producer.pending == 0
-        assert broker.topic_stats("t").total_messages == 3
-
-    def test_producer_context_manager_flushes(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        with Producer(broker, batch_size=100) as producer:
-            producer.send("t", {"i": 1})
-        assert broker.topic_stats("t").total_messages == 1
-
     def test_consumer_process_is_at_least_once(self):
         broker = MessageBroker(default_partitions=1)
         broker.create_topic("t")
@@ -304,59 +305,3 @@ class TestProducerConsumer:
         assert seen["x"] == list(range(20))
         assert seen["y"] == list(range(20))
 
-
-class TestWindowing:
-    def test_window_start_alignment(self):
-        origin = datetime(2020, 1, 15)
-        ts = datetime(2020, 1, 17, 13, 45)
-        assert window_start(ts, timedelta(days=1), origin) == datetime(2020, 1, 17)
-
-    def test_window_start_accepts_timezone_aware_timestamps(self):
-        from datetime import timezone
-
-        ts = datetime(2020, 1, 17, 13, 45, tzinfo=timezone.utc)
-        start = window_start(ts, timedelta(days=1))
-        assert start == datetime(2020, 1, 17, tzinfo=timezone.utc)
-        assert start.tzinfo is timezone.utc
-        # The same instant with a different UTC offset lands in the same window.
-        shifted = ts.astimezone(timezone(timedelta(hours=5, minutes=30)))
-        assert window_start(shifted, timedelta(days=1)) == start
-        # Naive timestamps keep working exactly as before.
-        assert window_start(datetime(2020, 1, 17, 13, 45), timedelta(days=1)) == datetime(2020, 1, 17)
-
-    def test_windowed_counter_accepts_aware_events(self):
-        from datetime import timezone
-
-        counter = WindowedCounter(timedelta(hours=1))
-        counter.add(datetime(2020, 1, 15, 9, 30, tzinfo=timezone.utc), "low")
-        counter.add(datetime(2020, 1, 15, 9, 45, tzinfo=timezone.utc), "low")
-        assert counter.count(datetime(2020, 1, 15, 9, tzinfo=timezone.utc), "low") == 2
-
-    def test_tumbling_window_contains(self):
-        window = TumblingWindow(start=datetime(2020, 1, 15), duration=timedelta(days=1))
-        assert window.contains(datetime(2020, 1, 15, 23, 59))
-        assert not window.contains(datetime(2020, 1, 16))
-
-    def test_windowed_counter_series(self):
-        counter = WindowedCounter(timedelta(days=1), origin=datetime(2020, 1, 15))
-        counter.add(datetime(2020, 1, 15, 9), "low")
-        counter.add(datetime(2020, 1, 15, 18), "low")
-        counter.add(datetime(2020, 1, 16, 10), "high")
-        assert counter.count(datetime(2020, 1, 15), "low") == 2
-        assert counter.totals_by_group() == {"low": 2, "high": 1}
-        assert len(counter.windows()) == 2
-        assert counter.series("low")[0][1] == 2
-
-    def test_aggregate_by_window(self):
-        events = [
-            (datetime(2020, 1, 15, 8), 10),
-            (datetime(2020, 1, 15, 20), 20),
-            (datetime(2020, 1, 16, 9), 5),
-        ]
-        result = aggregate_by_window(events, timedelta(days=1), sum, origin=datetime(2020, 1, 15))
-        assert result[datetime(2020, 1, 15)] == 30
-        assert result[datetime(2020, 1, 16)] == 5
-
-    def test_invalid_window_duration(self):
-        with pytest.raises(StreamingError):
-            WindowedCounter(timedelta(seconds=0))
