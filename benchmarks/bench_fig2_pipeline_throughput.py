@@ -99,7 +99,6 @@ def test_fig2_daily_migration_throughput(benchmark, paper_platform):
             job.add_table(
                 mapping.rdbms_table,
                 mapping.warehouse_table,
-                timestamp_column=mapping.timestamp_column,
                 partition_column=mapping.partition_column,
                 sort_key=paper_platform.warehouse.table(mapping.warehouse_table).sort_key,
             )

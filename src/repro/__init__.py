@@ -43,7 +43,7 @@ from .core.insights import DistributionComparison, InsightsEngine, NewsroomActiv
 from .core.pipeline import ArticleEvaluationPipeline
 from .core.platform import SciLensPlatform
 from .core.scoring import ArticleAssessment, fuse_scores
-from .api import ApiGateway, AsyncGateway, ShardedGateway, build_gateway, build_serving_tier
+from .api import ApiGateway, ShardedGateway, build_gateway, build_serving_tier
 from .simulation import CovidScenarioConfig, generate_covid_scenario
 
 __version__ = "1.0.0"
@@ -79,7 +79,6 @@ __all__ = [
     "ArticleAssessment",
     "fuse_scores",
     "ApiGateway",
-    "AsyncGateway",
     "ShardedGateway",
     "build_gateway",
     "build_serving_tier",

@@ -1,8 +1,8 @@
 """Time utilities shared across the platform.
 
 All timestamps in the library are timezone-naive UTC ``datetime`` objects.
-The helpers here centralise parsing, day bucketing and the definition of the
-paper's COVID-19 collection window (2020-01-15 to 2020-03-15, 60 days).
+The helpers here define the paper's COVID-19 collection window (2020-01-15
+to 2020-03-15, 60 days) and walk it day by day.
 """
 
 from __future__ import annotations
@@ -16,36 +16,6 @@ COVID_WINDOW_START = datetime(2020, 1, 15)
 #: End of the paper's COVID-19 data-collection window (exclusive).
 COVID_WINDOW_END = datetime(2020, 3, 15)
 
-#: Number of days in the collection window.
-COVID_WINDOW_DAYS = (COVID_WINDOW_END - COVID_WINDOW_START).days
-
-
-def to_datetime(value: datetime | date | str | float | int) -> datetime:
-    """Coerce ``value`` into a naive UTC ``datetime``.
-
-    Accepts ``datetime`` (returned as-is), ``date`` (midnight), ISO-8601
-    strings, and POSIX timestamps (``int``/``float``).
-    """
-    if isinstance(value, datetime):
-        return value
-    if isinstance(value, date):
-        return datetime(value.year, value.month, value.day)
-    if isinstance(value, str):
-        return datetime.fromisoformat(value)
-    if isinstance(value, (int, float)):
-        return datetime.utcfromtimestamp(float(value))
-    raise TypeError(f"cannot convert {type(value).__name__} to datetime")
-
-
-def day_of(ts: datetime) -> date:
-    """Return the calendar day (UTC) containing ``ts``."""
-    return ts.date()
-
-
-def day_index(ts: datetime, start: datetime = COVID_WINDOW_START) -> int:
-    """Return the zero-based day index of ``ts`` relative to ``start``."""
-    return (to_datetime(ts).date() - start.date()).days
-
 
 def iter_days(start: datetime, end: datetime) -> Iterator[date]:
     """Yield every calendar day in ``[start, end)``."""
@@ -54,33 +24,3 @@ def iter_days(start: datetime, end: datetime) -> Iterator[date]:
     while current < last:
         yield current
         current += timedelta(days=1)
-
-
-def window_days(
-    start: datetime = COVID_WINDOW_START, end: datetime = COVID_WINDOW_END
-) -> list[date]:
-    """Return the list of days covered by the collection window."""
-    return list(iter_days(start, end))
-
-
-def clamp_to_window(
-    ts: datetime,
-    start: datetime = COVID_WINDOW_START,
-    end: datetime = COVID_WINDOW_END,
-) -> datetime:
-    """Clamp ``ts`` into ``[start, end)`` (used by generators)."""
-    if ts < start:
-        return start
-    if ts >= end:
-        return end - timedelta(seconds=1)
-    return ts
-
-
-def hours_between(earlier: datetime, later: datetime) -> float:
-    """Return the (possibly negative) number of hours from ``earlier`` to ``later``."""
-    return (later - earlier).total_seconds() / 3600.0
-
-
-def days_between(earlier: datetime, later: datetime) -> float:
-    """Return the (possibly negative) number of fractional days between two instants."""
-    return (later - earlier).total_seconds() / 86400.0

@@ -20,7 +20,6 @@ from .monitoring_service import MonitoringService
 from .reviews_service import ReviewsService
 from .serving import (
     AdmissionController,
-    AsyncGateway,
     RequestCoalescer,
     ShardedGateway,
     build_serving_tier,
@@ -38,7 +37,6 @@ __all__ = [
     "MonitoringService",
     "ReviewsService",
     "AdmissionController",
-    "AsyncGateway",
     "RequestCoalescer",
     "ShardedGateway",
     "build_serving_tier",

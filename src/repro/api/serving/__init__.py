@@ -1,4 +1,4 @@
-"""The serving tier: admission control, coalescing, sharding, async front end.
+"""The serving tier: admission control, coalescing, sharding.
 
 Layered over the synchronous micro-service gateway (:mod:`repro.api`), this
 package is the protection-and-scale middle layer between clients and the
@@ -8,10 +8,8 @@ platform backend — see ``docs/serving.md``:
   rejected requests get a typed 429 with ``retry_after_s``.
 * :mod:`.coalesce` — single-flight deduplication of identical in-flight
   cacheable reads (the hot-dashboard thundering herd executes once).
-* :mod:`.sharding` — consistent-hash routing over N gateway shards behind
-  the one :class:`ShardedGateway` front door.
-* :mod:`.async_gateway` — an asyncio facade driving the sync tier on a
-  bounded executor.
+* :mod:`.sharding` — hash routing over N gateway shards behind the one
+  :class:`ShardedGateway` front door.
 
 ``build_serving_tier`` wires all of it from :class:`repro.config.ServingConfig`
 and attaches the front door to the platform so ``status()["serving"]``
@@ -21,16 +19,13 @@ reports admitted/throttled/coalesced/per-shard counters.
 from __future__ import annotations
 
 from .admission import AdmissionController, AdmissionDecision, ConcurrencyLimiter, TokenBucket
-from .async_gateway import AsyncGateway
 from .coalesce import RequestCoalescer
-from .sharding import HashRing, ShardedGateway
+from .sharding import ShardedGateway
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "AsyncGateway",
     "ConcurrencyLimiter",
-    "HashRing",
     "RequestCoalescer",
     "ShardedGateway",
     "TokenBucket",
@@ -44,8 +39,8 @@ def build_serving_tier(platform, serving_config=None, api_config=None, attach: b
     Each shard is a fully-mounted gateway from :func:`repro.api.build_gateway`
     (its own response cache, shared platform backend).  Sharding and
     admission limits follow ``serving_config`` (defaulting to the platform's
-    ``config.serving`` section); coalescing is always on.  When ``attach`` is true the front door is
-    registered on the platform so ``status()["serving"]`` reports it.
+    ``config.serving`` section); coalescing is always on.  When ``attach`` is
+    true the front door is registered on the platform so ``status()["serving"]`` reports it.
     """
     from .. import build_gateway
 
@@ -54,7 +49,6 @@ def build_serving_tier(platform, serving_config=None, api_config=None, attach: b
     front = ShardedGateway(
         shard_factory=lambda index: build_gateway(platform, api_config),
         n_shards=serving.shards,
-        ring_replicas=serving.ring_replicas,
         admission=AdmissionController(
             rate_per_s=serving.admission_rate_per_s,
             burst=serving.admission_burst,

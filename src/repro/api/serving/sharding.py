@@ -1,24 +1,21 @@
-"""Consistent-hash sharding of the gateway behind one front door.
+"""Hash sharding of the gateway behind one front door.
 
-``HashRing`` places every shard at ``replicas`` pseudo-random points on a
-64-bit ring (the same process-independent :func:`repro.compute.shuffle.stable_hash`
-used for shuffle partitioning and warehouse placement, over canonical keys);
-a request key is served by the first shard clockwise from its hash.  Adding
-or removing one shard therefore moves only ~1/N of the key space — the
-property the shard caches rely on to stay warm through resizes.
+A request key is served by shard ``stable_hash(key) % N`` (the same
+process-independent :func:`repro.compute.shuffle.stable_hash` used for
+warehouse placement, over canonical keys).  The shard set is fixed when the
+tier is built, so the map never moves a key.
 
 ``ShardedGateway`` is the serving-tier front door: admission control first
 (per-tenant token buckets + the global concurrency cap), then single-flight
-coalescing for cacheable reads, then consistent-hash routing to one of N
-backend :class:`~repro.api.gateway.ApiGateway` shards, each carrying every
-mounted service and its own response cache.
+coalescing for cacheable reads, then hash routing to one of N backend
+:class:`~repro.api.gateway.ApiGateway` shards, each carrying every mounted
+service and its own response cache.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from ...compute.shuffle import stable_hash
 from ...errors import ServiceError
@@ -26,52 +23,6 @@ from ..gateway import ApiGateway
 from ..service import ServiceResponse
 from .admission import AdmissionController
 from .coalesce import RequestCoalescer
-
-
-class HashRing:
-    """A consistent-hash ring with virtual nodes."""
-
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self._points: list[int] = []          # sorted vnode hashes
-        self._owners: list[str] = []          # owner of the vnode at the same index
-        self._nodes: set[str] = set()
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def nodes(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def add_node(self, name: str) -> None:
-        if name in self._nodes:
-            raise ValueError(f"node {name!r} already on the ring")
-        self._nodes.add(name)
-        for replica in range(self.replicas):
-            point = stable_hash(("ring", name, replica))
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, name)
-
-    def remove_node(self, name: str) -> None:
-        if name not in self._nodes:
-            raise ValueError(f"node {name!r} not on the ring")
-        self._nodes.discard(name)
-        keep = [(p, o) for p, o in zip(self._points, self._owners) if o != name]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
-    def node_for(self, key: Hashable) -> str:
-        """The node owning ``key``: first vnode clockwise from its hash."""
-        if not self._nodes:
-            raise ValueError("the ring has no nodes")
-        point = stable_hash(key)
-        index = bisect.bisect(self._points, point)
-        if index == len(self._points):  # wrap around
-            index = 0
-        return self._owners[index]
 
 
 class ShardedGateway:
@@ -87,8 +38,8 @@ class ShardedGateway:
        identical in-flight reads execute once, every waiter gets an equal
        response (followers receive their own deep copy).
     3. **Routing** — the request key (route + canonical params JSON, the
-       same key the response cache uses) picks a shard on the consistent-hash
-       ring, so repeats of a hot key always land on the same warm cache.
+       same key the response cache uses) picks shard ``stable_hash(key) % N``,
+       so repeats of a hot key always land on the same warm cache.
     """
 
     def __init__(
@@ -96,50 +47,16 @@ class ShardedGateway:
         shard_factory: Callable[[int], ApiGateway],
         n_shards: int,
         *,
-        ring_replicas: int = 64,
         admission: AdmissionController | None = None,
-        coalesce: bool = True,
     ) -> None:
         if n_shards < 1:
             raise ServiceError("n_shards must be >= 1")
-        self._shard_factory = shard_factory
-        self._shards: dict[str, ApiGateway] = {}
-        self._ring = HashRing(replicas=ring_replicas)
-        for index in range(n_shards):
-            self._add_shard(index)
+        self._shards = {f"shard-{index}": shard_factory(index) for index in range(n_shards)}
         self.admission = admission
-        self.coalescer = RequestCoalescer() if coalesce else None
+        self.coalescer = RequestCoalescer()
         self.request_count = 0
 
     # ---------------------------------------------------------------- shards
-
-    @staticmethod
-    def _shard_name(index: int) -> str:
-        return f"shard-{index}"
-
-    def _add_shard(self, index: int) -> None:
-        name = self._shard_name(index)
-        if name in self._shards:
-            raise ServiceError(f"shard {name!r} already exists")
-        self._shards[name] = self._shard_factory(index)
-        self._ring.add_node(name)
-
-    def add_shard(self) -> str:
-        """Grow the tier by one shard; only ~1/N of the keys re-route."""
-        index = 0
-        while self._shard_name(index) in self._shards:
-            index += 1
-        self._add_shard(index)
-        return self._shard_name(index)
-
-    def remove_shard(self, name: str) -> None:
-        """Drain one shard off the ring (its keys spread over the survivors)."""
-        if name not in self._shards:
-            raise ServiceError(f"no shard named {name!r}")
-        if len(self._shards) == 1:
-            raise ServiceError("cannot remove the last shard")
-        self._ring.remove_node(name)
-        del self._shards[name]
 
     def shard_names(self) -> list[str]:
         return sorted(self._shards)
@@ -149,13 +66,16 @@ class ShardedGateway:
 
     def shard_for(self, route: str, params: dict[str, Any] | None = None) -> str:
         """The shard that would serve this request (exposed for tests/ops)."""
-        return self._ring.node_for(self._request_key(route, params or {}))
+        return self._shard_for_key(self._request_key(route, params or {}))
 
     # --------------------------------------------------------------- serving
 
     @staticmethod
     def _request_key(route: str, params: dict[str, Any]) -> tuple[str, str]:
         return (route, json.dumps(params, sort_keys=True, default=str))
+
+    def _shard_for_key(self, key: tuple[str, str]) -> str:
+        return f"shard-{stable_hash(key) % len(self._shards)}"
 
     def _any_shard(self) -> ApiGateway:
         return next(iter(self._shards.values()))
@@ -187,8 +107,8 @@ class ShardedGateway:
                 )
         try:
             key = self._request_key(route, params)
-            shard = self._shards[self._ring.node_for(key)]
-            if self.coalescer is not None and self.is_cacheable(route):
+            shard = self._shards[self._shard_for_key(key)]
+            if self.is_cacheable(route):
                 response, _coalesced = self.coalescer.execute(
                     key, lambda: shard.handle(route, params)
                 )
@@ -207,7 +127,7 @@ class ShardedGateway:
             "requests": self.request_count,
             "shards": len(self._shards),
             "admission": self.admission.stats() if self.admission is not None else None,
-            "coalescing": self.coalescer.stats() if self.coalescer is not None else None,
+            "coalescing": self.coalescer.stats(),
             "per_shard": {
                 name: gateway.stats() for name, gateway in sorted(self._shards.items())
             },

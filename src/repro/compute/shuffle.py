@@ -33,7 +33,7 @@ def stable_hash(key: Hashable) -> int:
     Unlike the built-in ``hash`` this is not randomised per interpreter run,
     so it is safe to use wherever placement must be reproducible across
     processes and restarts: warehouse partition placement and the serving
-    tier's consistent-hash shard ring.
+    tier's shard map.
     """
     digest = hashlib.blake2b(repr(canonical_key(key)).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

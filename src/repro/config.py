@@ -121,19 +121,14 @@ class ServingConfig:
     """Configuration of the sharded serving tier in front of the API gateway.
 
     The serving tier (``repro.api.serving``) layers per-tenant token-bucket
-    admission control, single-flight request coalescing and consistent-hash
-    sharding over the synchronous micro-service gateway, plus an asyncio
-    front end driving the shards on an executor.
+    admission control, single-flight request coalescing and hash sharding
+    over the synchronous micro-service gateway.
     """
 
     #: Gateway shards behind the :class:`~repro.api.serving.ShardedGateway`
     #: front door.  Each shard carries every mounted service and its own
-    #: response cache; requests route by consistent hash of their cache key.
+    #: response cache; requests route by a stable hash of their cache key.
     shards: int = 4
-    #: Virtual nodes per shard on the consistent-hash ring.  More replicas
-    #: smooth the key distribution; adding/removing a shard still moves only
-    #: ~1/N of the keys.
-    ring_replicas: int = 64
     #: Steady-state tokens (requests) per second granted to each tenant.
     admission_rate_per_s: float = 200.0
     #: Bucket capacity: the burst a previously-idle tenant may send at once.
@@ -157,8 +152,6 @@ class ServingConfig:
     def validate(self) -> None:
         if self.shards < 1:
             raise ConfigurationError("serving.shards must be >= 1")
-        if self.ring_replicas < 1:
-            raise ConfigurationError("serving.ring_replicas must be >= 1")
         if self.admission_rate_per_s <= 0:
             raise ConfigurationError("serving.admission_rate_per_s must be > 0")
         if self.admission_burst < 1:

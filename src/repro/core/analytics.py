@@ -8,9 +8,7 @@ is *pushed down* to the warehouse's grouped-aggregation path
 selection vectors and dictionary codes inside the storage layer and no row
 dicts are ever materialised.  The only remaining column scans build the
 url→outlet / post→outlet join maps, and those run vectorised
-(:meth:`WarehouseTable.scan_columns`).  Block decode + filter work fans out
-across the analytics executor's workers with a deterministic merge, so results
-are identical at any worker count.
+(:meth:`WarehouseTable.scan_columns`).
 
 The standing dashboard roll-ups go one step further: the platform registers
 them as **materialized roll-ups** (:mod:`repro.storage.warehouse.rollups`,
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Mapping
 
-from ..compute.executor import LocalExecutor
 from ..errors import WarehouseError
 from ..models import RatingClass
 from ..storage.warehouse.rollups import RollupSpec
@@ -115,15 +112,10 @@ class OutletActivityProfile:
 
 
 class WarehouseAnalytics:
-    """Batch analytics over the warehouse using the compute engine."""
+    """Batch analytics over the warehouse."""
 
-    def __init__(
-        self,
-        warehouse: Warehouse,
-        executor: LocalExecutor | None = None,
-    ) -> None:
+    def __init__(self, warehouse: Warehouse) -> None:
         self.warehouse = warehouse
-        self.executor = executor or LocalExecutor()
 
     # --------------------------------------------------------------- tables
 
@@ -195,7 +187,6 @@ class WarehouseAnalytics:
             column_predicates=predicates,
             group_by="published_at",
             group_key=_publication_day,
-            executor=self.executor,
         )
         return dict(sorted(
             (day, row["articles"]) for day, row in grouped.items() if day is not None
@@ -210,8 +201,7 @@ class WarehouseAnalytics:
                 (outlet, row["articles"]) for outlet, row in served.items()
             ))
         grouped = self._table("articles").aggregate(
-            {"articles": ("count", "*")}, group_by="outlet_domain",
-            executor=self.executor,
+            {"articles": ("count", "*")}, group_by="outlet_domain"
         )
         return dict(sorted((outlet, row["articles"]) for outlet, row in grouped.items()))
 
@@ -237,7 +227,6 @@ class WarehouseAnalytics:
             served_articles = articles.aggregate(
                 {"articles": ("count", "*")},
                 group_by="outlet_domain",
-                executor=self.executor,
             )
         articles_per_outlet = {
             outlet: row["articles"] for outlet, row in served_articles.items()
@@ -248,7 +237,6 @@ class WarehouseAnalytics:
                 {"articles": ("count", "*")},
                 column_predicates={"topics": _topic_membership(topic_key)},
                 group_by="outlet_domain",
-                executor=self.executor,
             )
         topic_per_outlet = {
             outlet: row["articles"] for outlet, row in topic_grouped.items()
@@ -278,7 +266,6 @@ class WarehouseAnalytics:
                         {"articles": ("count", "*")},
                         partitions=[partition],
                         group_by="outlet_domain",
-                        executor=self.executor,
                     )
                     active_days.update(in_partition.keys())
         else:
@@ -288,16 +275,13 @@ class WarehouseAnalytics:
                 group_key=lambda key: (
                     key[0], key[1].date() if key[1] is not None else None
                 ),
-                executor=self.executor,
             )
             for (outlet, day), _row in day_groups.items():
                 if day is not None:
                     active_days[outlet] += 1
 
         url_to_outlet: dict[str, str] = {}
-        for block in articles.scan_columns(
-            ["url", "outlet_domain"], executor=self.executor
-        ):
+        for block in articles.scan_columns(["url", "outlet_domain"]):
             url_to_outlet.update(zip(block["url"], block["outlet_domain"]))
 
         # Post counts ride the same single vectorised pass that builds the
@@ -305,9 +289,7 @@ class WarehouseAnalytics:
         post_to_outlet: dict[str, str | None] = {}
         posts_per_outlet: Counter = Counter()
         if self.warehouse.has_table("posts"):
-            for block in self._table("posts").scan_columns(
-                ["post_id", "article_url"], executor=self.executor
-            ):
+            for block in self._table("posts").scan_columns(["post_id", "article_url"]):
                 for post_id, article_url in zip(block["post_id"], block["article_url"]):
                     outlet = url_to_outlet.get(article_url)
                     post_to_outlet[post_id] = outlet
@@ -324,7 +306,6 @@ class WarehouseAnalytics:
             reactions_by_outlet = self._table("reactions").aggregate(
                 {"reactions": ("count", "*")}, group_by="post_id",
                 group_key=post_to_outlet.get,
-                executor=self.executor,
             )
             for outlet, row in reactions_by_outlet.items():
                 if outlet:

@@ -155,17 +155,15 @@ class SciLensPlatform:
             health=self.health.subsystem("warehouse"),
         )
         self.migration = MigrationJob(self.database, self.warehouse)
-        # Freshness follows ingestion time; partitions follow event time
-        # (articles by publication day, social objects and reviews by their
-        # own timestamps).  Articles are additionally clustered inside each
+        # Partitions follow event time (articles by publication day, social
+        # objects and reviews by their ``created_at``).  Articles are additionally clustered inside each
         # day partition by publication time, so time-range scans prune and
         # early-exit blocks.
         self.migration.add_table(
-            "articles", timestamp_column="ingested_at",
-            partition_column="published_at", sort_key=["published_at"],
+            "articles", partition_column="published_at", sort_key=["published_at"],
         )
         for table_name in ("posts", "reactions", "reviews"):
-            self.migration.add_table(table_name, timestamp_column="ingested_at", partition_column="created_at")
+            self.migration.add_table(table_name)
         # Standing materialized roll-ups: the grouped aggregates behind
         # daily_article_counts / articles_per_outlet / rating_class_summary
         # are materialised per partition and kept incrementally consistent by
@@ -459,9 +457,8 @@ class SciLensPlatform:
 
         Served from the segment-backed FTS index (``sync=True`` drains
         pending WAL records into the index first, so a just-stored article is
-        searchable immediately).  Query semantics match the SQL ``MATCH``
-        operator: every term must appear, a trailing ``*`` makes the last
-        term of that chunk a prefix.  Returns ``(article, score)`` pairs,
+        searchable immediately).  Every query term must appear; a trailing
+        ``*`` makes the last term of that chunk a prefix.  Returns ``(article, score)`` pairs,
         best first.
         """
         if sync:

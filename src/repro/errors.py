@@ -93,7 +93,7 @@ class OffsetOutOfRange(StreamingError):
 
 
 class ComputeError(SciLensError):
-    """Raised by the batch-compute substrate (executor, job tracker)."""
+    """Raised by the batch-compute substrate (job tracker)."""
 
 
 class ModelError(SciLensError):

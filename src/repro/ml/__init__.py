@@ -11,14 +11,7 @@ from .vectorize import CountVectorizer, TfidfVectorizer
 from .naive_bayes import MultinomialNaiveBayes, TextClassifier
 from .kde import GaussianKDE
 from .clustering import TopicNode, HierarchicalTopicModel, TopicAssignment
-from .metrics import (
-    accuracy_score,
-    precision_score,
-    recall_score,
-    f1_score,
-    confusion_matrix,
-    roc_auc_score,
-)
+from .metrics import roc_auc_score
 from .registry import ModelRegistry, ModelRecord
 
 __all__ = [
@@ -30,11 +23,6 @@ __all__ = [
     "TopicNode",
     "HierarchicalTopicModel",
     "TopicAssignment",
-    "accuracy_score",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-    "confusion_matrix",
     "roc_auc_score",
     "ModelRegistry",
     "ModelRecord",

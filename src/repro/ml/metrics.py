@@ -1,4 +1,4 @@
-"""Classification metrics used by tests, ablations and the training jobs."""
+"""Classification metrics used by the indicator ablations."""
 
 from __future__ import annotations
 
@@ -14,66 +14,6 @@ def _check_lengths(y_true: Sequence, y_pred: Sequence) -> None:
         raise ModelError("y_true and y_pred must have the same length")
     if len(y_true) == 0:
         raise ModelError("metrics require at least one sample")
-
-
-def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
-    """Fraction of exactly matching predictions."""
-    _check_lengths(y_true, y_pred)
-    correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
-    return correct / len(y_true)
-
-
-def _binary_counts(
-    y_true: Sequence, y_pred: Sequence, positive: Hashable
-) -> tuple[int, int, int, int]:
-    tp = fp = tn = fn = 0
-    for t, p in zip(y_true, y_pred):
-        if p == positive and t == positive:
-            tp += 1
-        elif p == positive:
-            fp += 1
-        elif t == positive:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, tn, fn
-
-
-def precision_score(y_true: Sequence, y_pred: Sequence, positive: Hashable = 1) -> float:
-    """Precision of the ``positive`` class (0 when nothing is predicted positive)."""
-    _check_lengths(y_true, y_pred)
-    tp, fp, _, _ = _binary_counts(y_true, y_pred, positive)
-    return tp / (tp + fp) if (tp + fp) else 0.0
-
-
-def recall_score(y_true: Sequence, y_pred: Sequence, positive: Hashable = 1) -> float:
-    """Recall of the ``positive`` class (0 when there are no positive samples)."""
-    _check_lengths(y_true, y_pred)
-    tp, _, _, fn = _binary_counts(y_true, y_pred, positive)
-    return tp / (tp + fn) if (tp + fn) else 0.0
-
-
-def f1_score(y_true: Sequence, y_pred: Sequence, positive: Hashable = 1) -> float:
-    """Harmonic mean of precision and recall for the ``positive`` class."""
-    precision = precision_score(y_true, y_pred, positive)
-    recall = recall_score(y_true, y_pred, positive)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def confusion_matrix(
-    y_true: Sequence, y_pred: Sequence, labels: Sequence[Hashable] | None = None
-) -> tuple[list[Hashable], np.ndarray]:
-    """Return ``(labels, matrix)`` where ``matrix[i, j]`` counts true=i, pred=j."""
-    _check_lengths(y_true, y_pred)
-    if labels is None:
-        labels = sorted(set(y_true) | set(y_pred), key=repr)
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return list(labels), matrix
 
 
 def roc_auc_score(y_true: Sequence, scores: Sequence[float], positive: Hashable = 1) -> float:

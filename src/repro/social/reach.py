@@ -106,10 +106,3 @@ def reactions_per_article(
             counts[article_url] += 1
     return dict(counts)
 
-
-def posts_per_article(posts: Iterable[SocialPost]) -> dict[str, int]:
-    """Number of postings per article URL."""
-    counts: dict[str, int] = defaultdict(int)
-    for post in posts:
-        counts[post.article_url] += 1
-    return dict(counts)

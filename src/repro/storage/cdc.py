@@ -80,7 +80,6 @@ class TableMapping:
 
     rdbms_table: str
     warehouse_table: str
-    timestamp_column: str
     partition_column: str
     primary_key: str | None = None
 
@@ -295,9 +294,6 @@ class CdcApplyReport:
     rows: int = 0
     #: Rows applied per warehouse table (post exactly-once dedup).
     tables: dict[str, int] = field(default_factory=dict)
-    #: Max value of the mapping's timestamp column among delivered upserts,
-    #: per RDBMS table — feeds ``MigrationJob.note_synced`` for WAL pruning.
-    synced: dict[str, Any] = field(default_factory=dict)
     #: Worst write→visible latency (seconds) observed in this pass.
     max_latency_s: float = 0.0
 
@@ -405,12 +401,6 @@ class DeltaApplier(CdcConsumerGroup):
                     (value["lsn"], value["op"], value["row"])
                 )
                 keys[value["table"]] = mapping.primary_key or ""
-                if value["op"] == "u":
-                    stamp = value["row"].get(mapping.timestamp_column)
-                    if stamp is not None:
-                        known = report.synced.get(mapping.rdbms_table)
-                        if known is None or stamp > known:
-                            report.synced[mapping.rdbms_table] = stamp
             try:
                 for table_name, entries in batches.items():
                     applied = self.warehouse.table(table_name).append_deltas(

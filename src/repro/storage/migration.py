@@ -29,14 +29,12 @@ consume CDC deltas for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from typing import Any
+from datetime import datetime, timezone
 
 from ..errors import RetryExhaustedError, StorageError, TransientFaultError
 from ..logging_utils import get_logger
 from .cdc import TableMapping
 from .rdbms.database import Database
-from .rdbms.expressions import col
 from .warehouse.warehouse import Warehouse
 
 logger = get_logger("storage.migration")
@@ -45,23 +43,6 @@ logger = get_logger("storage.migration")
 def _utcnow() -> datetime:
     """Timezone-aware UTC now (``datetime.utcnow`` is naive and deprecated)."""
     return datetime.now(timezone.utc)
-
-
-def _match_zone(ts: datetime, reference: datetime) -> datetime:
-    """Coerce ``ts`` to the tz-awareness of ``reference`` (naive = UTC).
-
-    Sync markers inherit their awareness from the row timestamps they were
-    read from, while "now" defaults to an aware UTC instant; comparing the
-    two directly raises ``TypeError``.  Normalising to the marker's
-    convention keeps the resulting cutoff comparable to the stored rows.
-    """
-    if reference.tzinfo is None:
-        if ts.tzinfo is None:
-            return ts
-        return ts.astimezone(timezone.utc).replace(tzinfo=None)
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts
 
 
 @dataclass(frozen=True)
@@ -147,43 +128,24 @@ class MigrationJob:
         #: (Partitions with outstanding CDC deltas are always folded.)
         self.compaction_min_blocks = compaction_min_blocks
         self._mappings: list[TableMapping] = []
-        #: Newest timestamp-column value known to be visible in the warehouse,
-        #: per RDBMS table (fed by bootstrap copies and by the CDC applier via
-        #: :meth:`note_synced`) — the retention cutoff for
-        #: :func:`prune_migrated_rows`.
-        self._synced: dict[str, datetime] = {}
         self.compaction_history: list[CompactionReport] = []
 
     def add_table(
         self,
         rdbms_table: str,
         warehouse_table: str | None = None,
-        timestamp_column: str = "created_at",
-        partition_column: str | None = None,
+        partition_column: str = "created_at",
         sort_key: list[str] | None = None,
     ) -> None:
         """Register a table to synchronise; the warehouse table is created if needed.
 
-        ``timestamp_column`` is the freshness column (typically the ingestion
-        time) that drives retention pruning and freshness reporting, while
-        ``partition_column`` decides how the warehouse table is laid out
-        (typically the event time, e.g. the publication date of an article).
-        It defaults to the timestamp column.  ``sort_key`` optionally
-        clusters each warehouse partition by those columns (tight zone maps +
-        early-exit range scans on the sort column).
-
-        A sorted index is declared on the timestamp column (unless the column
-        is already indexed) so retention pruning resolves its cutoff filter
-        as an index range scan instead of a full table scan.
+        ``partition_column`` decides how the warehouse table is laid out into
+        day partitions (typically the event time, e.g. the publication date
+        of an article).  ``sort_key`` optionally clusters each warehouse
+        partition by those columns (tight zone maps + early-exit range scans
+        on the sort column).
         """
         table = self.database.table(rdbms_table)
-        if not table.schema.has_column(timestamp_column):
-            raise StorageError(
-                f"table {rdbms_table!r} has no timestamp column {timestamp_column!r}"
-            )
-        if not table.has_index(timestamp_column):
-            table.create_index(timestamp_column, kind="sorted")
-        partition_column = partition_column or timestamp_column
         if not table.schema.has_column(partition_column):
             raise StorageError(
                 f"table {rdbms_table!r} has no partition column {partition_column!r}"
@@ -202,7 +164,6 @@ class MigrationJob:
             TableMapping(
                 rdbms_table=rdbms_table,
                 warehouse_table=warehouse_name,
-                timestamp_column=timestamp_column,
                 partition_column=partition_column,
                 primary_key=table.schema.primary_key,
             )
@@ -236,13 +197,6 @@ class MigrationJob:
                 table.append(rows)
             migrated[mapping.rdbms_table] = len(rows)
             bootstrapped.append(mapping.rdbms_table)
-            stamps = [
-                row[mapping.timestamp_column]
-                for row in rows
-                if row.get(mapping.timestamp_column) is not None
-            ]
-            if stamps:
-                self.note_synced(mapping.rdbms_table, max(stamps))
 
         report = MigrationReport(
             run_at=now, migrated_rows=migrated, bootstrapped=tuple(bootstrapped),
@@ -318,18 +272,6 @@ class MigrationJob:
         self.compaction_history.append(report)
         return report
 
-    def synced_through(self, rdbms_table: str) -> datetime | None:
-        """Newest timestamp-column value known to be warehouse-visible for
-        ``rdbms_table`` (``None`` before the first sync)."""
-        return self._synced.get(rdbms_table)
-
-    def note_synced(self, rdbms_table: str, stamp: datetime) -> None:
-        """Record that rows up to ``stamp`` are visible in the warehouse
-        (monotonic; called by bootstrap copies and the CDC applier)."""
-        known = self._synced.get(rdbms_table)
-        if known is None or _match_zone(stamp, known) > known:
-            self._synced[rdbms_table] = stamp
-
     def mappings(self) -> list[TableMapping]:
         """The registered table mappings (shared with the CDC pipeline)."""
         return list(self._mappings)
@@ -337,29 +279,3 @@ class MigrationJob:
     def registered_tables(self) -> list[str]:
         return [mapping.rdbms_table for mapping in self._mappings]
 
-
-def prune_migrated_rows(
-    database: Database,
-    migration: MigrationJob,
-    rdbms_table: str,
-    timestamp_column: str = "created_at",
-    keep_days: int = 7,
-    now: datetime | None = None,
-) -> int:
-    """Optional retention step: delete operational rows that are both
-    warehouse-visible and older than ``keep_days`` days, keeping the RDBMS
-    small.
-
-    "Visible" is judged by the job's sync marker (bootstrap copies and the
-    CDC applier both advance it).  ``now`` defaults to an aware UTC instant
-    and is normalised to the marker's tz-awareness before the comparison, so
-    tz-aware markers (rows ingested with aware timestamps) never raise
-    ``TypeError`` against a naive default.
-    """
-    synced = migration.synced_through(rdbms_table)
-    if synced is None:
-        return 0
-    now = now or _utcnow()
-    age_cutoff = _match_zone(now, synced) - timedelta(days=keep_days)
-    cutoff = min(synced, age_cutoff)
-    return database.delete(rdbms_table, col(timestamp_column) <= cutoff)

@@ -7,9 +7,9 @@ restarts; in-memory logs back the change-data-capture pipeline, which tails
 the log and ships committed mutations to the analytical warehouse.
 
 Record sequence numbers are the platform's log sequence numbers (LSNs): they
-increase monotonically for the lifetime of the log — ``truncate()`` discards
-records but never rewinds the counter, so downstream consumers can rely on
-LSN order for last-writer-wins conflict resolution.
+increase monotonically for the lifetime of the log — :meth:`WriteAheadLog.prune`
+drops consumed in-memory records but never rewinds the counter, so downstream
+consumers can rely on LSN order for last-writer-wins conflict resolution.
 """
 
 from __future__ import annotations
@@ -154,19 +154,6 @@ class WriteAheadLog:
         for record in self.replay():
             if record.sequence > lsn:
                 yield record
-
-    def truncate(self) -> None:
-        """Discard the log contents.
-
-        The sequence counter is *not* rewound: LSNs stay monotonic across a
-        truncation so CDC cursors never see a sequence number twice.  A
-        file-backed database reopened after this replays nothing — the log
-        is its only copy of the rows.
-        """
-        if self.path is not None:
-            if self.path.exists():
-                self.path.unlink()
-        self._records.clear()
 
     def prune(self, upto_lsn: int) -> int:
         """Drop in-memory records with ``sequence <= upto_lsn``.

@@ -7,8 +7,7 @@ sees both ends (the WAL cursor and what the sinks hold) and therefore the
 only place the order of the steps is written down:
 
 * :meth:`StorageSync.drain` — publish the WAL tail → drain the search
-  indexer → drain the warehouse applier → advance the retention markers →
-  refresh the standing roll-ups;
+  indexer → drain the warehouse applier → refresh the standing roll-ups;
 * :meth:`StorageSync.bootstrap` — the backfill in front of the first drain:
   copy empty warehouse tables wholesale, hand the CDC cursor past the copied
   records, backfill the search index, then drain;
@@ -74,8 +73,6 @@ class StorageSync:
             if self.applier.health is not None:
                 self.applier.health.degrade(exc)
             return {**summary, "breaker_open": True}
-        for rdbms_table, stamp in report.synced.items():
-            self.migration.note_synced(rdbms_table, stamp)
         if refresh_rollups and report.rows:
             self.migration.refresh_standing_rollups()
         by_rdbms_table = {

@@ -11,10 +11,9 @@ payload itself is a small JSON header (statistics, sort key, per-column
 encoding specs) followed by a binary body holding the bulk column data as
 fixed-width typed arrays: dictionary codes and integer columns as
 narrowest-fitting signed integers, float columns as C doubles.  The expensive
-part of decode (``zlib.decompress`` plus ``array.frombytes``) runs outside the
-GIL, so executor workers genuinely overlap block decode during parallel
-scans.  Incompressible payloads fall back to a
-stored (uncompressed) codec rather than growing on the wire.
+part of decode is ``zlib.decompress`` plus ``array.frombytes``.
+Incompressible payloads fall back to a stored (uncompressed) codec rather
+than growing on the wire.
 
 Per column the header picks an encoding: **run-length** (``[count, value]``
 pairs) for sorted / low-change columns, **dictionary** (distinct values once,
@@ -452,7 +451,7 @@ class _LazyColumns(Mapping):
     ``keys()`` + ``__getitem__`` and see every column, instead of CPython's
     concrete-dict fast path copying a half-materialised store.
 
-    Materialising the same column twice from two scan threads is a benign
+    Materialising the same column twice from two reader threads is a benign
     race (both compute the same value array); once a column is materialised
     its loader slot is cleared so the decompressed payload the loaders close
     over is freed as soon as nothing still needs it.

@@ -26,7 +26,6 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from ...compute.executor import LocalExecutor
 from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
 from .blocks import (
     ColumnarBlock,
@@ -121,7 +120,7 @@ def _block_file_counter(path: str) -> int:
 class _BlockCache:
     """A small LRU cache of decoded :class:`ColumnarBlock` objects by DFS path.
 
-    Thread-safe: parallel scans load blocks from executor worker threads.
+    Thread-safe, so one thread may load blocks while another writes.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -153,12 +152,6 @@ class _BlockCache:
     def invalidate(self, path: str) -> None:
         with self._lock:
             self._entries.pop(path, None)
-
-    def resident(self, paths: Iterable[str]) -> bool:
-        """Whether every path is currently cached (a scheduling heuristic:
-        eviction may race the answer, which costs only a suboptimal choice)."""
-        with self._lock:
-            return all(path in self._entries for path in paths)
 
     def clear(self) -> None:
         with self._lock:
@@ -337,46 +330,6 @@ class BlockCatalog:
     def read_rows(self, refs: Iterable[BlockRef]) -> list[dict[str, Any]]:
         """Every row of ``refs`` in stored order (one-shot, see :meth:`peek`)."""
         return [row for ref in refs for row in self.peek(ref).to_rows()]
-
-    def map_blocks(
-        self,
-        refs: list[BlockRef],
-        fn: Callable[[ColumnarBlock], T],
-        description: str,
-        executor: LocalExecutor | None = None,
-    ) -> Iterable[T]:
-        """Apply ``fn`` to the (cached) block of each ref, serially or on
-        executor workers.
-
-        The parallel path cuts the block list into a few chunks per worker —
-        enough tasks to overlap decode work across the pool, few enough that
-        dispatch overhead stays negligible when there are many small blocks —
-        and relies on :meth:`LocalExecutor.run` preserving task order, so
-        results stream back in the exact order of the sequential path.
-
-        Thread workers only pay off while per-block work happens *outside*
-        the GIL: ``zlib`` decompression plus typed-array materialisation
-        release it.  The fan-out therefore engages only when the table writes
-        compressed blocks; for raw blocks, and likewise when every requested
-        block is already decoded in the cache, per-block work is GIL-bound
-        Python and the fan-out is skipped — thread dispatch would add
-        contention and win nothing.
-        """
-        if (
-            executor is None
-            or executor.max_workers <= 1
-            or len(refs) <= 1
-            or self.compression_level == 0
-            or self.cache.resident(ref.path for ref in refs)
-        ):
-            return (fn(self.load(ref)) for ref in refs)
-        chunk = max(1, -(-len(refs) // (executor.max_workers * 4)))
-        batches = executor.run(
-            [refs[i:i + chunk] for i in range(0, len(refs), chunk)],
-            lambda batch: [fn(self.load(ref)) for ref in batch],
-            description=f"{description}({self.table})",
-        )
-        return (result for batch in batches for result in batch)
 
     def storage_totals(self, row_count: int) -> dict[str, Any]:
         """Table-wide accounting in one pass over the refs (``row_count`` is

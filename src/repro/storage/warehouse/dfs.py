@@ -7,8 +7,8 @@ nodes metadata.  Node failures can be injected to exercise the re-replication
 and degraded-read paths the "distributed and robust fashion" claim implies.
 
 Fault tolerance: the name-node metadata (files, block locations, the block-id
-counter) is guarded by one re-entrant lock — parallel scans, compaction and
-rebalancing mutate it concurrently — and ``write_file`` is all-or-nothing:
+counter) is guarded by one re-entrant lock — a reader thread may scan while
+compaction or rebalancing mutates it — and ``write_file`` is all-or-nothing:
 replicas stored before a mid-write failure are rolled back, and an overwrite
 keeps the old file's blocks readable until the new blocks are fully placed.
 A :class:`repro.storage.faults.FaultInjector` can be attached to exercise the
@@ -103,12 +103,12 @@ class DistributedFileSystem:
         self._block_counter = 0
         #: One re-entrant lock for all name-node metadata: block-id
         #: allocation, file registration, location lists and node liveness.
-        #: Parallel scans, compaction and rebalance mutate these concurrently.
+        #: A reader may scan while compaction or rebalance mutates these.
         self._meta_lock = threading.RLock()
         #: Number of read_file calls served and the total bytes they returned
         #: (lets callers assert stats-only warehouse aggregates never touch
         #: the data nodes, and lets benchmarks report scan IO volume).
-        #: Guarded by a lock: parallel warehouse scans read concurrently.
+        #: Guarded by a lock: reader threads may read concurrently.
         self.read_count = 0
         self.bytes_read = 0
         self._read_count_lock = threading.Lock()

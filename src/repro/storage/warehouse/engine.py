@@ -1,9 +1,9 @@
 """The scan/aggregate engine: stateless functions from block refs to arrays
 or aggregates.
 
-It is handed ``(partition, ref)`` pairs plus a callable that maps a function
-over the decoded blocks of some refs, so it can see neither where blocks live
-nor how CDC versions are reconciled.  Zone (min/max) statistics prune whole
+It is handed ``(partition, ref)`` pairs plus a callable that decodes one
+ref's block, so it can see neither where blocks live nor how CDC versions
+are reconciled.  Zone (min/max) statistics prune whole
 blocks before any read; range filters and per-column predicates are evaluated
 as *selection vectors* over a block's raw column arrays, and values are
 gathered only for surviving rows.  Unfiltered, ungrouped ``count``/``min``/
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...errors import WarehouseError
@@ -27,9 +26,8 @@ if TYPE_CHECKING:
 
 #: ``(column, low, high)`` — inclusive bounds, ``None`` meaning unbounded.
 RangeFilter = tuple[str, Any, Any]
-#: ``(refs, fn, description)`` → ``fn(decoded block)`` per ref, in ref order
-#: (serial or fanned out across executor workers — the engine does not care).
-BlockMapper = Callable[[list, Callable[[ColumnarBlock], Any], str], Iterable[Any]]
+#: ``ref`` → its decoded block.
+BlockLoader = Callable[["BlockRef"], ColumnarBlock]
 
 #: Aggregate functions answerable from block statistics alone.
 _STATS_ONLY_FUNCTIONS = {"count", "min", "max"}
@@ -288,17 +286,17 @@ def aggregate_from_stats(
 
 
 def aggregate_blocks(
-    pairs: list[tuple[str, "BlockRef"]], query: Aggregation, map_blocks: BlockMapper
+    pairs: list[tuple[str, "BlockRef"]], query: Aggregation, load: BlockLoader
 ) -> dict[str, Any] | dict[Any, dict[str, Any]]:
     """Finalised aggregate over the blocks of ``pairs`` (the block-reading path)."""
     aggregates = query.aggregates
     if not all(f == "count" and column == "*" for f, column in aggregates.values()):
-        states = fold_states(pairs, query, map_blocks)
+        states = fold_states(pairs, query, load)
         return finalise_states(states, aggregates, grouped=query.group_cols is not None)
     # Every aggregate is count(*): per-block {group: rows}, one Counter merge.
     row_counter: Counter = Counter()
-    refs = [ref for _partition, ref in pairs]
-    for counts in map_blocks(refs, partial(_block_partial, query, True), "aggregate"):
+    for _partition, ref in pairs:
+        counts = _block_partial(query, True, load(ref))
         if counts:
             row_counter.update(counts)
     if query.group_cols is None:
@@ -311,25 +309,23 @@ def aggregate_blocks(
 
 
 def fold_states(
-    pairs: list[tuple[str, "BlockRef"]], query: Aggregation, map_blocks: BlockMapper
+    pairs: list[tuple[str, "BlockRef"]], query: Aggregation, load: BlockLoader
 ) -> dict[Any, dict[str, "AggState"]]:
     """Fold per-block partial states into per-group accumulators.
 
     The fold is two-level: block states merge within their partition first
     (in the deterministic block walk order), then the per-partition states
-    merge in partition walk order.  Both levels are independent of the
-    worker count, and — more importantly — the whole-table fold becomes
+    merge in partition walk order, so the whole-table fold is
     bit-identical (floats included) to folding each partition on its own
     and merging the per-partition states afterwards, which is exactly what
     materialized roll-ups do on their incremental refresh path.
     """
     aggregates = query.aggregates
-    refs = [ref for _partition, ref in pairs]
-    partials = map_blocks(refs, partial(_block_partial, query, False), "aggregate")
     states: dict[Any, dict[str, AggState]] = {}
     partition_states: dict[Any, dict[str, AggState]] = {}
     current: str | None = None
-    for (partition, _ref), block_states in zip(pairs, partials):
+    for partition, ref in pairs:
+        block_states = _block_partial(query, False, load(ref))
         if partition != current:
             _adopt_states(states, partition_states, aggregates)
             partition_states = {}

@@ -41,7 +41,6 @@ from .engine import (
 )
 
 if TYPE_CHECKING:  # warehouse.py imports this module
-    from ...compute.executor import LocalExecutor
     from .warehouse import Warehouse, WarehouseTable
 
 
@@ -164,7 +163,7 @@ class MaterializedRollup:
 
     # --------------------------------------------------------------- refresh
 
-    def refresh(self, executor: "LocalExecutor | None" = None) -> RollupRefreshReport:
+    def refresh(self) -> RollupRefreshReport:
         """Re-materialise exactly the partitions whose block set changed.
 
         Unchanged partitions are recognised by their block identity and not
@@ -191,7 +190,6 @@ class MaterializedRollup:
                 column_predicates=self.spec.column_predicates,
                 group_by=list(self.spec.group_by) or None,
                 group_key=self.spec.group_key,
-                executor=executor,
             )
             self._partitions[partition] = _PartitionState(
                 signature=signature, states=states
@@ -294,9 +292,7 @@ class RollupManager:
         return rollup.result_if_fresh()
 
     def refresh_all(
-        self,
-        tables: Sequence[str] | None = None,
-        executor: "LocalExecutor | None" = None,
+        self, tables: Sequence[str] | None = None
     ) -> dict[str, RollupRefreshReport]:
         """Refresh every registered roll-up (optionally only those on
         ``tables``); roll-ups whose table was dropped are skipped.
@@ -312,7 +308,7 @@ class RollupManager:
                 continue
             if not self._warehouse.has_table(rollup.spec.table):
                 continue
-            reports[name] = rollup.refresh(executor=executor)
+            reports[name] = rollup.refresh()
         return reports
 
     def discard_table(self, table: str) -> None:

@@ -13,9 +13,8 @@ manifest), :mod:`.delta` (last-writer-wins reconciliation of CDC deltas) and
 :meth:`WarehouseTable.scan` streams row dicts for one-shot full-row consumers
 (e.g. model training) and deliberately bypasses the block cache so they don't
 churn it; ``scan_columns`` / ``scan_filtered`` / ``aggregate`` / ``read_column``
-are the repeated analytics pattern, run vectorised through the cache, and
-accept a :class:`~repro.compute.executor.LocalExecutor` to fan block work out
-across workers with results merged back in deterministic block order.
+are the repeated analytics pattern, run vectorised through the cache, one
+block at a time in deterministic block order.
 :meth:`WarehouseTable.aggregate_states` and
 :meth:`WarehouseTable.partition_signature` feed the materialized roll-ups
 (:mod:`.rollups`, reachable via :attr:`Warehouse.rollups`).
@@ -26,10 +25,8 @@ from __future__ import annotations
 import copy
 import re
 from datetime import date, datetime
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ...compute.executor import LocalExecutor
 from ...compute.shuffle import canonical_key
 from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
 from ..faults import SubsystemHealth
@@ -406,7 +403,6 @@ class WarehouseTable:
         partitions: Sequence[str] | None = None,
         range_filters: Sequence[RangeFilter] | None = None,
         column_predicates: Mapping[str, Callable[[Any], bool]] | None = None,
-        executor: LocalExecutor | None = None,
     ) -> Iterator[dict[str, list[Any]]]:
         """Vectorised scan: yield per-block column arrays for surviving rows.
 
@@ -421,11 +417,6 @@ class WarehouseTable:
         ``column_predicates`` maps column names to per-value predicates.
         Filter columns need not be projected.
 
-        With ``executor``, block fetch + decode + filter fan out across its
-        worker threads (the whole scan is materialised before the first yield);
-        blocks are still yielded in the exact order of the sequential scan, so
-        results are identical for any worker count.
-
         Returned arrays are fresh lists owned by the caller, but the cell
         values themselves are shared with the block cache — treat nested
         mutable values (e.g. list-valued columns) as read-only, or use
@@ -434,13 +425,11 @@ class WarehouseTable:
         self._check_columns(columns)
         self._check_columns(f[0] for f in range_filters or ())
         self._check_columns(column_predicates or ())
-        project = partial(
-            engine.project_block,
-            columns=columns, range_filters=range_filters,
-            column_predicates=column_predicates,
-        )
         refs = [ref for _partition, ref in self._iter_refs(partitions, range_filters)]
-        for block_columns in self._catalog.map_blocks(refs, project, "scan_columns", executor):
+        for ref in refs:
+            block_columns = engine.project_block(
+                self._catalog.load(ref), columns, range_filters, column_predicates
+            )
             if block_columns is not None:
                 yield block_columns
 
@@ -450,7 +439,6 @@ class WarehouseTable:
         partitions: Sequence[str] | None = None,
         range_filters: Sequence[RangeFilter] | None = None,
         column_predicates: Mapping[str, Callable[[Any], bool]] | None = None,
-        executor: LocalExecutor | None = None,
     ) -> Iterator[dict[str, Any]]:
         """Late-materialised row scan: dicts are built only for surviving rows.
 
@@ -459,7 +447,7 @@ class WarehouseTable:
         """
         names = list(columns) if columns is not None else list(self.columns)
         for block_columns in self.scan_columns(
-            names, partitions, range_filters, column_predicates, executor
+            names, partitions, range_filters, column_predicates
         ):
             arrays = [block_columns[name] for name in names]
             for values in zip(*arrays):
@@ -473,7 +461,6 @@ class WarehouseTable:
         column_predicates: Mapping[str, Callable[[Any], bool]] | None = None,
         group_by: str | Sequence[str] | None = None,
         group_key: Callable[[Any], Any] | None = None,
-        executor: LocalExecutor | None = None,
     ) -> dict[str, Any] | dict[Any, dict[str, Any]]:
         """Aggregate over the table without materialising rows.
 
@@ -488,11 +475,6 @@ class WarehouseTable:
         encoding where possible: dictionary-encoded group columns are bucketed
         by their integer codes and decoded (and ``group_key``-mapped) once per
         distinct value per block, not once per row.
-
-        With ``executor``, per-block partial aggregation states are computed on
-        its worker threads and merged in deterministic block order, so results
-        are identical for any worker count (including float ``sum``/``avg``,
-        whose accumulation order is preserved).
 
         Unfiltered, ungrouped ``count``/``min``/``max`` aggregates are answered
         purely from the per-block statistics kept on the name-node side — no
@@ -513,7 +495,7 @@ class WarehouseTable:
                 return result
         return engine.aggregate_blocks(
             list(self._iter_refs(partitions, range_filters)), query,
-            partial(self._catalog.map_blocks, executor=executor),
+            self._catalog.load,
         )
 
     def aggregate_states(
@@ -524,7 +506,6 @@ class WarehouseTable:
         column_predicates: Mapping[str, Callable[[Any], bool]] | None = None,
         group_by: str | Sequence[str] | None = None,
         group_key: Callable[[Any], Any] | None = None,
-        executor: LocalExecutor | None = None,
     ) -> dict[Any, dict[str, AggState]]:
         """Mergeable partial aggregation states per group (``None`` = ungrouped).
 
@@ -543,7 +524,7 @@ class WarehouseTable:
         )
         return engine.fold_states(
             list(self._iter_refs(partitions, range_filters)), query,
-            partial(self._catalog.map_blocks, executor=executor),
+            self._catalog.load,
         )
 
     def partition_signature(self, partition: str) -> tuple[str, ...]:

@@ -79,8 +79,3 @@ def is_same_site(url_a: str, url_b: str) -> bool:
     """True when both URLs (or hosts) share the same registrable domain."""
     return registered_domain(url_a) == registered_domain(url_b)
 
-
-def path_of(url: str) -> str:
-    """Return the path component of ``url`` (always starting with ``/``)."""
-    path = urlsplit(url).path
-    return path if path.startswith("/") else "/" + path

@@ -1,24 +1,28 @@
-"""Tests for the serving tier: admission, coalescing, sharding, async front end."""
+"""Tests for the serving tier: admission, coalescing, sharding."""
 
 from __future__ import annotations
 
-import asyncio
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import build_gateway, build_serving_tier
 from repro.api.gateway import ApiGateway
 from repro.api.serving import (
     AdmissionController,
-    AsyncGateway,
-    HashRing,
     RequestCoalescer,
     ShardedGateway,
     TokenBucket,
 )
 from repro.api.service import MicroService, ServiceResponse
+from repro.compute.shuffle import stable_hash
 from repro.config import ConfigurationError, PlatformConfig, ServingConfig
 from repro.errors import ServiceError
 
@@ -155,7 +159,7 @@ class TestRouteCostWeights:
             rate_per_s=1.0, burst=4.0, max_concurrent=10, clock=clock,
             route_costs={"blocking.write": 4.0},
         )
-        front, service = build_blocking_tier(n_shards=2, coalesce=False)
+        front, service = build_blocking_tier(n_shards=2)
         front.admission = admission
         assert front.handle("blocking.write", tenant="t").ok
         throttled = front.handle("blocking.write", tenant="t")
@@ -203,7 +207,7 @@ class BlockingService(MicroService):
         return ServiceResponse.success({"calls": self.calls})
 
 
-def build_blocking_tier(n_shards: int = 2, coalesce: bool = True):
+def build_blocking_tier(n_shards: int = 2):
     service = BlockingService()
 
     def factory(index: int) -> ApiGateway:
@@ -211,7 +215,7 @@ def build_blocking_tier(n_shards: int = 2, coalesce: bool = True):
         gateway.mount(service)
         return gateway
 
-    front = ShardedGateway(factory, n_shards, coalesce=coalesce)
+    front = ShardedGateway(factory, n_shards)
     return front, service
 
 
@@ -303,81 +307,28 @@ class TestCoalescing:
 
 
 # --------------------------------------------------------------------------- #
-# Consistent-hash ring + sharded front door
+# Sharded front door
 # --------------------------------------------------------------------------- #
 
 
-class TestHashRing:
-    def test_routing_is_deterministic(self):
-        ring = HashRing(replicas=32)
-        for index in range(4):
-            ring.add_node(f"shard-{index}")
-        keys = [("articles.list", str(i)) for i in range(500)]
-        first = [ring.node_for(key) for key in keys]
-        second = [ring.node_for(key) for key in keys]
-        assert first == second
-        assert set(first) == {f"shard-{i}" for i in range(4)}  # every shard used
-
-    def test_add_remove_moves_about_one_nth_of_keys(self):
-        ring = HashRing(replicas=64)
-        for index in range(4):
-            ring.add_node(f"shard-{index}")
-        keys = [("route", i) for i in range(4000)]
-        before = {key: ring.node_for(key) for key in keys}
-
-        ring.add_node("shard-4")
-        after_add = {key: ring.node_for(key) for key in keys}
-        moved = sum(1 for key in keys if before[key] != after_add[key])
-        # Ideal is 1/5 = 20%; allow vnode-placement slack but far below the
-        # ~80% a modulo rehash would move.
-        assert 0 < moved / len(keys) < 0.40
-        # Keys that moved all moved TO the new shard (no unrelated churn).
-        assert all(
-            after_add[key] == "shard-4" for key in keys if before[key] != after_add[key]
-        )
-
-        ring.remove_node("shard-4")
-        after_remove = {key: ring.node_for(key) for key in keys}
-        assert after_remove == before  # removal restores the old placement
-
-    def test_duplicate_and_missing_nodes_raise(self):
-        ring = HashRing()
-        ring.add_node("a")
-        with pytest.raises(ValueError):
-            ring.add_node("a")
-        with pytest.raises(ValueError):
-            ring.remove_node("b")
-        ring.remove_node("a")
-        with pytest.raises(ValueError):
-            ring.node_for("anything")
-
-
 class TestShardedGateway:
-    def test_same_key_same_shard_and_shard_resize(self):
-        front, _service = build_blocking_tier(n_shards=4, coalesce=False)
+    def test_same_key_same_shard_on_a_fixed_map(self):
+        front, _service = build_blocking_tier(n_shards=4)
         keys = [("blocking.write", {"i": i}) for i in range(200)]
-        placement = {i: front.shard_for(route, params) for i, (route, params) in enumerate(keys)}
-        assert placement == {
-            i: front.shard_for(route, params) for i, (route, params) in enumerate(keys)
-        }
-        new_name = front.add_shard()
-        assert new_name == "shard-4"
-        resized = {i: front.shard_for(route, params) for i, (route, params) in enumerate(keys)}
-        moved = sum(1 for i in placement if placement[i] != resized[i])
-        assert 0 < moved < len(keys) * 0.5
-        front.remove_shard(new_name)
-        assert placement == {
-            i: front.shard_for(route, params) for i, (route, params) in enumerate(keys)
-        }
-        with pytest.raises(ServiceError):
-            front.remove_shard("no-such-shard")
+        placement = [front.shard_for(route, params) for route, params in keys]
+        assert placement == [front.shard_for(route, params) for route, params in keys]
+        assert placement == [
+            f"shard-{stable_hash((route, json.dumps(params, sort_keys=True))) % 4}"
+            for route, params in keys
+        ]
+        assert set(placement) == set(front.shard_names())  # every shard used
 
     def test_throttled_requests_get_429_and_reach_no_shard(self):
         clock = FakeClock()
         admission = AdmissionController(
             rate_per_s=1.0, burst=1.0, max_concurrent=10, clock=clock
         )
-        front, service = build_blocking_tier(n_shards=2, coalesce=False)
+        front, service = build_blocking_tier(n_shards=2)
         front.admission = admission
         assert front.handle("blocking.write", tenant="t1").ok
         throttled = front.handle("blocking.write", tenant="t1")
@@ -393,7 +344,7 @@ class TestShardedGateway:
         assert stats["requests"] == 3
 
     def test_stats_reports_per_shard_counters(self):
-        front, _service = build_blocking_tier(n_shards=3, coalesce=False)
+        front, _service = build_blocking_tier(n_shards=3)
         for index in range(20):
             front.handle("blocking.write", {"i": index})
         stats = front.stats()
@@ -408,6 +359,67 @@ class TestShardedGateway:
         with pytest.raises(ServiceError):
             ShardedGateway(lambda index: ApiGateway(), 0)
 
+    def test_one_shard_serves_every_key(self):
+        front, _service = build_blocking_tier(n_shards=1)
+        assert {front.shard_for("blocking.write", {"i": i}) for i in range(50)} == {"shard-0"}
+
+    def test_shards_are_built_once_each_at_construction(self):
+        built: list[int] = []
+
+        def factory(index: int) -> ApiGateway:
+            built.append(index)
+            return ApiGateway()
+
+        front = ShardedGateway(factory, 3)
+        assert built == [0, 1, 2]
+        assert front.shard_names() == ["shard-0", "shard-1", "shard-2"]
+
+    def test_requests_land_on_the_shard_shard_for_names(self):
+        front, service = build_blocking_tier(n_shards=4)
+        expected = {name: 0 for name in front.shard_names()}
+        for index in range(40):
+            expected[front.shard_for("blocking.write", {"i": index})] += 1
+            assert front.handle("blocking.write", {"i": index}).ok
+        per_shard = {
+            name: shard["requests"] for name, shard in front.stats()["per_shard"].items()
+        }
+        assert per_shard == expected
+        assert service.calls == 40
+
+    def test_missing_params_route_like_empty_params(self):
+        front, _service = build_blocking_tier(n_shards=4)
+        for route in ("blocking.write", "blocking.fetch", "articles.list"):
+            assert front.shard_for(route) == front.shard_for(route, {})
+
+    def test_placement_is_the_same_in_a_fresh_interpreter(self):
+        # The map is a pure function of the request key, so a restarted
+        # process sends every key to the same-numbered shard.
+        front, _service = build_blocking_tier(n_shards=4)
+        keys = [("articles.list", {"limit": i}) for i in range(20)]
+        here = [front.shard_for(route, params) for route, params in keys]
+        script = (
+            "import json, sys\n"
+            "from repro.api.gateway import ApiGateway\n"
+            "from repro.api.serving import ShardedGateway\n"
+            "front = ShardedGateway(lambda index: ApiGateway(), 4)\n"
+            "keys = json.loads(sys.argv[1])\n"
+            "print(json.dumps([front.shard_for(route, params) for route, params in keys]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        there = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(keys)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "random"},
+        ).stdout
+        assert json.loads(there) == here
+
+    def test_cacheable_reads_always_go_through_the_coalescer(self):
+        front, service = build_blocking_tier(n_shards=2)
+        service.release.set()
+        assert front.handle("blocking.fetch", {"page": 1}).ok
+        assert front.coalescer.stats()["leaders"] == 1
+        assert front.stats()["coalescing"] == front.coalescer.stats()
+
 
 class TestServingConfig:
     def test_defaults_validate(self):
@@ -417,7 +429,6 @@ class TestServingConfig:
         "kwargs",
         [
             {"shards": 0},
-            {"ring_replicas": 0},
             {"admission_rate_per_s": 0.0},
             {"admission_burst": 0.0},
             {"max_concurrency": 0},
@@ -432,7 +443,7 @@ class TestServingConfig:
 
 
 # --------------------------------------------------------------------------- #
-# Platform integration + async parity
+# Platform integration + threaded parity
 # --------------------------------------------------------------------------- #
 
 
@@ -448,6 +459,29 @@ class TestServingTierIntegration:
         assert serving["requests"] >= 1
         assert serving["admission"]["admitted"] >= 1
         assert set(serving["per_shard"]) == set(serving_tier.shard_names())
+
+    def test_tier_has_the_configured_shards(self, loaded_platform):
+        front = build_serving_tier(
+            loaded_platform, serving_config=ServingConfig(shards=3), attach=False
+        )
+        assert front.shard_names() == ["shard-0", "shard-1", "shard-2"]
+        assert front.stats()["coalescing"] is not None
+
+    def test_a_repeat_read_is_a_cache_hit_on_its_shard(self, serving_tier):
+        params = {"limit": 4}
+        shard = serving_tier.shard(serving_tier.shard_for("articles.list", params))
+        first = serving_tier.handle("articles.list", params, tenant="repeat")
+        hits_before = shard.cache.hits
+        again = serving_tier.handle("articles.list", params, tenant="repeat")
+        assert first.ok and again.payload == first.payload
+        assert shard.cache.hits == hits_before + 1
+
+    def test_serving_starts_no_thread(self, serving_tier):
+        before = threading.active_count()
+        for limit in range(1, 6):
+            assert serving_tier.handle("articles.list", {"limit": limit}).ok
+        assert serving_tier.handle("insights.topic", {"topic": "covid19"}).ok
+        assert threading.active_count() == before
 
     def test_routes_match_single_gateway(self, loaded_platform, serving_tier):
         assert serving_tier.routes() == build_gateway(loaded_platform).routes()
@@ -472,7 +506,7 @@ class TestServingTierIntegration:
             # Only successes are cached: nothing stored, the repeat not served from it.
             assert (len(shard.cache), shard.cache.hits) == (cached_before, hits_before)
 
-    def test_async_gateway_parity_with_sync_dispatch(self, loaded_platform, serving_tier):
+    def test_threaded_dispatch_parity_with_single_gateway(self, loaded_platform, serving_tier):
         requests = [
             ("articles.list", {"limit": 5}),
             ("articles.outlets", None),
@@ -486,21 +520,20 @@ class TestServingTierIntegration:
         sync_gateway = build_gateway(loaded_platform)
         sync_responses = [sync_gateway.handle(route, params) for route, params in requests]
 
-        async def drive():
-            with AsyncGateway(serving_tier, max_workers=4) as front:
-                return await front.handle_many(requests, tenant="async-tenant")
+        threaded_responses: list[ServiceResponse | None] = [None] * len(requests)
 
-        async_responses = asyncio.run(drive())
-        assert [r.status for r in async_responses] == [r.status for r in sync_responses]
-        for sync_response, async_response in zip(sync_responses, async_responses):
-            assert async_response.payload == sync_response.payload
+        def client(offset: int) -> None:
+            for index in range(offset, len(requests), 4):
+                route, params = requests[index]
+                threaded_responses[index] = serving_tier.handle(
+                    route, params, tenant="threaded-tenant"
+                )
 
-    def test_async_gateway_over_plain_gateway(self, loaded_platform):
-        gateway = build_gateway(loaded_platform)
-
-        async def drive():
-            with AsyncGateway(gateway, max_workers=2) as front:
-                return await front.handle("articles.list", {"limit": 2}, tenant=None)
-
-        response = asyncio.run(drive())
-        assert response.ok and len(response.payload["articles"]) <= 2
+        clients = [threading.Thread(target=client, args=(offset,)) for offset in range(4)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+        assert [r.status for r in threaded_responses] == [r.status for r in sync_responses]
+        for sync_response, threaded_response in zip(sync_responses, threaded_responses):
+            assert threaded_response.payload == sync_response.payload

@@ -1,80 +1,16 @@
-"""Tests for the batch-compute substrate (executor, stable hashing, jobs)."""
+"""Tests for the batch-compute substrate (stable hashing, jobs)."""
 
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.compute.executor import LocalExecutor
 from repro.compute.jobs import JobTracker
 from repro.compute.shuffle import canonical_key, stable_hash
 from repro.errors import ComputeError
-
-
-class TestExecutor:
-    def test_executor_metrics_accumulate(self):
-        executor = LocalExecutor(max_workers=2)
-        assert executor.run([[1, 2], [3]], lambda part: [x + 1 for x in part]) == [[2, 3], [4]]
-        assert executor.metrics.tasks_run >= 1
-        assert executor.metrics.partitions_processed >= 2
-
-    def test_sequential_executor(self):
-        executor = LocalExecutor(max_workers=1)
-        assert executor.run([[0, 1], [2, 3], [4]], lambda part: part) == [[0, 1], [2, 3], [4]]
-        assert executor._pool is None  # one worker never builds a pool
-
-    def test_executor_reuses_one_thread_pool(self):
-        executor = LocalExecutor(max_workers=2)
-        executor.run([[1], [2]], lambda part: part)
-        pool = executor._pool
-        assert pool is not None
-        executor.run([[3], [4]], lambda part: part)
-        assert executor._pool is pool  # no per-stage construction/teardown
-        executor.shutdown()
-        assert executor._pool is None
-        # The pool is recreated transparently after a shutdown.
-        assert executor.run([[5], [6]], lambda part: part) == [[5], [6]]
-
-    def test_executor_context_manager_shuts_down(self):
-        with LocalExecutor(max_workers=2) as executor:
-            executor.run([[1], [2]], lambda part: part)
-            assert executor._pool is not None
-        assert executor._pool is None
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ComputeError):
-            LocalExecutor(max_workers=0)
-
-    def test_empty_stage_runs_no_task(self):
-        executor = LocalExecutor(max_workers=2)
-        calls = []
-        assert executor.run([], calls.append, description="nothing") == []
-        assert calls == [] and executor._pool is None
-        assert executor.metrics.tasks_run == 1 and executor.metrics.partitions_processed == 0
-        assert list(executor.metrics.stage_descriptions) == ["nothing"]
-
-    def test_parallel_results_keep_partition_order(self):
-        def later_partitions_finish_first(part):
-            time.sleep(0.01 * (3 - part[0]))
-            return [part[0] * 10]
-
-        with LocalExecutor(max_workers=3) as executor:
-            assert executor.run([[0], [1], [2]], later_partitions_finish_first) == [[0], [10], [20]]
-
-    def test_a_failing_task_fails_the_stage_and_the_pool_survives(self):
-        with LocalExecutor(max_workers=2) as executor:
-            with pytest.raises(ZeroDivisionError):
-                executor.run([[1], [0]], lambda part: [1 / part[0]])
-            assert executor.run([[1], [2]], lambda part: part) == [[1], [2]]
-
-    def test_tasks_get_copies_of_their_partitions(self):
-        partitions = [[1, 2], [3]]
-        LocalExecutor(max_workers=1).run(partitions, lambda part: part.clear() or [])
-        assert partitions == [[1, 2], [3]]
 
 
 class TestShuffle:

@@ -88,7 +88,7 @@ def test_config_sections_hold_exactly_the_documented_fields():
         ],
         ApiConfig: ["cache_capacity", "cache_ttl_seconds"],
         ServingConfig: [
-            "shards", "ring_replicas", "admission_rate_per_s", "admission_burst",
+            "shards", "admission_rate_per_s", "admission_burst",
             "max_concurrency", "route_cost_weights", "default_route_cost",
         ],
     }
@@ -97,4 +97,4 @@ def test_config_sections_hold_exactly_the_documented_fields():
     assert [f.name for f in dataclasses.fields(PlatformConfig)] == [
         "streaming", "storage", "analytics", "indicators", "api", "serving", "random_seed",
     ]
-    assert sum(map(len, documented.values())) + 1 == 27
+    assert sum(map(len, documented.values())) + 1 == 26

@@ -1,5 +1,6 @@
 """Tests for the warehouse batch-analytics jobs (repro.core.analytics)."""
 
+import threading
 from collections import Counter, defaultdict
 from datetime import datetime
 
@@ -100,6 +101,15 @@ class TestWarehouseAnalytics:
             low_reach = max(c["mean_reactions_per_article"] for c in low_classes)
             high_reach = max(c["mean_reactions_per_article"] for c in high_classes)
             assert low_reach > high_reach
+
+    def test_an_analytics_pass_starts_no_thread(self, migrated):
+        before = threading.active_count()
+        analytics = migrated.warehouse_analytics()
+        analytics.daily_article_counts("covid19")
+        profiles = analytics.outlet_activity_profiles("covid19")
+        analytics.rating_class_summary(migrated.outlet_ratings)
+        assert profiles
+        assert threading.active_count() == before
 
     def test_missing_table_raises(self):
         analytics = WarehouseAnalytics(Warehouse())

@@ -111,6 +111,11 @@ class TestAnalyticsJobs:
         # articles are partitioned by day in the warehouse
         assert len(loaded_platform.warehouse.table("articles").partitions()) > 1
 
+    def test_synced_tables_carry_no_ingestion_time_index(self, loaded_platform):
+        # Nothing reads by ingestion time, so no index is kept up to date on it.
+        for table_name in loaded_platform.migration.registered_tables():
+            assert not loaded_platform.database.table(table_name).has_index("ingested_at")
+
     def test_periodic_training_registers_models(self, loaded_platform):
         trained = loaded_platform.train_models(now=datetime(2020, 3, 16))
         assert trained["n_articles"] > 0

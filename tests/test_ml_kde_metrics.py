@@ -5,14 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.ml.kde import GaussianKDE
-from repro.ml.metrics import (
-    accuracy_score,
-    confusion_matrix,
-    f1_score,
-    precision_score,
-    recall_score,
-    roc_auc_score,
-)
+from repro.ml.metrics import roc_auc_score
 
 
 class TestGaussianKDE:
@@ -52,31 +45,21 @@ class TestGaussianKDE:
 
 
 class TestMetrics:
-    def test_accuracy(self):
-        assert accuracy_score([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-
-    def test_precision_recall_f1(self):
-        y_true = [1, 1, 0, 0, 1]
-        y_pred = [1, 0, 1, 0, 1]
-        assert precision_score(y_true, y_pred) == pytest.approx(2 / 3)
-        assert recall_score(y_true, y_pred) == pytest.approx(2 / 3)
-        assert f1_score(y_true, y_pred) == pytest.approx(2 / 3)
-
-    def test_zero_division_cases(self):
-        assert precision_score([0, 0], [0, 0]) == 0.0
-        assert recall_score([0, 0], [1, 1]) == 0.0
-        assert f1_score([0, 0], [0, 0]) == 0.0
-
-    def test_confusion_matrix(self):
-        labels, matrix = confusion_matrix(["a", "b", "a"], ["a", "a", "a"])
-        assert labels == ["a", "b"]
-        assert matrix[0, 0] == 2 and matrix[1, 0] == 1
-
     def test_roc_auc_perfect_and_random(self):
         y = [0, 0, 1, 1]
         assert roc_auc_score(y, [0.1, 0.2, 0.8, 0.9]) == pytest.approx(1.0)
         assert roc_auc_score(y, [0.9, 0.8, 0.2, 0.1]) == pytest.approx(0.0)
         assert roc_auc_score(y, [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
+
+    def test_roc_auc_gives_ties_mid_ranks(self):
+        # One positive/negative pair tied (half credit), the other ordered.
+        assert roc_auc_score([0, 1, 0, 1], [0.1, 0.5, 0.5, 0.9]) == pytest.approx(7 / 8)
+
+    def test_roc_auc_with_a_named_positive_class(self):
+        labels = ["real", "fake", "real", "fake"]
+        scores = [0.2, 0.9, 0.4, 0.7]
+        assert roc_auc_score(labels, scores, positive="fake") == pytest.approx(1.0)
+        assert roc_auc_score(labels, scores, positive="real") == pytest.approx(0.0)
 
     def test_roc_auc_requires_both_classes(self):
         with pytest.raises(ModelError):
@@ -84,5 +67,5 @@ class TestMetrics:
 
     def test_length_mismatch(self):
         with pytest.raises(ModelError):
-            accuracy_score([1], [1, 0])
+            roc_auc_score([1], [0.1, 0.9])
 

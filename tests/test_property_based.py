@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.experts.consensus import pairwise_agreement, score_variance
 from repro.ml.kde import GaussianKDE
-from repro.ml.metrics import accuracy_score, roc_auc_score
+from repro.ml.metrics import roc_auc_score
 from repro.nlp.clickbait import clickbait_score
 from repro.nlp.readability import readability_report
 from repro.nlp.stance import StanceClassifier
@@ -153,11 +153,6 @@ class TestMathProperties:
     def test_agreement_and_variance_bounds(self, scores):
         assert 0.0 <= pairwise_agreement(scores) <= 1.0
         assert score_variance(scores) >= 0.0
-
-    @given(st.lists(st.booleans(), min_size=2, max_size=100))
-    @settings(max_examples=60, deadline=None)
-    def test_accuracy_of_perfect_predictions_is_one(self, labels):
-        assert accuracy_score(labels, list(labels)) == 1.0
 
     @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0, max_value=1, allow_nan=False)),
                     min_size=4, max_size=100))

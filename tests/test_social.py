@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.models import Reaction, ReactionKind, SocialPost
 from repro.social.accounts import AccountRegistry, SocialAccount
-from repro.social.reach import compute_reach, posts_per_article, reactions_per_article
+from repro.social.reach import compute_reach, reactions_per_article
 from repro.social.stance_aggregate import aggregate_stance
 
 NOW = datetime(2020, 2, 1, 12, 0, 0)
@@ -85,11 +85,10 @@ class TestReach:
         assert report.popularity == 0.0
         assert report.weighted_reach == 0.0
 
-    def test_reactions_and_posts_per_article(self):
+    def test_reactions_per_article(self):
         posts = [_post("p1"), _post("p2")]
         reactions = [_reaction("r1", "p1"), _reaction("r2", "p2"), _reaction("r3", "p2")]
         assert reactions_per_article(posts, reactions) == {URL: 3}
-        assert posts_per_article(posts) == {URL: 2}
 
 
 class TestStanceAggregation:

@@ -115,12 +115,29 @@ class TestLsnMonotonicity:
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
 
-    def test_checkpoint_truncation_does_not_recycle_lsns(self):
+    def test_pruning_consumed_records_does_not_recycle_lsns(self):
         db = _db([_row("a0", datetime(2020, 2, 1, 12))])
         high = db.wal_lsn()
-        db.wal.truncate()  # empties the log, keeps the sequence
+        assert db.wal.prune(high) >= 1  # empties the in-memory log, keeps the sequence
+        assert list(db.wal.replay()) == []
         db.insert("articles", _row("a1", datetime(2020, 2, 1, 13)))
         assert db.wal_lsn() == high + 1
+
+    def test_prune_keeps_the_records_past_the_cutoff(self):
+        wal = WriteAheadLog()
+        for i in range(3):
+            wal.append("insert", "t", {"row": {"k": i}})
+        assert wal.prune(2) == 2
+        assert [record.sequence for record in wal.replay()] == [3]
+
+    def test_prune_leaves_a_file_backed_log_untouched(self, tmp_path):
+        db = Database(data_dir=tmp_path)
+        db.create_table(_articles_schema())
+        db.insert("articles", _row("a0", datetime(2020, 2, 1, 12)))
+        before = (tmp_path / "wal.jsonl").read_bytes()
+        assert db.wal.prune(db.wal_lsn()) == 0  # the file is the replay source
+        assert (tmp_path / "wal.jsonl").read_bytes() == before
+        assert Database(data_dir=tmp_path).table("articles").row_count() == 1
 
     def test_tailer_cursor_is_monotonic_and_durable(self, tmp_path):
         wal = WriteAheadLog()
@@ -244,6 +261,19 @@ class TestMergeDeterminism:
 
 
 class TestCommittedChangesOnly:
+    def test_apply_report_counts_rows_per_warehouse_table(self):
+        ts = datetime(2020, 2, 1, 9)
+        db = _db([_row("a0", ts)])
+        _warehouse, _job, publisher, applier = _pipeline(db)
+        assert applier.apply().tables == {}
+        db.insert("articles", _row("a1", ts))
+        db.insert("articles", _row("a2", ts + timedelta(days=1)))
+        db.delete("articles", col("article_id") == "a0")
+        publisher.publish()
+        report = applier.apply()
+        assert report.rows == 3
+        assert report.tables == {"articles": 3}
+
     def test_rolled_back_transaction_publishes_nothing(self):
         ts = datetime(2020, 2, 1, 9)
         db = _db([_row("a0", ts), _row("a1", ts + timedelta(days=1))])

@@ -5,17 +5,16 @@ PR 6 replaced the watermark-based incremental copy with continuous CDC:
 every later mutation reaches the warehouse through the WAL → broker → delta
 pipeline.  These tests cover the bootstrap contract, the CDC analogue of the
 old boundary bugs (late rows sharing a timestamp — trivially safe now, since
-nothing filters by timestamp anymore), sync-marker bookkeeping and tz-aware
-handling in ``prune_migrated_rows``.
+nothing filters by timestamp anymore) and tz-aware report stamps.
 """
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 import pytest
 
 from repro.errors import StorageError
 from repro.storage.cdc import CdcPublisher, DeltaApplier
-from repro.storage.migration import MigrationJob, prune_migrated_rows
+from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
@@ -83,16 +82,6 @@ class TestBootstrap:
         assert second.bootstrapped == ()
         assert warehouse.table("articles").row_count() == 2
 
-    def test_bootstrap_records_sync_marker(self):
-        ts = datetime(2020, 2, 1, 12, 30)
-        db = _db([_row("a0", ts - timedelta(hours=1)), _row("a1", ts)])
-        job = MigrationJob(db, Warehouse())
-        job.add_table("articles")
-        assert job.synced_through("articles") is None
-        job.run()
-        assert job.synced_through("articles") == ts
-
-
 class TestCdcFreshness:
     def test_late_row_sharing_a_timestamp_is_not_lost(self):
         # The old watermark filter (``timestamp > watermark``) skipped late
@@ -146,60 +135,25 @@ class TestCdcFreshness:
         assert [r["article_id"] for r in rows] == ["a0"]
         assert rows[0]["outlet"] == "y.example.com"
 
-    def test_applier_advances_the_sync_marker(self):
+    def test_deleting_migrated_rows_deletes_them_from_the_warehouse(self):
+        # The warehouse follows the log, deletes included: rows removed from
+        # the RDBMS after they were copied leave the warehouse on the next
+        # drain, so the two never diverge.
         ts = datetime(2020, 2, 1, 12)
-        db = _db([_row("a0", ts)])
+        db = _db([_row(f"a{i}", ts + timedelta(days=i)) for i in range(6)])
         warehouse = Warehouse()
         job = MigrationJob(db, warehouse)
         job.add_table("articles")
         publisher, applier = _wire_cdc(db, warehouse, job)
-        assert job.synced_through("articles") == ts
+        assert warehouse.table("articles").row_count() == 6
 
-        late = ts + timedelta(hours=3)
-        db.insert("articles", _row("a1", late))
-        report = _sync(publisher, applier)
-        assert report.synced["articles"] == late
-        job.note_synced("articles", report.synced["articles"])
-        assert job.synced_through("articles") == late
+        db.delete("articles", col("created_at") <= ts + timedelta(days=3))
+        _sync(publisher, applier)
+        assert sorted(warehouse.table("articles").read_column("article_id")) == ["a4", "a5"]
+        assert db.table("articles").row_count() == warehouse.table("articles").row_count()
 
 
 class TestTimezoneHandling:
-    def test_prune_with_aware_marker_and_default_now(self):
-        ts = datetime(2020, 2, 1, 12, tzinfo=timezone.utc)
-        db = _db([_row("a0", ts)])
-        job = MigrationJob(db, Warehouse())
-        job.add_table("articles")
-        job.run()
-        assert job.synced_through("articles").tzinfo is not None
-        # The old code compared the aware marker against a naive
-        # ``datetime.utcnow()`` default and raised TypeError.
-        deleted = prune_migrated_rows(db, job, "articles", keep_days=1)
-        assert deleted == 1
-        assert db.table("articles").row_count() == 0
-
-    def test_prune_with_naive_marker_and_aware_now(self):
-        ts = datetime(2020, 2, 1, 12)
-        db = _db([_row("a0", ts)])
-        job = MigrationJob(db, Warehouse())
-        job.add_table("articles")
-        job.run()
-        deleted = prune_migrated_rows(
-            db, job, "articles", keep_days=1,
-            now=datetime(2020, 3, 1, tzinfo=timezone.utc),
-        )
-        assert deleted == 1
-
-    def test_prune_keeps_recent_rows_regardless_of_awareness(self):
-        now = datetime(2020, 2, 10, tzinfo=timezone.utc)
-        ts_old = datetime(2020, 2, 1, 12, tzinfo=timezone.utc)
-        ts_new = datetime(2020, 2, 9, 12, tzinfo=timezone.utc)
-        db = _db([_row("old", ts_old), _row("new", ts_new)])
-        job = MigrationJob(db, Warehouse())
-        job.add_table("articles")
-        job.run()
-        assert prune_migrated_rows(db, job, "articles", keep_days=7, now=now) == 1
-        assert [r["article_id"] for r in db.query("articles").execute().rows] == ["new"]
-
     def test_run_and_compaction_default_now_is_tz_aware(self):
         db = _db([_row("a0", datetime(2020, 2, 1))])
         job = MigrationJob(db, Warehouse())

@@ -147,7 +147,7 @@ class TestWalMeaning:
 
         broker = MessageBroker(default_partitions=1)
         publisher = CdcPublisher(db, broker)
-        publisher.add_mapping(TableMapping("pages", "pages", "seen_at", "seen_at", primary_key="id"))
+        publisher.add_mapping(TableMapping("pages", "pages", "seen_at", primary_key="id"))
         assert publisher.publish() == 3 and publisher.cursor == 6
         db.insert("pages", {"id": 3, "url": "c"})
         assert db.wal_lsn() == 7 and publisher.publish() == 1

@@ -23,7 +23,6 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro import SciLensPlatform
-from repro.compute.executor import TaskMetrics
 from repro.compute.jobs import HISTORY_KEEP, JobTracker
 from repro.errors import RetryExhaustedError, TransientFaultError, WarehouseError
 from repro.models import Article
@@ -365,14 +364,6 @@ class TestJobPath:
         assert tracker.success_rate() == 0.75
         assert tracker.success_rate("boom") == 0.0 and tracker.success_rate("ok") == 1.0
         assert not tracker.last_result("boom").succeeded  # aged out of history, still known
-
-    def test_executor_stage_descriptions_are_capped(self):
-        metrics = TaskMetrics()
-        for i in range(1000):
-            metrics.record(1, 0.0, f"stage-{i}")
-        assert metrics.tasks_run == 1000
-        assert len(metrics.stage_descriptions) == metrics.stage_descriptions.maxlen == 64
-        assert metrics.stage_descriptions[-1] == "stage-999"
 
     def test_quarantine_is_capped_and_the_count_stays_exact(self):
         platform = SciLensPlatform()

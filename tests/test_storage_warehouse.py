@@ -4,9 +4,9 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.errors import WarehouseError
+from repro.errors import StorageError, WarehouseError
 from repro.storage.cdc import CdcPublisher, DeltaApplier
-from repro.storage.migration import MigrationJob, prune_migrated_rows
+from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.types import ColumnType
@@ -189,26 +189,31 @@ class TestMigration:
         report = applier.apply()
         assert report.rows == 1
         assert warehouse.table("articles").row_count() == 7
-        job.note_synced("articles", report.synced["articles"])
-        assert job.synced_through("articles") == datetime(2020, 1, 25)
 
-    def test_missing_timestamp_column_rejected(self):
+    def test_add_table_partitions_by_created_at_by_default(self):
+        db = self._db()
+        warehouse = Warehouse()
+        job = MigrationJob(db, warehouse)
+        job.add_table("articles")
+        (mapping,) = job.mappings()
+        assert mapping.partition_column == "created_at"
+        job.run()
+        assert warehouse.table("articles").partitions() == [
+            f"2020-01-{day}" for day in range(15, 21)
+        ]
+
+    def test_add_table_declares_no_rdbms_index(self):
+        db = self._db()
+        MigrationJob(db, Warehouse()).add_table("articles")
+        table = db.table("articles")
+        assert not table.has_index("created_at")
+        assert not table.has_index("outlet")
+
+    def test_missing_partition_column_rejected(self):
         db = Database()
         db.create_table(TableSchema(
             name="t", primary_key="id", columns=(Column("id", ColumnType.TEXT, nullable=False),),
         ))
         job = MigrationJob(db, Warehouse())
-        with pytest.raises(Exception):
+        with pytest.raises(StorageError, match="no partition column 'created_at'"):
             job.add_table("t")
-
-    def test_prune_migrated_rows(self):
-        db = self._db()
-        warehouse = Warehouse()
-        job = MigrationJob(db, warehouse)
-        job.add_table("articles")
-        job.run()
-        deleted = prune_migrated_rows(db, job, "articles", keep_days=1, now=datetime(2020, 2, 15))
-        assert deleted == 6
-        assert db.table("articles").row_count() == 0
-        # Nothing migrated yet for an unknown table: prune is a no-op.
-        assert prune_migrated_rows(db, MigrationJob(db, warehouse), "articles") == 0

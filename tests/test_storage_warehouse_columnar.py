@@ -757,77 +757,90 @@ class TestGroupedAggregation:
             table.aggregate({"n": ("count", "*")}, group_by=["day", "nope"])
 
 
-class TestParallelScans:
-    def _executors(self):
-        from repro.compute.executor import LocalExecutor
-
-        return [None, LocalExecutor(max_workers=1), LocalExecutor(max_workers=4)]
-
-    def test_scan_columns_identical_at_any_worker_count(self):
+class TestSerialScans:
+    def test_scan_columns_matches_the_row_scan(self):
         _, table = _grouped_fixture()
-        results = [
-            list(
-                table.scan_columns(
-                    ["outlet", "score"],
-                    range_filters=[("score", 200, None)],
-                    executor=executor,
-                )
+        scanned = [
+            pair
+            for block in table.scan_columns(
+                ["outlet", "score"], range_filters=[("score", 200, None)]
             )
-            for executor in self._executors()
+            for pair in zip(block["outlet"], block["score"])
         ]
-        assert results[0] == results[1] == results[2]
+        expected = [
+            (row["outlet"], row["score"])
+            for row in table.scan()
+            if row["score"] is not None and row["score"] >= 200
+        ]
+        assert scanned == expected
 
-    def test_scan_filtered_identical_at_any_worker_count(self):
+    def test_scan_filtered_matches_the_row_scan(self):
         _, table = _grouped_fixture()
-        results = [
-            list(table.scan_filtered(range_filters=[("score", None, 700)], executor=ex))
-            for ex in self._executors()
+        expected = [
+            row for row in table.scan()
+            if row["score"] is not None and row["score"] <= 700
         ]
-        assert results[0] == results[1] == results[2]
+        assert list(table.scan_filtered(range_filters=[("score", None, 700)])) == expected
 
-    def test_aggregate_identical_at_any_worker_count_including_float_sums(self):
+    def test_aggregate_float_sums_are_bit_identical_across_calls(self):
         _, table = _grouped_fixture(n=600)
-        results = [
-            table.aggregate(
-                {"n": ("count", "*"), "w": ("sum", "weight"), "mean": ("avg", "weight")},
-                group_by=["day", "outlet"],
-                executor=executor,
-            )
-            for executor in self._executors()
-        ]
+        aggs = {"n": ("count", "*"), "w": ("sum", "weight"), "mean": ("avg", "weight")}
+        first = table.aggregate(aggs, group_by=["day", "outlet"])
+        second = table.aggregate(aggs, group_by=["day", "outlet"])
         # Bit-identical floats: per-block partials merge in block order.
-        assert results[0] == results[1] == results[2]
-        assert repr(results[0]) == repr(results[1]) == repr(results[2])
+        assert repr(first) == repr(second)
+        reference = _row_scan_groups(table, ["day", "outlet"])
+        assert {key: row["n"] for key, row in first.items()} == {
+            key: agg["n"] for key, agg in reference.items()
+        }
+        for key, row in first.items():
+            assert row["w"] == pytest.approx(sum(reference[key]["weights"]))
 
-    def test_parallel_scan_on_clustered_table_is_deterministic(self):
-        from repro.compute.executor import LocalExecutor
-
+    def test_range_scan_on_clustered_table_matches_reference(self):
         warehouse = Warehouse(block_rows=32)
         table = warehouse.create_table(
             "s", ["day", "score"], "day", partition_by="value", sort_key=["score"]
         )
         table.append({"day": f"d{i % 2}", "score": (13 * i) % 200} for i in range(256))
-        serial = list(table.scan_columns(["score"], range_filters=[("score", 50, 150)]))
-        parallel = list(
-            table.scan_columns(
-                ["score"],
-                range_filters=[("score", 50, 150)],
-                executor=LocalExecutor(max_workers=4),
-            )
-        )
-        assert serial == parallel
+        scanned = [
+            score
+            for block in table.scan_columns(["score"], range_filters=[("score", 50, 150)])
+            for score in block["score"]
+        ]
+        expected = [
+            score
+            for day in ("d0", "d1")
+            for score in sorted((13 * i) % 200 for i in range(256) if f"d{i % 2}" == day)
+            if 50 <= score <= 150
+        ]
+        assert scanned == expected
 
-    def test_parallel_aggregate_shares_the_block_cache(self):
-        from repro.compute.executor import LocalExecutor
-
+    def test_scan_columns_reads_one_block_before_its_first_yield(self):
         warehouse, table = _grouped_fixture()
-        table.aggregate(
-            {"n": ("count", "*")}, group_by="outlet",
-            executor=LocalExecutor(max_workers=4),
-        )
+        assert table.cache_info()["entries"] == 0
+        reads_before = warehouse.dfs.read_count
+        scan = table.scan_columns(["score"])
+        next(scan)
+        assert warehouse.dfs.read_count == reads_before + 1
+        rest = list(scan)
+        assert warehouse.dfs.read_count == reads_before + 1 + len(rest)
+
+    def test_scan_filtered_yields_a_row_after_one_block_read(self):
+        warehouse, table = _grouped_fixture()
+        reads_before = warehouse.dfs.read_count
+        first = next(table.scan_filtered(["outlet"]))
+        assert set(first) == {"outlet"}
+        assert warehouse.dfs.read_count == reads_before + 1
+
+    def test_cold_aggregate_reads_each_block_once(self):
+        warehouse, table = _grouped_fixture()
+        reads_before = warehouse.dfs.read_count
+        table.aggregate({"n": ("count", "*"), "w": ("sum", "weight")}, group_by="outlet")
+        assert warehouse.dfs.read_count - reads_before == table.storage_totals()["block_count"]
+
+    def test_aggregate_reuses_the_block_cache(self):
+        warehouse, table = _grouped_fixture()
+        table.aggregate({"n": ("count", "*")}, group_by="outlet")
         reads_after_first = warehouse.dfs.read_count
-        table.aggregate(
-            {"n": ("count", "*")}, group_by="outlet",
-            executor=LocalExecutor(max_workers=4),
-        )
+        table.aggregate({"n": ("count", "*")}, group_by="outlet")
         assert warehouse.dfs.read_count == reads_after_first  # cache-served

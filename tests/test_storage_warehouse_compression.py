@@ -7,7 +7,6 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.compute.executor import LocalExecutor
 from repro.core.analytics import WarehouseAnalytics
 from repro.errors import WarehouseError
 from repro.storage.cdc import CdcPublisher, DeltaApplier
@@ -362,48 +361,38 @@ class TestCompaction:
 
 
 # ======================================================================
-# Parallel decode determinism (compressed blocks)
+# Compressed decode matches raw blocks
 # ======================================================================
 
 
-class TestParallelCompressedDecode:
-    def test_results_identical_at_every_worker_count(self):
-        rng = random.Random(99)
-        warehouse = Warehouse(block_rows=64, cache_blocks=0)
-        table = warehouse.create_table(
-            "p", ["id", "outlet", "created_at", "w"], "created_at"
+class TestCompressedDecode:
+    def test_compressed_results_match_raw_blocks(self):
+        tables = []
+        for level in (0, 6):
+            rng = random.Random(99)
+            warehouse = Warehouse(block_rows=64, cache_blocks=0, compression_level=level)
+            table = warehouse.create_table(
+                "p", ["id", "outlet", "created_at", "w"], "created_at"
+            )
+            table.append(
+                {"id": i, "outlet": f"o{rng.randrange(6)}",
+                 "created_at": datetime(2020, 1, 15) + timedelta(days=i % 4),
+                 "w": rng.random()}
+                for i in range(600)
+            )
+            tables.append(table)
+        raw, compressed = tables
+        assert list(compressed.scan_columns(["outlet", "w"])) == list(
+            raw.scan_columns(["outlet", "w"])
         )
-        table.append(
-            {"id": i, "outlet": f"o{rng.randrange(6)}",
-             "created_at": datetime(2020, 1, 15) + timedelta(days=i % 4),
-             "w": rng.random()}
-            for i in range(600)
-        )
-        executors = [None] + [LocalExecutor(max_workers=n) for n in (1, 2, 4)]
-        scans = [
-            list(table.scan_columns(["outlet", "w"], executor=ex)) for ex in executors
-        ]
-        assert all(scan == scans[0] for scan in scans[1:])
         aggregates = [
             table.aggregate(
-                {"n": ("count", "*"), "s": ("sum", "w")},
-                group_by="outlet", executor=ex,
+                {"n": ("count", "*"), "s": ("sum", "w")}, group_by="outlet"
             )
-            for ex in executors
+            for table in tables
         ]
         # Bit-identical floats: partials merge in deterministic block order.
-        assert all(repr(agg) == repr(aggregates[0]) for agg in aggregates[1:])
-
-    def test_zero_latency_uncompressed_scans_stay_sequential(self):
-        # Without compression there is no GIL-releasing decode to overlap, so
-        # the fan-out is skipped (results must of course still be identical).
-        warehouse = Warehouse(block_rows=32, compression_level=0)
-        table = _filled_table(warehouse, n=200)
-        executor = LocalExecutor(max_workers=4)
-        serial = list(table.scan_columns(["n"]))
-        parallel = list(table.scan_columns(["n"], executor=executor))
-        assert serial == parallel
-        assert executor.metrics.tasks_run == 0  # never dispatched
+        assert repr(aggregates[0]) == repr(aggregates[1])
 
 
 # ======================================================================
@@ -452,13 +441,11 @@ def _migrated_platform(n_days=5, per_day=40):
     db.create_table(schema)
     warehouse = Warehouse(block_rows=4096)
     job = MigrationJob(db, warehouse, compaction_min_blocks=4)
-    # Freshness on ingestion time, partitions on event time — the platform's
-    # layout.  The first run bootstrap-copies the initial batch; every later
+    # Partitions on event time — the platform's layout.  The first run bootstrap-copies the initial batch; every later
     # CDC pass lands a few late rows in *every* publication-day partition,
     # fragmenting each with one delta block per pass.
     job.add_table(
-        "articles", timestamp_column="ingested_at",
-        partition_column="published_at", sort_key=["published_at"],
+        "articles", partition_column="published_at", sort_key=["published_at"],
     )
     broker = MessageBroker(default_partitions=2)
     publisher = CdcPublisher(db, broker)

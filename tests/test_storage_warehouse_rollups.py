@@ -224,6 +224,20 @@ class TestIncrementalRefresh:
         )
         _assert_parity(table, rollup)
 
+    def test_refresh_all_can_be_restricted_to_some_tables(self):
+        warehouse, table = _events_warehouse()
+        other = warehouse.create_table(
+            "others", ["day", "outlet", "kind", "score", "weight"], "day",
+            partition_by="value",
+        )
+        other.append(_event_rows(random.Random(3), 40))
+        warehouse.register_rollup(_spec())
+        warehouse.register_rollup(_spec(name="others_by_outlet", table="others"))
+        reports = warehouse.rollups.refresh_all(tables=["others"])
+        assert list(reports) == ["others_by_outlet"]
+        assert reports["others_by_outlet"].changed
+        assert warehouse.rollups.serve("events_by_outlet") is None  # never refreshed
+
     def test_drop_refresh_reads_nothing(self):
         warehouse, table = _events_warehouse(cache_blocks=0)
         rollup = warehouse.register_rollup(_spec(), refresh=True)

@@ -1,68 +1,30 @@
 """Tests for repro._time."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
-import pytest
-
-from repro._time import (
-    COVID_WINDOW_DAYS,
-    COVID_WINDOW_END,
-    COVID_WINDOW_START,
-    clamp_to_window,
-    day_index,
-    day_of,
-    days_between,
-    hours_between,
-    iter_days,
-    to_datetime,
-    window_days,
-)
+from repro._time import COVID_WINDOW_END, COVID_WINDOW_START, iter_days
 
 
 def test_covid_window_is_sixty_days():
-    assert COVID_WINDOW_DAYS == 60
     assert COVID_WINDOW_START == datetime(2020, 1, 15)
     assert COVID_WINDOW_END == datetime(2020, 3, 15)
+    assert len(list(iter_days(COVID_WINDOW_START, COVID_WINDOW_END))) == 60
 
 
-def test_to_datetime_accepts_datetime_date_str_and_timestamp():
-    dt = datetime(2020, 2, 1, 12, 30)
-    assert to_datetime(dt) is dt
-    assert to_datetime(date(2020, 2, 1)) == datetime(2020, 2, 1)
-    assert to_datetime("2020-02-01T12:30:00") == dt
-    assert to_datetime(0) == datetime(1970, 1, 1)
-
-
-def test_to_datetime_rejects_unsupported_types():
-    with pytest.raises(TypeError):
-        to_datetime(["2020-01-01"])
-
-
-def test_day_of_and_day_index():
-    ts = datetime(2020, 1, 20, 23, 59)
-    assert day_of(ts) == date(2020, 1, 20)
-    assert day_index(ts) == 5
-    assert day_index(COVID_WINDOW_START) == 0
-
-
-def test_iter_days_and_window_days():
+def test_iter_days():
     days = list(iter_days(datetime(2020, 1, 1), datetime(2020, 1, 4)))
     assert days == [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)]
-    assert len(window_days()) == COVID_WINDOW_DAYS
 
 
-def test_clamp_to_window():
-    early = datetime(2019, 12, 1)
-    late = datetime(2021, 1, 1)
-    inside = datetime(2020, 2, 1)
-    assert clamp_to_window(early) == COVID_WINDOW_START
-    assert clamp_to_window(late) < COVID_WINDOW_END
-    assert clamp_to_window(inside) == inside
+def test_iter_days_is_empty_for_an_empty_or_inverted_range():
+    start = datetime(2020, 2, 1, 8)
+    assert list(iter_days(start, start)) == []
+    assert list(iter_days(start, datetime(2020, 1, 1))) == []
 
 
-def test_hours_and_days_between():
-    a = datetime(2020, 1, 1)
-    b = a + timedelta(hours=36)
-    assert hours_between(a, b) == pytest.approx(36.0)
-    assert days_between(a, b) == pytest.approx(1.5)
-    assert days_between(b, a) == pytest.approx(-1.5)
+def test_iter_days_walks_calendar_days_not_24_hour_spans():
+    # 23:00 to 01:00 the next day is two hours but touches one calendar day
+    # before the (exclusive) end day.
+    assert list(iter_days(datetime(2020, 2, 1, 23), datetime(2020, 2, 2, 1))) == [
+        date(2020, 2, 1)
+    ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.web.html import parse_html
-from repro.web.urls import domain_of, is_same_site, normalize_url, path_of, registered_domain
+from repro.web.urls import domain_of, is_same_site, normalize_url, registered_domain
 
 
 class TestUrls:
@@ -36,9 +36,6 @@ class TestUrls:
     def test_is_same_site(self):
         assert is_same_site("https://a.example.com/x", "https://b.example.com/y")
         assert not is_same_site("https://example.com", "https://other.org")
-
-    def test_path_of(self):
-        assert path_of("https://example.com/a/b") == "/a/b"
 
 
 class TestHtmlParser:
