@@ -48,8 +48,9 @@ class StorageConfig:
     #: Serve base blocks (stale but correct) when the merge-on-read path
     #: fails transiently, instead of failing the query.
     warehouse_degraded_reads: bool = True
-    #: Quarantine a batch the warehouse keeps rejecting (commit its offsets,
-    #: keep it on ``DeltaApplier.quarantined``) instead of blocking the topic.
+    #: Quarantine a batch the warehouse keeps rejecting (move the applier's
+    #: position past it, keep it on ``DeltaApplier.quarantined``) instead of
+    #: blocking every later change.
     cdc_skip_poisoned: bool = False
 
     def validate(self) -> None:

@@ -48,7 +48,6 @@ from ..storage.sync import StorageSync
 from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
-from ..streaming.checkpoint import CheckpointStore
 from ..streaming.pipeline import ArticleExtractionPipeline, article_id_for
 from ..web.references import ReferenceProfile
 from ..web.scraper import ArticleScraper
@@ -118,17 +117,8 @@ class SciLensPlatform:
 
         # --- data layer -----------------------------------------------------
         # Without a data directory the WAL runs in memory: no durability, but
-        # CDC still tails the committed mutations.
+        # CDC still reads the committed mutations.
         data_dir = self.config.storage.data_dir
-
-        def durable(file_name: str):
-            """Where a cursor/offsets file lives (``None``: keep it in memory)."""
-            return data_dir / file_name if data_dir is not None else None
-
-        def checkpoints(file_name: str) -> CheckpointStore:
-            """A consumer group's offsets file, under the shared fault wiring."""
-            return CheckpointStore(durable(file_name), self.fault_injector, self.retry_policy)
-
         self.database = Database(data_dir=data_dir)
         for schema in all_schemas():
             self.database.create_table(schema, if_not_exists=True)
@@ -173,54 +163,38 @@ class SciLensPlatform:
         for spec in standing_rollup_specs(self.config.storage.warehouse_rollup_topic):
             self.warehouse.register_rollup(spec)
 
-        # Continuous change-data capture: the publisher tails the RDBMS WAL
-        # onto per-table broker topics, the applier lands those row deltas as
-        # warehouse delta blocks.  The migration job above keeps only the
-        # bootstrap backfill and the compaction schedule.
-        self.cdc_publisher = CdcPublisher(
-            self.database,
-            self.broker,
-            cursor_path=durable("cdc-cursor.json"),
-            retry_policy=self.retry_policy,
-            health=self.health.subsystem("cdc-publisher"),
-        )
+        # Continuous change-data capture: the publisher reads the RDBMS WAL
+        # once per pass and hands each sink the row changes past its own
+        # position — the applier lands them as warehouse delta blocks, the
+        # indexer as BM25 segments (exactly-once via per-document LSN
+        # checks).  The migration job above keeps only the bootstrap
+        # backfill and the compaction schedule.  Both positions start from
+        # what the sinks hold, so over a reopened data directory (empty DFS)
+        # the first drain re-reads the WAL from LSN 0.
+        self.cdc_publisher = CdcPublisher(self.database)
         for mapping in self.migration.mappings():
             self.cdc_publisher.add_mapping(mapping)
-        self.cdc_checkpoints = checkpoints("cdc-offsets.json")
         self.cdc_applier = DeltaApplier(
             self.warehouse,
-            self.broker,
             self.migration.mappings(),
-            checkpoints=self.cdc_checkpoints,
-            retry_policy=self.retry_policy,
             health=self.health.subsystem("cdc-applier"),
             breaker=CircuitBreaker(),
             skip_poisoned=self.config.storage.cdc_skip_poisoned,
         )
-        # Segment-backed search index: a second consumer group over the same
-        # CDC topics keeps the BM25 posting lists fresh incrementally — no
-        # batch rebuild, exactly-once via per-document LSN checks.
         self.fts_index = FtsIndex("articles", dfs=self.dfs)
         self.fts_indexer = FtsIndexer(
             self.fts_index,
-            self.broker,
             table="articles",
             columns=ARTICLE_FTS_COLUMNS,
             primary_key="article_id",
-            checkpoints=checkpoints("fts-offsets.json"),
-            retry_policy=self.retry_policy,
-            health=self.health.subsystem("fts"),
         )
-        # The one owner of the WAL → warehouse/FTS protocol: bootstrap, drain, recover.
+        for sink in (self.cdc_applier, self.fts_indexer):
+            self.cdc_publisher.add_sink(sink)
+        # The one owner of the WAL → warehouse/FTS protocol: bootstrap, drain.
         self.storage_sync = StorageSync(
             self.migration, self.cdc_publisher, self.cdc_applier,
             self.fts_index, self.fts_indexer,
         )
-        # A restart over an existing data directory leaves a durable cursor
-        # (and offsets file) behind; reconcile them with the WAL, broker and
-        # DFS this process actually holds before the first sync.
-        if data_dir is not None:
-            self.recover_storage()
 
         # --- analytics ------------------------------------------------------
         self.models = ModelRegistry()
@@ -455,15 +429,14 @@ class SciLensPlatform:
     ) -> list[tuple[Article, float]]:
         """BM25-ranked full-text search over article titles and bodies.
 
-        Served from the segment-backed FTS index (``sync=True`` drains
-        pending WAL records into the index first, so a just-stored article is
-        searchable immediately).  Every query term must appear; a trailing
+        Served from the segment-backed FTS index (``sync=True`` lands
+        pending WAL records in the index first — one WAL read — so a
+        just-stored article is searchable immediately).  Every query term must appear; a trailing
         ``*`` makes the last term of that chunk a prefix.  Returns ``(article, score)`` pairs,
         best first.
         """
         if sync:
-            self.cdc_publisher.publish()
-            self.fts_indexer.run()
+            self.storage_sync.refresh_search()
         results: list[tuple[Article, float]] = []
         for doc_id, score in self.fts_index.search(query, limit=limit):
             row = self.database.get("articles", doc_id)
@@ -624,26 +597,15 @@ class SciLensPlatform:
         return self._run_job("daily_migration", now)
 
     def process_cdc(self, refresh_rollups: bool = True) -> dict[str, Any]:
-        """Publish pending WAL records and land them as warehouse deltas.
+        """Read pending WAL records once and land them in the search index
+        and as warehouse deltas.
 
         The continuous freshness path: cheap enough to run after every ingest
-        batch, no daily schedule required.  Returns a summary with the
-        messages published, rows applied per RDBMS table and the worst
-        write→visible latency observed (seconds).
+        batch, no daily schedule required.  Returns a summary with the row
+        changes read (``published``), rows applied per RDBMS table and the
+        worst write→visible latency observed (seconds).
         """
         return self.storage_sync.drain(refresh_rollups=refresh_rollups)
-
-    def recover_storage(self, redeliver: bool = False) -> dict[str, Any]:
-        """Reconcile durable CDC state with the live WAL/broker/warehouse.
-
-        Runs automatically when the platform is constructed over an existing
-        data directory; call it explicitly (optionally with
-        ``redeliver=True`` to replay every CDC topic from offset 0 — the
-        warehouse's exactly-once delta index absorbs the redelivery) after
-        restoring state by hand.  Returns the publisher and applier recovery
-        reports.
-        """
-        return self.storage_sync.recover(redeliver=redeliver)
 
     def run_warehouse_compaction(self, now: datetime | None = None):
         """Run the scheduled warehouse compaction pass (defragment partitions).

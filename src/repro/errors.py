@@ -54,8 +54,7 @@ class FtsError(StorageError):
 class TransientFaultError(StorageError):
     """A fault that may succeed on retry (injected or simulated-environmental).
 
-    Raised at the fault-injection sites (DFS read/write, broker publish/poll,
-    checkpoint I/O).  :class:`repro.storage.faults.RetryPolicy` treats this
+    Raised at the fault-injection sites (DFS read/write, broker publish/poll).  :class:`repro.storage.faults.RetryPolicy` treats this
     class — plus whatever extra classes a call site registers — as retryable.
     """
 

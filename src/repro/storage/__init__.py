@@ -8,16 +8,16 @@ here as from-scratch substrates:
   indexes, a cost-based query builder, transactions, write-ahead log);
 * :mod:`repro.storage.warehouse` — a partitioned columnar store on top of a
   simulated block-replicated distributed file system;
-* :mod:`repro.storage.cdc` — continuous change-data capture: the WAL is
-  tailed onto per-table broker topics and landed as warehouse delta blocks,
-  keeping the two stores in sync without a batch copy; also the one
-  consumer-group runner every CDC sink subclasses;
+* :mod:`repro.storage.cdc` — continuous change-data capture: one WAL read
+  per pass is decoded into row changes and handed to each sink past its own
+  position, landing as warehouse delta blocks and keeping the two stores in
+  sync without a batch copy; also the sink base both sinks share;
 * :mod:`repro.storage.migration` — the bootstrap backfill and scheduled
   compaction that remain around the CDC stream;
 * :mod:`repro.storage.sync` — the one owner of the synchronisation protocol
   over those mechanisms: bootstrap → drain → restart reconciliation;
 * :mod:`repro.storage.fts` — full-text search: one BM25 index of
-  posting-list segments on the DFS, fed from the CDC stream;
+  posting-list segments on the DFS, the second CDC sink;
 * :mod:`repro.storage.faults` — the shared fault-injection, retry,
   circuit-breaker and health primitives the layers above wire together,
   and the one retry guard they call.
@@ -43,11 +43,10 @@ from .rdbms import (
 from .warehouse import DistributedFileSystem, Warehouse, WarehouseTable
 from .cdc import (
     CdcApplyReport,
-    CdcConsumerGroup,
     CdcPublisher,
+    CdcSink,
     DeltaApplier,
     TableMapping,
-    cdc_topic,
 )
 from .fts import FtsIndex, FtsIndexer
 from .migration import MigrationJob, MigrationReport
@@ -71,11 +70,10 @@ __all__ = [
     "Warehouse",
     "WarehouseTable",
     "CdcApplyReport",
-    "CdcConsumerGroup",
     "CdcPublisher",
+    "CdcSink",
     "DeltaApplier",
     "TableMapping",
-    "cdc_topic",
     "MigrationJob",
     "MigrationReport",
     "StorageSync",

@@ -5,7 +5,7 @@ this module provides the four pieces every storage/streaming layer shares.
 
 * :class:`FaultInjector` — a seeded, deterministic source of injected
   failures.  Tests (and the chaos CI job) arm named sites — ``dfs.write``,
-  ``dfs.read``, ``broker.publish``, ``broker.poll``, ``checkpoint.save`` —
+  ``dfs.read``, ``broker.publish``, ``broker.poll`` —
   with scripted (*fail the next N calls*) or probabilistic (*fail each call
   with probability p, from a seeded RNG*) faults, transient or persistent.
   Production code paths call :meth:`FaultInjector.check` at each site; with
@@ -49,7 +49,6 @@ FAULT_SITES = (
     "dfs.read",
     "broker.publish",
     "broker.poll",
-    "checkpoint.save",
 )
 
 
@@ -83,8 +82,8 @@ class _FaultPlan:
 class FaultInjector:
     """Seeded, deterministic fault source shared across the pipeline.
 
-    One injector instance is threaded through DFS, broker, checkpoint store
-    and CDC; each layer calls :meth:`check` at its site.  ``seed`` fixes the
+    One injector instance is threaded through the DFS and the ingestion
+    broker; each layer calls :meth:`check` at its site.  ``seed`` fixes the
     probabilistic draw order, so a chaos run replays identically.
     """
 
@@ -238,7 +237,7 @@ def retrying(
     """Run ``fn`` under ``policy``, counting every retry on ``health``.
 
     The one retry guard every faultable call of the data layer goes through
-    (DFS reads/writes, CDC publish, consumer polls, checkpoint saves).
+    (DFS reads and writes).
     Without a policy ``fn`` runs once and its error propagates unchanged — a
     caller that attached none still sees :class:`TransientFaultError`, not
     :class:`RetryExhaustedError`.  What a *failed* call means (degrade,

@@ -9,8 +9,8 @@ The subsystem has four layers:
   warehouse format-4 wire (tombstones travel inside segments);
 * :mod:`.index` — the buffer-over-segments index with last-writer-wins LSN
   liveness, recovery by segment rescan, and segment compaction;
-* :mod:`.indexer` — the CDC consumer group that keeps a DFS-backed index
-  fresh from ``cdc.<table>`` topics, exactly-once.
+* :mod:`.indexer` — the CDC sink that keeps a DFS-backed index fresh from
+  the WAL's row changes, exactly-once.
 
 There is one index: the platform serves search from a DFS-backed
 :class:`FtsIndex` kept fresh by an :class:`FtsIndexer`.  Without a DFS the

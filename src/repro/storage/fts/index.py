@@ -4,7 +4,7 @@ Writes go to a memtable-style buffer; :meth:`FtsIndex.flush` seals the buffer
 into an immutable posting-list segment (:mod:`.segments`) on the DFS.  Reads
 merge buffer and segments under a **last-writer-wins liveness map**: every
 document carries the LSN of its latest version, exactly one location (buffer
-or one segment) is live per document, and stale or redelivered updates are
+or one segment) is live per document, and stale or repeated updates are
 dropped by LSN — the same exactly-once idiom the warehouse delta path uses.
 
 The segment files are the only durable state.  Deletes write tombstones
@@ -93,7 +93,7 @@ class FtsIndex:
         """Index (or re-index) a document; returns ``False`` for stale LSNs.
 
         ``lsn`` defaults to the next internal LSN; CDC-fed callers pass the
-        WAL LSN so redelivered messages are dropped idempotently.
+        WAL LSN so changes read again are dropped idempotently.
         """
         doc_tokens = list(tokens) if tokens is not None else analyze(text)
         return self._put(doc_id, doc_tokens, lsn)
@@ -108,7 +108,7 @@ class FtsIndex:
             lsn = self._next_lsn
         current = self._live.get(doc_id)
         if current is not None and lsn <= current[0]:
-            return False  # stale or redelivered version
+            return False  # stale or repeated version
         self._next_lsn = max(self._next_lsn, lsn + 1)
         self._retract(doc_id)
         if doc_tokens is None:

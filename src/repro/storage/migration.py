@@ -3,7 +3,7 @@
 "The data synchronization between the RDBMS and the Distributed Storage is
 made through a daily data migration process" (§3.3).  The platform now keeps
 the warehouse fresh *continuously* through change-data capture
-(:mod:`repro.storage.cdc`: WAL → broker → delta blocks); what remains here is
+(:mod:`repro.storage.cdc`: WAL → delta blocks); what remains here is
 everything CDC cannot do by construction:
 
 * **Bootstrap backfill** — :meth:`MigrationJob.run` copies a registered RDBMS
@@ -55,8 +55,8 @@ class MigrationReport:
     #: tables were empty.
     bootstrapped: tuple[str, ...] = ()
     #: The database's WAL LSN captured when the copy started.  When *every*
-    #: registered table bootstrapped, the CDC cursor can skip to this LSN:
-    #: the copied rows already reflect all mutations up to it.
+    #: registered table bootstrapped, both CDC sinks start at this LSN: the
+    #: copied rows already reflect all mutations up to it.
     cursor_lsn: int = 0
     #: Materialized roll-up name → number of partitions re-aggregated by the
     #: refresh that followed the CDC drain (only roll-ups where something

@@ -3,7 +3,7 @@
 Every mutation of a :class:`~repro.storage.rdbms.database.Database` is
 appended to the log before being applied.  File-backed logs (databases opened
 with a data directory) are replayed on open so the operational store survives
-restarts; in-memory logs back the change-data-capture pipeline, which tails
+restarts; in-memory logs back the change-data-capture pipeline, which reads
 the log and ships committed mutations to the analytical warehouse.
 
 Record sequence numbers are the platform's log sequence numbers (LSNs): they
@@ -21,9 +21,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ...errors import StorageError
-from ...logging_utils import get_logger
-
-logger = get_logger("storage.wal")
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,8 @@ class WriteAheadLog:
     """Append-only JSON-lines log of database mutations.
 
     With ``path=None`` the log lives purely in memory: no durability, but the
-    same LSN and tailing semantics.  This is what a :class:`Database` without
-    a data directory uses so CDC can still tail its mutations.
+    same LSN semantics.  This is what a :class:`Database` without a data
+    directory uses so CDC can still read its mutations.
     """
 
     def __init__(self, path: Path | str | None = None) -> None:
@@ -170,73 +167,3 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.replay())
-
-
-class WalTailer:
-    """Yields WAL records past a durable cursor.
-
-    The cursor records the highest LSN already handed to the consumer.  With
-    a ``cursor_path`` it survives restarts (stored as a tiny JSON document);
-    without one it lives only as long as the tailer.
-    """
-
-    def __init__(self, wal: WriteAheadLog, cursor_path: Path | str | None = None) -> None:
-        self.wal = wal
-        self.cursor_path = Path(cursor_path) if cursor_path is not None else None
-        self._cursor = self._load_cursor()
-
-    def _load_cursor(self) -> int:
-        if self.cursor_path is None or not self.cursor_path.exists():
-            return 0
-        try:
-            return int(json.loads(self.cursor_path.read_text(encoding="utf-8"))["lsn"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            # A torn/garbage cursor file (crash mid-write) must not take the
-            # CDC sync job down: restart from the last durable position (LSN
-            # 0 — everything still in the WAL re-publishes, and the
-            # warehouse's exactly-once index absorbs the redelivery).
-            logger.warning(
-                "corrupt WAL cursor at %s (%s); restarting tail from LSN 0",
-                self.cursor_path,
-                exc,
-            )
-            return 0
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    def pending(self) -> int:
-        """Number of records past the cursor still to be tailed."""
-        return sum(1 for _ in self.wal.records_after(self._cursor))
-
-    def tail(self) -> Iterator[WalRecord]:
-        """Yield records past the cursor.  Does not advance it — call
-        :meth:`advance` once the batch has been handed off durably."""
-        yield from self.wal.records_after(self._cursor)
-
-    def advance(self, lsn: int) -> None:
-        """Move the cursor forward to ``lsn`` (never backwards)."""
-        if lsn <= self._cursor:
-            return
-        self._cursor = lsn
-        self._persist_cursor()
-
-    def reset(self, lsn: int) -> None:
-        """Force the cursor to ``lsn`` — recovery only, rewinds allowed.
-
-        Used when the cursor got ahead of the WAL it tails (the WAL's LSN
-        counter restarted, e.g. an in-memory log in a new process): leaving
-        the cursor up high would silently skip every new record.
-        """
-        if lsn < 0:
-            raise StorageError("WAL cursor cannot be negative")
-        self._cursor = lsn
-        self._persist_cursor()
-
-    def _persist_cursor(self) -> None:
-        if self.cursor_path is not None:
-            self.cursor_path.parent.mkdir(parents=True, exist_ok=True)
-            self.cursor_path.write_text(
-                json.dumps({"lsn": self._cursor}), encoding="utf-8"
-            )

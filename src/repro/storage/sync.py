@@ -3,26 +3,29 @@
 "The data synchronization between the RDBMS and the Distributed Storage is
 made through a daily data migration process" (§3.3).  Here that process is
 continuous, and :class:`StorageSync` is its one owner — the only code that
-sees both ends (the WAL cursor and what the sinks hold) and therefore the
-only place the order of the steps is written down:
+sees both ends (the WAL and what the sinks hold) and therefore the only
+place the order of the steps is written down:
 
-* :meth:`StorageSync.drain` — publish the WAL tail → drain the search
-  indexer → drain the warehouse applier → refresh the standing roll-ups;
+* :meth:`StorageSync.drain` — one WAL read handed to both sinks → land the
+  search index → land the warehouse → refresh the standing roll-ups;
+* :meth:`StorageSync.refresh_search` — the search-freshness step: one WAL
+  read, landed in the search index only;
 * :meth:`StorageSync.bootstrap` — the backfill in front of the first drain:
-  copy empty warehouse tables wholesale, hand the CDC cursor past the copied
-  records, backfill the search index, then drain;
-* :meth:`StorageSync.recover` — the reconciliation after a restart: WAL
-  cursor against the WAL *and* against the sinks, consumer offsets against
-  the recovered high-water marks;
+  copy empty warehouse tables wholesale, start both sinks at the copy's
+  LSN (the search index is backfilled from the table), then drain;
 * :meth:`StorageSync.status` — the ``cdc`` / ``fts`` freshness sections of
   the platform status.
 
+There is no restart step: each sink's position starts from what the sink
+holds, so sinks that come back empty re-read the WAL from LSN 0 and the
+LSN checks absorb any overlap.
+
 The mechanisms stay where they were: :mod:`repro.storage.cdc` (publisher,
-consumer-group runner, delta applier), :mod:`repro.storage.fts` (index and
-indexer) and :mod:`repro.storage.migration` (backfill copy, compaction,
-roll-up refresh).  Collaborators are looked up through their owning instance
-at call time, so a tracer that wraps ``publisher.publish`` or
-``applier.apply`` on the live objects sees every call made from here.
+sink base, delta applier), :mod:`repro.storage.fts` (index and indexer) and
+:mod:`repro.storage.migration` (backfill copy, compaction, roll-up refresh).
+Collaborators are looked up through their owning instance at call time, so
+a tracer that wraps ``publisher.publish`` or ``applier.apply`` on the live
+objects sees every call made from here.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .migration import MigrationJob, MigrationReport
 
 @dataclass
 class StorageSync:
-    """Owns bootstrap → drain → recover over one WAL and its two sinks."""
+    """Owns bootstrap → drain over one WAL and its two sinks."""
 
     migration: MigrationJob
     publisher: CdcPublisher
@@ -48,16 +51,15 @@ class StorageSync:
     fts_indexer: FtsIndexer
 
     def drain(self, refresh_rollups: bool = True) -> dict[str, Any]:
-        """Publish pending WAL records and land them in both sinks.
+        """Read pending WAL records once and land them in both sinks.
 
-        Returns the messages published, rows applied per RDBMS table, the
+        Returns the row changes read, rows applied per RDBMS table, the
         worst write→visible latency observed (seconds) and the indexer's
         report under ``"fts"``.
         """
         published = self.publisher.publish()
-        # The search index drains its own consumer group first: it never
-        # shares the applier's breaker, so search freshness survives a
-        # quarantined warehouse batch.
+        # The search index lands first: it never shares the applier's
+        # breaker, so search freshness survives a quarantined warehouse batch.
         fts_report = self.fts_indexer.run()
         summary: dict[str, Any] = {
             "published": published, "applied_rows": 0, "applied_tables": {},
@@ -68,8 +70,8 @@ class StorageSync:
         except CircuitOpenError as exc:
             # The applier's breaker is open (a batch kept failing): surface
             # the backoff through health instead of crashing the sync job.
-            # Published messages stay on the broker, uncommitted, until the
-            # cooldown lets a probe through.
+            # The applier's position stays put, so the next drain reads the
+            # same changes again once the cooldown lets a probe through.
             if self.applier.health is not None:
                 self.applier.health.degrade(exc)
             return {**summary, "breaker_open": True}
@@ -88,6 +90,15 @@ class StorageSync:
         )
         return summary
 
+    def refresh_search(self) -> dict[str, Any]:
+        """Land pending WAL records in the search index only (one WAL read).
+
+        The applier keeps what it was handed; the next :meth:`drain` hands
+        it the same changes again, and more.
+        """
+        self.publisher.publish()
+        return self.fts_indexer.run()
+
     def bootstrap(self, now: datetime | None = None) -> MigrationReport:
         """Backfill empty warehouse tables, then drain; one combined report.
 
@@ -98,13 +109,13 @@ class StorageSync:
         copied = self.migration.run(now=now)
         if set(copied.bootstrapped) == set(self.migration.registered_tables()):
             # Every registered table was copied wholesale, so the WAL records
-            # up to the pre-copy LSN are already reflected — skip them instead
-            # of republishing.  (On partial bootstraps the cursor stays put;
-            # redelivery is safe because delta application is idempotent.)
-            self.publisher.skip_to(copied.cursor_lsn)
-            # ``skip_to`` means the copied rows never reach the CDC topics,
-            # so the search index backfills straight from the table at the
-            # bootstrap LSN (later CDC messages carry higher LSNs and win).
+            # up to the pre-copy LSN are already reflected — start the applier
+            # past them.  (On partial bootstraps the position stays put;
+            # re-reading is safe because delta application is idempotent.)
+            self.applier.start_at(copied.cursor_lsn)
+            # The search index backfills straight from the table at the
+            # bootstrap LSN and starts there (later changes carry higher
+            # LSNs and win).
             if self.fts_indexer.table in copied.bootstrapped:
                 self.fts_indexer.bootstrap(
                     self.migration.database.table(self.fts_indexer.table).rows(),
@@ -116,38 +127,6 @@ class StorageSync:
         for rdbms_table, rows in sync["applied_tables"].items():
             migrated[rdbms_table] = migrated.get(rdbms_table, 0) + rows
         return replace(copied, migrated_rows=migrated, rollups_refreshed=rollups_refreshed)
-
-    def recover(self, redeliver: bool = False) -> dict[str, Any]:
-        """Reconcile the durable cursor and offsets with the live stores.
-
-        What survives a restart over a data directory is the WAL and the
-        cursor/offset files; the in-process DFS and broker come back empty.
-        :meth:`CdcPublisher.recover` rewinds a cursor that is ahead of its
-        WAL; the symmetric rule lives here, where both ends are visible: a
-        non-zero cursor over sinks that hold nothing restarts at 0, so the
-        next :meth:`drain` republishes the whole log onto the empty stores
-        (the sinks' LSN checks absorb any overlap).  ``redeliver=True``
-        additionally replays every CDC topic from offset 0.
-        """
-        over_empty_sinks = self.publisher.cursor > 0 and self._sinks_are_empty()
-        if over_empty_sinks:
-            self.publisher.tailer.reset(0)
-        publisher = self.publisher.recover()
-        publisher["rewound"] = publisher["rewound"] or over_empty_sinks
-        report: dict[str, Any] = {
-            "publisher": publisher,
-            "applier": self.applier.recover(redeliver=redeliver),
-            "fts": self.fts_index.recover(),
-        }
-        report["fts"]["indexer"] = self.fts_indexer.recover(redeliver=redeliver)
-        return report
-
-    def _sinks_are_empty(self) -> bool:
-        warehouse = self.migration.warehouse
-        return self.fts_index.last_lsn == 0 and all(
-            warehouse.table(m.warehouse_table).block_count() == 0
-            for m in self.migration.mappings()
-        )
 
     def status(self) -> dict[str, dict[str, Any]]:
         """The ``cdc`` and ``fts`` freshness sections of the platform status."""

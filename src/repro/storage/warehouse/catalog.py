@@ -246,12 +246,28 @@ class BlockCatalog:
                 role=role,
             )
 
-    def append_blocks(self, partition: str, rows: list[dict[str, Any]], role: str) -> None:
-        """Write ``rows`` as ``role`` blocks of the partition; each block
-        becomes visible as soon as its file has landed."""
-        refs = (self.base if role == "base" else self.deltas).setdefault(partition, [])
-        for ref in self._write_blocks(partition, rows, role):
-            refs.append(ref)
+    def append_blocks(self, grouped: dict[str, list[dict[str, Any]]], role: str) -> None:
+        """Write each partition's rows as ``role`` blocks; each block becomes
+        visible as soon as its file has landed.
+
+        All or nothing: when a write fails, the blocks this call already
+        wrote are unlinked and deleted again before the error propagates, so
+        neither a reader nor a later rescan sees part of the append.
+        """
+        layout = self.base if role == "base" else self.deltas
+        written: list[tuple[str, BlockRef]] = []
+        try:
+            for partition, rows in grouped.items():
+                for ref in self._write_blocks(partition, rows, role):
+                    layout.setdefault(partition, []).append(ref)
+                    written.append((partition, ref))
+        except Exception:
+            for partition, ref in written:
+                layout[partition].remove(ref)
+                if not layout[partition]:
+                    del layout[partition]
+            self._delete([ref for _partition, ref in written])
+            raise
 
     def replace_partition(
         self, partition: str, rows: list[dict[str, Any]]

@@ -11,7 +11,7 @@ cached merged view of each partition with outstanding deltas.  Compaction
 versions are flagged so reads stop suppressing the now up-to-date base rows.
 This state persists as four manifest fields encoded and decoded here; after a
 block rescan it is rebuilt from the delta and base rows (folded flags are lost
-that way — safe, because a redelivered folded version re-applies content
+that way — safe, because a folded version read again re-applies content
 identical to the base row).
 """
 
@@ -62,7 +62,7 @@ class DeltaMerge:
         self.catalog = catalog
         self.primary_key = primary_key
         #: Latest landed version per primary key (canonical form).  Never
-        #: pruned: it is also the exactly-once guard against redelivery.
+        #: pruned: it is also the exactly-once guard against a change read twice.
         self._delta_info: dict[Any, _DeltaEntry] = {}
         self._pk_partition: dict[Any, str] = {}
         self._suppression_epoch: dict[str, int] = {}
@@ -98,18 +98,21 @@ class DeltaMerge:
         self,
         entries: Sequence[tuple[int, str, dict[str, Any]]],
         partitioner: Callable[[dict[str, Any]], str],
-    ) -> dict[str, list[dict[str, Any]]]:
+    ) -> tuple[dict[str, list[dict[str, Any]]], dict[Any, tuple]]:
         """The LSN filter: drop duplicate/stale entries, index the rest and
-        return them as delta rows per target partition."""
+        return them as delta rows per target partition, plus what
+        :meth:`revert` needs to un-index them if they fail to land."""
         fresh: dict[str, list[dict[str, Any]]] = {}
+        undo: dict[Any, tuple] = {}
         for lsn, op, row in sorted(entries, key=lambda entry: entry[0]):
             opcode = "d" if op in ("d", "delete") else "u"
             key = canonical_key(row.get(self.primary_key))
             existing = self._delta_info.get(key)
             if existing is not None and lsn <= existing.lsn:
-                continue  # duplicate or stale redelivery
+                continue  # duplicate or stale version
             target = partitioner(row)
             previous = self._pk_partition.get(key)
+            undo.setdefault(key, (existing, previous))
             if previous is not None and previous != target:
                 # The key's old partition keeps its bytes but loses the row
                 # from its merged view — bump its epoch so signatures and
@@ -127,7 +130,22 @@ class DeltaMerge:
                 {**row, "_cdc_lsn": lsn, "_cdc_op": opcode}
             )
             self._merged_refs.pop(target, None)
-        return fresh
+        return fresh, undo
+
+    def revert(self, undo: dict[Any, tuple]) -> None:
+        """Un-index what :meth:`admit` indexed: its rows did not land (the
+        catalog took back every block of the failed append), so the same
+        versions must be admitted again when they are read again."""
+        for key, (entry, partition) in undo.items():
+            if entry is None:
+                self._delta_info.pop(key, None)
+            else:
+                self._delta_info[key] = entry
+            if partition is None:
+                self._pk_partition.pop(key, None)
+            else:
+                self._pk_partition[key] = partition
+        self._merged_refs.clear()
 
     def fold(self, partition: str) -> None:
         """The partition's merged view was rewritten as its base blocks."""

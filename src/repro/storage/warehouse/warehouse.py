@@ -194,24 +194,27 @@ class WarehouseTable:
         ``"delete"``/``"d"`` (tombstone; ``row`` is the deleted row, used for
         partition routing).  Application is **idempotent**: an entry whose LSN
         is not strictly greater than the latest landed version of its primary
-        key is dropped, so redelivered broker batches (consumer restart,
-        checkpoint replay) never land twice — regardless of delivery order
-        across broker partitions.
+        key is dropped, so changes read again (a restart below the landed
+        position, a batch retried after a failure) never land twice —
+        regardless of the order they arrive in.
 
         Reads merge these deltas into the base blocks with last-writer-wins
         by primary key/LSN; :meth:`compact_partition` folds them into the
         base for good.
         """
         self._delta.require_primary_key(primary_key)
-        fresh = self._delta.admit(entries, self.partitioner)
-        self._land(fresh, "delta")
+        fresh, undo = self._delta.admit(entries, self.partitioner)
+        try:
+            self._land(fresh, "delta")
+        except Exception:
+            self._delta.revert(undo)
+            raise
         return sum(len(rows) for rows in fresh.values())
 
     def _land(self, grouped: dict[str, list[dict[str, Any]]], role: str) -> None:
         """Write each partition's rows as ``role`` blocks, visible one by one
-        as they land, then persist the manifest."""
-        for partition, rows in grouped.items():
-            self._catalog.append_blocks(partition, rows, role)
+        as they land (all or nothing), then persist the manifest."""
+        self._catalog.append_blocks(grouped, role)
         if grouped:
             self._write_manifest()
 
@@ -299,10 +302,9 @@ class WarehouseTable:
     def delta_high_water(self) -> int:
         """The highest CDC LSN landed in this table (0 when none).
 
-        After :meth:`recover`, this is the warehouse-side high-water mark the
-        CDC applier reconciles its broker offsets against: messages at or
-        below it are already landed and will be dropped by the exactly-once
-        index on redelivery.
+        After :meth:`recover`, this is where a CDC applier over the table
+        resumes: changes at or below it are already landed and are dropped
+        by the exactly-once index when read again.
         """
         return self._delta.high_water()
 

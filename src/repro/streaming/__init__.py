@@ -2,14 +2,15 @@
 
 Replaces the Datastreamer-based ingestion of the original deployment with an
 in-process message broker (topics, partitions, offsets, consumer groups), a
-consumer API, offset checkpointing and the article-extraction pipeline that
-turns raw posting events into articles, posts and reactions.
+consumer API and the article-extraction pipeline that turns raw posting
+events into articles, posts and reactions.  It carries the social-media feed
+only: change-data capture reads the RDBMS write-ahead log directly
+(:mod:`repro.storage.cdc`).
 """
 
 from .message import Message
 from .broker import MessageBroker, TopicStats
 from .consumer import Consumer
-from .checkpoint import CheckpointStore
 from .pipeline import ArticleExtractionPipeline, PipelineStats
 
 __all__ = [
@@ -17,7 +18,6 @@ __all__ = [
     "MessageBroker",
     "TopicStats",
     "Consumer",
-    "CheckpointStore",
     "ArticleExtractionPipeline",
     "PipelineStats",
 ]

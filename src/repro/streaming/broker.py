@@ -26,7 +26,6 @@ class TopicStats:
     topic: str
     partitions: int
     total_messages: int
-    end_offsets: tuple[int, ...]
 
 
 def _partition_for(key: str | None, n_partitions: int) -> int:
@@ -89,7 +88,6 @@ class MessageBroker:
                 topic=topic,
                 partitions=len(partitions),
                 total_messages=sum(len(p) for p in partitions),
-                end_offsets=tuple(len(p) for p in partitions),
             )
 
     # --------------------------------------------------------------- produce
@@ -199,19 +197,3 @@ class MessageBroker:
                 len(log) - self.committed_offset(group, topic, p)
                 for p, log in enumerate(partitions)
             )
-
-    def seek_to_beginning(self, group: str, topic: str) -> None:
-        """Reset a group's position on every partition of ``topic`` to offset 0."""
-        with self._lock:
-            partitions = self._partitions_of(topic)
-            for partition_id in range(len(partitions)):
-                self._committed[(group, topic, partition_id)] = 0
-
-    def read_all(self, topic: str) -> list[Message]:
-        """All messages of a topic in (partition, offset) order — for inspection/tests."""
-        with self._lock:
-            partitions = self._partitions_of(topic)
-            out: list[Message] = []
-            for log in partitions:
-                out.extend(log)
-            return out

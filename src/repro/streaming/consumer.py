@@ -1,4 +1,4 @@
-"""Consumer: group-based reads from the broker with optional checkpointing."""
+"""Consumer: group-based reads from the broker."""
 
 from __future__ import annotations
 
@@ -6,61 +6,20 @@ from typing import Callable
 
 from ..errors import StreamingError
 from .broker import MessageBroker
-from .checkpoint import CheckpointStore
 from .message import Message
 
 
 class Consumer:
-    """A consumer belonging to a consumer group.
+    """A consumer belonging to a consumer group."""
 
-    When a :class:`CheckpointStore` is supplied, committed offsets are also
-    persisted there and restored on construction, so processing resumes where
-    it left off after a restart.
-    """
-
-    def __init__(
-        self,
-        broker: MessageBroker,
-        group: str,
-        topics: list[str],
-        checkpoints: CheckpointStore | None = None,
-    ) -> None:
+    def __init__(self, broker: MessageBroker, group: str, topics: list[str]) -> None:
         if not topics:
             raise StreamingError("a consumer must subscribe to at least one topic")
         self.broker = broker
         self.group = group
         self.topics = list(topics)
-        self.checkpoints = checkpoints
         self.consumed_count = 0
         self._poll_cursor = 0
-        if self.checkpoints is not None:
-            self._restore_checkpoints()
-
-    def _restore_checkpoints(self) -> None:
-        assert self.checkpoints is not None
-        for topic in self.topics:
-            # A consumer may subscribe before its producer ever created the
-            # topic; there is nothing to restore onto yet.
-            if not self.broker.has_topic(topic):
-                continue
-            end_offsets = self.broker.topic_stats(topic).end_offsets
-            for partition, offset in self.checkpoints.offsets(self.group, topic).items():
-                # A checkpoint file and the broker can disagree in both
-                # directions.  Behind (offsets committed after the file's
-                # last write): apply the same monotonic guard as
-                # :meth:`commit` — never rewind the group, a rewind would
-                # redeliver every message past the stale checkpoint.  Ahead
-                # (the in-memory broker restarted with a shorter — typically
-                # empty — log, or the topic was re-created narrower): clamp
-                # to the partition's high-water mark instead of letting
-                # ``broker.commit`` raise ``OffsetOutOfRange`` out of the
-                # constructor.
-                if partition >= len(end_offsets):
-                    continue
-                offset = min(offset, end_offsets[partition])
-                current = self.broker.committed_offset(self.group, topic, partition)
-                if offset > current:
-                    self.broker.commit(self.group, topic, partition, offset)
 
     def poll(self, max_messages: int = 100) -> list[Message]:
         """Fetch up to ``max_messages`` messages across the subscribed topics.
@@ -121,8 +80,6 @@ class Consumer:
             current = self.broker.committed_offset(self.group, topic, partition)
             if next_offset > current:
                 self.broker.commit(self.group, topic, partition, next_offset)
-                if self.checkpoints is not None:
-                    self.checkpoints.save(self.group, topic, partition, next_offset)
         self.consumed_count += len(messages)
 
     def lag(self) -> int:
@@ -142,7 +99,7 @@ class Consumer:
         """Poll, run ``handler`` on each message, then commit (at-least-once).
 
         Returns the number of messages processed.  If the handler raises, no
-        offsets are committed and the batch will be redelivered.
+        offsets are committed and the next poll delivers the batch again.
         """
         messages = self.poll(max_messages=max_messages)
         for message in messages:

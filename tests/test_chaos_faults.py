@@ -3,18 +3,18 @@
 Each scenario runs under several :class:`FaultInjector` seeds and asserts the
 pipeline's end-state invariants rather than any particular failure schedule:
 
-* a warehouse reopened mid-CDC (published-but-unapplied deltas outstanding)
-  recovers its delta index from DFS blocks and lands the backlog with zero
-  duplicate rows, bit-identical (``repr`` of float payloads included) to an
-  uninterrupted run — even when the entire topic is then redelivered from
-  offset 0, and even when the recovery manifest is torn and the table falls
-  back to a full block rescan;
+* a warehouse reopened mid-CDC (changes read but not landed) recovers its
+  delta index from DFS blocks, resumes at what it holds and lands the WAL
+  past that with zero duplicate rows, bit-identical (``repr`` of float
+  payloads included) to an uninterrupted run — even when the log is then
+  re-read from LSN 0, and even when the recovery manifest is torn and the
+  table falls back to a full block rescan;
 * a crash during compaction leaves no half-written replacement blocks and
   changes no query result, and the scheduled compaction job skips the failed
   table instead of aborting;
-* a poisoned batch trips the applier's circuit breaker instead of
-  hot-looping, and with ``skip_poisoned`` is quarantined with offsets
-  committed;
+* a change the warehouse rejects trips the applier's circuit breaker instead
+  of hot-looping, and with ``skip_poisoned`` is quarantined and the applier's
+  position moves past it;
 * every degradation surfaces in ``SciLensPlatform.status()["health"]``.
 """
 
@@ -23,8 +23,13 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.errors import CircuitOpenError, TransientFaultError
-from repro.storage.cdc import CdcPublisher, DeltaApplier
+from repro.errors import (
+    CircuitOpenError,
+    RetryExhaustedError,
+    TransientFaultError,
+    WarehouseError,
+)
+from repro.storage.cdc import CdcPublisher, DeltaApplier, TableMapping
 from repro.storage.faults import CircuitBreaker, FaultInjector, RetryPolicy
 from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
@@ -33,16 +38,15 @@ from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.warehouse import Warehouse
 from repro.storage.warehouse.catalog import manifest_path
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.broker import MessageBroker
 
 SEEDS = [11, 23, 37]
 
 T0 = datetime(2020, 2, 1, 6)
 
 
-def _articles_schema():
+def _articles_schema(name="articles"):
     return TableSchema(
-        name="articles",
+        name=name,
         primary_key="article_id",
         columns=(
             Column("article_id", ColumnType.TEXT, nullable=False),
@@ -98,20 +102,24 @@ def _apply_ops(db, ops):
             db.delete("articles", col("article_id") == key)
 
 
-def _pipeline(db, dfs=None, injector=None, policy=None, block_rows=4):
-    warehouse = Warehouse(dfs, block_rows=block_rows)
+def _wire(db, warehouse, mappings, **wiring):
+    """A publisher over ``db`` with one applier over ``warehouse`` as its sink."""
+    publisher = CdcPublisher(db)
+    for mapping in mappings:
+        publisher.add_mapping(mapping)
+    applier = DeltaApplier(warehouse, mappings, **wiring)
+    publisher.add_sink(applier)
+    return publisher, applier
+
+
+def _pipeline(db, block_rows=4):
+    warehouse = Warehouse(block_rows=block_rows)
     job = MigrationJob(db, warehouse)
     job.add_table("articles", sort_key=["created_at"])
-    broker = MessageBroker(default_partitions=4, fault_injector=injector)
-    publisher = CdcPublisher(db, broker, retry_policy=policy)
-    for mapping in job.mappings():
-        publisher.add_mapping(mapping)
-    applier = DeltaApplier(
-        warehouse, broker, job.mappings(), retry_policy=policy
-    )
+    publisher, applier = _wire(db, warehouse, job.mappings())
     report = job.run()
-    publisher.skip_to(report.cursor_lsn)
-    return warehouse, job, broker, publisher, applier
+    applier.start_at(report.cursor_lsn)
+    return warehouse, job, publisher, applier
 
 
 def _snapshot(table):
@@ -120,15 +128,14 @@ def _snapshot(table):
     ))
 
 
-def _reopen(db, old_warehouse, broker, block_rows=4, policy=None):
-    """Rebuild the warehouse from its DFS blocks — the restart path."""
+def _reopen(db, old_warehouse, block_rows=4):
+    """Rebuild the warehouse from its DFS blocks — the restart path — and a
+    publisher + applier over it; the applier resumes at what it holds."""
     warehouse = Warehouse(old_warehouse.dfs, block_rows=block_rows)
     job = MigrationJob(db, warehouse)
     job.add_table("articles", sort_key=["created_at"])  # triggers recover()
-    applier = DeltaApplier(
-        warehouse, broker, job.mappings(), retry_policy=policy
-    )
-    return warehouse, applier
+    publisher, applier = _wire(db, warehouse, job.mappings())
+    return warehouse, publisher, applier
 
 
 class TestChaosRestartMidCdc:
@@ -140,22 +147,19 @@ class TestChaosRestartMidCdc:
         # Reference: the same script, uninterrupted and fault-free.
         ref_db = Database()
         ref_db.create_table(_articles_schema())
-        ref_wh, _, _, ref_pub, ref_app = _pipeline(ref_db)
+        ref_wh, _, ref_pub, ref_app = _pipeline(ref_db)
         _apply_ops(ref_db, ops)
         ref_pub.publish()
         ref_app.apply()
         reference = _snapshot(ref_wh.table("articles"))
 
-        # Chaos run: transient faults on every site, retried instantly.
+        # Chaos run: transient DFS write faults, retried instantly.
         injector = FaultInjector(seed=seed)
         policy = RetryPolicy(max_attempts=8, sleep=lambda _d: None)
-        for site in ("dfs.write", "broker.publish", "broker.poll"):
-            injector.inject(site, probability=0.25)
+        injector.inject("dfs.write", probability=0.25)
         db = Database()
         db.create_table(_articles_schema())
-        warehouse, _, broker, publisher, applier = _pipeline(
-            db, injector=injector, policy=policy
-        )
+        warehouse, _, publisher, applier = _pipeline(db)
         warehouse.dfs.fault_injector = injector
         warehouse.dfs.retry_policy = policy
 
@@ -163,24 +167,29 @@ class TestChaosRestartMidCdc:
         publisher.publish()
         applier.apply()
 
-        # Crash: the warehouse process dies with published-but-unapplied
-        # deltas outstanding.  A new warehouse recovers its state from the
-        # DFS blocks alone; a new applier (same group) lands the backlog.
+        # Crash: the warehouse process dies with changes read but not
+        # landed.  A new warehouse recovers its state from the DFS blocks
+        # alone; a new applier resumes at what it holds and lands the rest.
         _apply_ops(db, ops[half:])
         publisher.publish()
-        warehouse, applier = _reopen(db, warehouse, broker, policy=policy)
-        recovery = applier.recover()
-        assert recovery["tables"]["articles"]["delta_high_water"] > 0
+        assert applier.lag() > 0
+        warehouse, publisher, applier = _reopen(db, warehouse)
+        high_water = warehouse.table("articles").delta_high_water()
+        assert applier.position == high_water > 0
+        assert publisher.pending() == db.wal_lsn() - high_water > 0
+        publisher.publish()
         applier.apply()
+        assert publisher.cursor == db.wal_lsn()
 
         table = warehouse.table("articles")
         ids = [r["article_id"] for r in table.scan()]
         assert len(ids) == len(set(ids))  # zero duplicate rows
         assert _snapshot(table) == reference
 
-        # Full-topic redelivery after the restart changes nothing: every
+        # Re-reading everything still in the log changes nothing: every
         # LSN at or below the recovered high-water mark is dropped.
-        assert applier.recover(redeliver=True)["redelivered"]
+        applier.start_at(0)
+        assert publisher.publish() > 0
         assert applier.apply().rows == 0
         assert _snapshot(table) == reference
 
@@ -189,7 +198,7 @@ class TestChaosRestartMidCdc:
         ops = _make_ops(seed)
         db = Database()
         db.create_table(_articles_schema())
-        warehouse, _, broker, publisher, applier = _pipeline(db)
+        warehouse, _, publisher, applier = _pipeline(db)
         _apply_ops(db, ops)
         publisher.publish()
         applier.apply()
@@ -220,12 +229,13 @@ class TestChaosRestartMidCdc:
         # The rescan reseeds the manifest, so the *next* reopen is fast path.
         assert table.recover()["source"] == "manifest"
 
-        # Redelivering the whole topic against the rescanned index still
+        # Re-reading the log from LSN 0 against the rescanned index still
         # lands zero duplicates.
         job = MigrationJob(db, reopened)
         job.add_table("articles", sort_key=["created_at"])
-        applier = DeltaApplier(reopened, broker, job.mappings())
-        applier.recover(redeliver=True)
+        publisher, applier = _wire(db, reopened, job.mappings())
+        applier.start_at(0)
+        assert publisher.publish() > 0
         assert applier.apply().rows == 0
         assert _snapshot(table) == expected
 
@@ -236,7 +246,7 @@ class TestChaosCompactionCrash:
         ops = _make_ops(seed)
         db = Database()
         db.create_table(_articles_schema())
-        warehouse, job, broker, publisher, applier = _pipeline(db)
+        warehouse, job, publisher, applier = _pipeline(db)
         _apply_ops(db, ops)
         publisher.publish()
         applier.apply()
@@ -254,7 +264,7 @@ class TestChaosCompactionCrash:
         assert leftovers <= files_before
         # ...and every read is unchanged, here and after a full reopen.
         assert _snapshot(table) == before
-        reopened, _ = _reopen(db, warehouse, broker)
+        reopened, _, _ = _reopen(db, warehouse)
         assert _snapshot(reopened.table("articles")) == before
 
         # Once the fault clears, compaction completes and folds the deltas.
@@ -266,7 +276,7 @@ class TestChaosCompactionCrash:
     def test_chaos_scheduled_compaction_skips_faulted_table(self):
         db = Database()
         db.create_table(_articles_schema())
-        warehouse, job, _, publisher, applier = _pipeline(db)
+        warehouse, job, publisher, applier = _pipeline(db)
         _apply_ops(db, _make_ops(SEEDS[0]))
         publisher.publish()
         applier.apply()
@@ -286,57 +296,61 @@ class TestChaosPoisonedBatch:
     def _poisoned_applier(self, clock, **kwargs):
         db = Database()
         db.create_table(_articles_schema())
-        warehouse, job, broker, publisher, _ = _pipeline(db)
-        # Poison: a CDC message for a table the warehouse does not hold.
-        broker.produce(
-            f"cdc.articles", key="k",
-            value={"op": "u", "table": "missing", "lsn": 999,
-                   "ts": 0.0, "row": {"article_id": "zz"}},
-        )
+        db.create_table(_articles_schema("orphans"))
+        warehouse = Warehouse(block_rows=4)
+        job = MigrationJob(db, warehouse)
+        job.add_table("articles", sort_key=["created_at"])
+        job.run()
+        # Poison: changes of a table whose warehouse table does not exist.
+        poison = TableMapping("orphans", "missing", "created_at", primary_key="article_id")
         breaker = CircuitBreaker(
             failure_threshold=2, cooldown=10.0, clock=lambda: clock["t"]
         )
-        applier = DeltaApplier(
-            warehouse, broker, job.mappings(), group="poison-group",
-            breaker=breaker, **kwargs,
+        publisher, applier = _wire(
+            db, warehouse, job.mappings() + [poison], breaker=breaker, **kwargs,
         )
-        return db, warehouse, broker, publisher, applier, breaker
+        applier.start_at(db.wal_lsn())
+        db.insert("orphans", {"article_id": "zz", "score": 0.0, "created_at": T0})
+        publisher.publish()
+        return db, warehouse, publisher, applier, breaker
 
     def test_chaos_breaker_stops_hot_loop_on_poisoned_batch(self):
         clock = {"t": 0.0}
-        injector = FaultInjector()
-        db, warehouse, broker, publisher, applier, breaker = (
-            self._poisoned_applier(clock)
-        )
-        broker.fault_injector = injector  # counts polls, injects nothing
+        db, warehouse, publisher, applier, breaker = self._poisoned_applier(clock)
         for _ in range(2):
-            with pytest.raises(Exception):
+            with pytest.raises(WarehouseError):
                 applier.apply()
         assert breaker.state == "open"
-        polls_when_open = injector.checked("broker.poll")
-        # While open, apply() refuses without touching the broker at all —
+        lookups = []
+        table = warehouse.table
+        warehouse.table = lambda name: lookups.append(name) or table(name)
+        # While open, apply() refuses without touching the warehouse at all —
         # the poisoned batch cannot hot-loop the applier.
         for _ in range(5):
             with pytest.raises(CircuitOpenError):
                 applier.apply()
-        assert injector.checked("broker.poll") == polls_when_open
+        assert lookups == []
 
         # After the cooldown a probe is admitted (and fails straight back
-        # to open, since the poison is still at the head of the topic).
+        # to open, since the poison is still the first change handed).
         clock["t"] = 11.0
-        with pytest.raises(Exception):
+        with pytest.raises(WarehouseError):
             applier.apply()
+        assert lookups == ["missing"]
         assert breaker.state == "open"
+        assert applier.lag() == 1 and applier.position < db.wal_lsn()
 
     def test_chaos_skip_poisoned_quarantines_and_moves_on(self):
         clock = {"t": 0.0}
-        db, warehouse, broker, publisher, applier, breaker = (
+        db, warehouse, publisher, applier, breaker = (
             self._poisoned_applier(clock, skip_poisoned=True)
         )
         report = applier.apply()  # quarantines, does not raise
+        assert report.rows == 0
         assert len(applier.quarantined) == 1
         assert "missing" in str(applier.quarantined[0]["error"])
-        assert applier.lag() == 0  # offsets committed past the poison
+        assert applier.lag() == 0  # the position moved past the poison
+        assert applier.position == db.wal_lsn()
 
         # Good rows arriving after the poison still land.
         db.insert("articles", {
@@ -344,8 +358,8 @@ class TestChaosPoisonedBatch:
             "score": 1.5, "created_at": T0,
         })
         publisher.publish()
-        # (publisher and applier share the topic; the applier's own group
-        # committed past the poison, so only the good row is delivered.)
+        # (only the good row is handed: the poison is below the position.)
+        assert applier.lag() == 1
         good = applier.apply()
         assert good.rows == 1
         assert len(applier.quarantined) == 1
@@ -355,7 +369,7 @@ class TestChaosPlatformHealth:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_chaos_degradation_surfaces_in_status_health(self, seed):
         from repro.core.platform import SciLensPlatform
-        from repro.models import Article
+        from repro.models import Article, ExpertReview
 
         platform = SciLensPlatform()
         platform.store_article(Article(
@@ -363,25 +377,34 @@ class TestChaosPlatformHealth:
             outlet_domain="x.example.com", title="t",
             published_at=T0, text="body",
         ))
-        # Publishing is down hard: retries exhaust, the publisher degrades
-        # instead of raising, and nothing is lost (the cursor stays put).
-        platform.fault_injector.inject("broker.publish")
-        summary = platform.process_cdc()
-        assert summary["published"] == 0
+        platform.process_cdc()
+        # A change only the warehouse takes (the search index covers
+        # articles), so the applier is the sink that meets the outage.
+        platform.add_expert_review(ExpertReview(
+            review_id="r1", article_id="a1", reviewer_id="e1", created_at=T0,
+            scores={"factual_accuracy": 4},
+        ))
+        # DFS writes are down hard: retries exhaust, the applier degrades,
+        # and nothing is lost (its position stays put).
+        platform.fault_injector.inject("dfs.write")
+        with pytest.raises(RetryExhaustedError):
+            platform.process_cdc()
         health = platform.status()["health"]
         assert health["overall"] == "degraded"
-        assert health["subsystems"]["cdc-publisher"]["state"] == "degraded"
-        assert health["subsystems"]["cdc-publisher"]["retries"] > 0
+        assert health["subsystems"]["cdc-applier"]["state"] == "degraded"
+        assert health["subsystems"]["dfs"]["retries"] > 0
+        assert platform.cdc_applier.lag() == 1
+        assert platform.cdc_publisher.cursor < platform.database.wal_lsn()
 
-        # The fault clears: the held-back records publish, land, and the
-        # subsystem records its recovery.
+        # The fault clears: the held-back change lands and the subsystem
+        # records its recovery.
         platform.fault_injector.disarm()
         summary = platform.process_cdc()
-        assert summary["published"] > 0
-        assert summary["applied_rows"] > 0
+        assert summary["applied_tables"] == {"reviews": 1}
+        assert platform.cdc_publisher.cursor == platform.database.wal_lsn()
         health = platform.status()["health"]
         assert health["overall"] == "ok"
-        assert health["subsystems"]["cdc-publisher"]["recoveries"] == 1
+        assert health["subsystems"]["cdc-applier"]["recoveries"] == 1
 
 
 class TestChaosFtsSegmentCrash:
@@ -444,7 +467,7 @@ class TestChaosFtsSegmentCrash:
                 index.flush()
             except TransientFaultError:
                 # Crash: a new process recovers from the segments that made
-                # it to the DFS, then the topic redelivers from offset 0.
+                # it to the DFS, then the log is read again from the start.
                 crashes += 1
                 injector.disarm("dfs.write")
                 index = FtsIndex("chaos", dfs=dfs, flush_docs=None)

@@ -2,7 +2,7 @@
 
 These tests exercise the degraded paths: missing article pages during
 ingestion, data-node failures (with and without surviving replicas),
-re-processing after handler crashes, corrupt checkpoints and review-derived
+re-processing after handler crashes and review-derived
 outlet ratings when no external ranking is available.
 """
 
@@ -11,12 +11,11 @@ from datetime import datetime
 import pytest
 
 from repro import PlatformConfig, SciLensPlatform
-from repro.errors import StreamingError, WarehouseError
+from repro.errors import WarehouseError
 from repro.experts.reviewers import ReviewerPool
 from repro.models import RatingClass
 from repro.simulation import CovidScenarioConfig, generate_covid_scenario
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.checkpoint import CheckpointStore
 
 
 @pytest.fixture()
@@ -59,12 +58,6 @@ class TestIngestionRobustness:
         platform.process_stream()
         assert platform.extraction.stats.malformed_events == 3
         assert platform.article_count() == 0
-
-    def test_corrupt_checkpoint_file_is_reported(self, tmp_path):
-        path = tmp_path / "offsets.json"
-        path.write_text("{not json")
-        with pytest.raises(StreamingError):
-            CheckpointStore(path)
 
 
 class TestWarehouseRobustness:

@@ -1,19 +1,22 @@
 """A platform reopened over its own ``data_dir`` comes back the same.
 
-What survives a reopen is the WAL and the cursor/offset files; the DFS and
-the broker are in-process and restart empty.  Four regressions, the first three
-of which failed before ``StorageSync`` owned the restart reconciliation:
+What survives a reopen is the WAL, the one file the platform writes; the DFS
+and the broker are in-process and restart empty.  Five regressions:
 
 * the in-memory halves of ``register_outlet`` / ``add_expert_review`` are
   rehydrated from the replayed tables, so an evaluation does not change;
 * declaring the start-up indexes again is a no-op, so a reopen neither grows
   the WAL nor rebuilds an index;
-* a surviving CDC cursor over empty sinks rewinds, so ``process_cdc()`` alone
-  converges RDBMS ≡ warehouse ≡ FTS;
+* both CDC sinks come back empty and so start at LSN 0, and
+  ``process_cdc()`` alone converges RDBMS ≡ warehouse ≡ FTS;
+* cursor and offsets files an older version left behind — one of them torn —
+  neither stop the platform from opening nor change what it converges to;
 * the extraction pipeline's known-article set is rehydrated too, so a posting
   of a stored URL does not scrape it again over the stored row.
 """
 
+import json
+import shutil
 from dataclasses import replace
 from datetime import datetime
 
@@ -96,12 +99,12 @@ def test_process_cdc_alone_converges_after_a_reopen(tmp_path):
     platform.run_daily_migration()
     for i in range(7, 11):
         platform.store_article(article(i))
-    platform.cdc_publisher.publish()  # published, never applied: the crash window
+    platform.cdc_publisher.publish()  # read, never landed: the crash window
     assert platform.cdc_publisher.cursor > 0
 
     reopened = open_platform(tmp_path)
-    # The cursor file survived; the in-process DFS and broker did not.
-    assert reopened.recover_storage()["publisher"]["cursor"] == 0
+    # The WAL survived; the in-process DFS did not, so both sinks start at 0.
+    assert reopened.cdc_publisher.cursor == 0
     assert reopened.warehouse.total_rows() == 0
     reopened.process_cdc()
 
@@ -117,26 +120,78 @@ def test_process_cdc_alone_converges_after_a_reopen(tmp_path):
     assert again.warehouse.table("articles").row_count() == len(expected)
 
 
-def test_recover_reports_the_rewind_of_a_cursor_over_empty_sinks(tmp_path):
+def test_both_positions_restart_at_zero_over_empty_sinks(tmp_path):
     platform = open_platform(tmp_path)
     platform.store_article(article(1))
     platform.process_cdc()
-    cursor = platform.cdc_publisher.cursor
-    # Sinks hold the row: nothing to reconcile, the cursor stays.
-    report = platform.recover_storage()["publisher"]
-    assert report["cursor"] == cursor and report["rewound"] is False
+    assert platform.cdc_publisher.cursor == platform.database.wal_lsn() > 0
 
-    # The constructor already reconciled: the surviving cursor is back at 0.
     reopened = open_platform(tmp_path)
+    assert reopened.cdc_applier.position == reopened.fts_indexer.position == 0
     assert reopened.cdc_publisher.cursor == 0
     assert reopened.cdc_publisher.pending() == reopened.database.wal_lsn()
-    # Put the stale cursor back by hand to read the report of that rule.
-    reopened.cdc_publisher.tailer.reset(cursor)
-    report = reopened.recover_storage()["publisher"]
-    assert report == {
-        "cursor": 0, "wal_lsn": reopened.database.wal_lsn(), "rewound": True,
-        "pending": reopened.database.wal_lsn(),
+    assert reopened.status()["cdc"]["pending_records"] == reopened.database.wal_lsn()
+
+
+def converged_view(platform: SciLensPlatform) -> dict:
+    """Every RDBMS table, every warehouse table's merged rows and a ranking."""
+    database, warehouse = platform.database, platform.warehouse
+    return {
+        "rdbms": {name: repr(database.table(name).rows()) for name in database.table_names()},
+        "warehouse": {
+            name: repr(sorted(map(repr, warehouse.table(name).scan())))
+            for name in warehouse.table_names()
+        },
+        "search": [
+            (found.article_id, score)
+            for found, score in platform.search_articles("coronavirus", limit=50)
+        ],
     }
+
+
+def test_cursor_and_torn_offsets_files_left_behind_do_not_stop_a_reopen(
+    tmp_path, small_scenario
+):
+    wiring = {
+        "site_store": small_scenario.site_store,
+        "account_registry": small_scenario.outlets.account_registry(),
+    }
+    data_dir, clean_dir = tmp_path / "data", tmp_path / "clean"
+    platform = open_platform(data_dir, **wiring)
+    platform.register_outlets(small_scenario.outlets.outlets())
+    platform.ingest_posting_events(list(small_scenario.posting_events())[:200])
+    platform.ingest_reaction_events(list(small_scenario.reaction_events())[:300])
+    platform.process_stream()
+    platform.assign_topics()
+    platform.run_daily_migration()
+    for i in range(1, 4):
+        platform.store_article(article(i))
+    platform.add_expert_review(ExpertReview(
+        review_id="r1", article_id="a1", reviewer_id="expert-1", created_at=T0,
+        scores={"factual_accuracy": 4}, comment="", reviewer_weight=1.0,
+    ))
+    platform.process_cdc()
+    shutil.copytree(data_dir, clean_dir)
+    # What an older version kept beside the WAL: a cursor, and two consumer
+    # groups' offsets, the first torn mid-write.
+    lsn = platform.database.wal_lsn()
+    (data_dir / "cdc-cursor.json").write_text(json.dumps({"lsn": lsn}))
+    (data_dir / "cdc-offsets.json").write_text('{"delta-applier": {"cdc.articles": {"0": 1')
+    (data_dir / "fts-offsets.json").write_text(
+        json.dumps({"fts-indexer": {"cdc.articles": {"0": 3, "1": 2}}})
+    )
+
+    reopened, clean = open_platform(data_dir, **wiring), open_platform(clean_dir, **wiring)
+    for each in (reopened, clean):
+        each.process_cdc()
+        assert each.cdc_publisher.cursor == each.database.wal_lsn() == lsn
+    view = converged_view(reopened)
+    assert len(view["rdbms"]) == 6 and len(view["warehouse"]) == 4
+    assert view["search"]
+    assert view == converged_view(clean)
+    assert reopened.warehouse.table("articles").row_count() == (
+        reopened.database.table("articles").row_count()
+    )
 
 
 def test_posting_of_a_stored_url_is_not_extracted_again_after_a_reopen(tmp_path, small_scenario):

@@ -9,9 +9,9 @@ The CDC path has four load-bearing guarantees:
 * **Merge determinism** — a warehouse fed by bootstrap + deltas serves
   bit-identical rows and aggregates (float bit-patterns included) to one
   built by batch-copying the final RDBMS state.
-* **Exactly-once application** — redelivered delta batches (consumer
-  restart, checkpoint restore, partition interleaving) never duplicate or
-  lose a row version.
+* **Exactly-once application** — changes read again (an applier restarted
+  over a surviving warehouse, a re-read from LSN 0, out-of-order arrival)
+  never duplicate or lose a row version.
 * **Folding idempotence** — compaction folds delta blocks into the base
   without changing any result, repeatedly, including when old versions are
   redelivered after the fold.
@@ -30,10 +30,8 @@ from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
-from repro.storage.rdbms.wal import WalTailer, WriteAheadLog
+from repro.storage.rdbms.wal import WriteAheadLog
 from repro.storage.warehouse import Warehouse
-from repro.streaming.broker import MessageBroker
-from repro.streaming.checkpoint import CheckpointStore
 
 
 def _articles_schema():
@@ -69,13 +67,13 @@ def _pipeline(db, block_rows=4):
     warehouse = Warehouse(block_rows=block_rows)
     job = MigrationJob(db, warehouse)
     job.add_table("articles", sort_key=["created_at"])
-    broker = MessageBroker(default_partitions=4)
-    publisher = CdcPublisher(db, broker)
+    publisher = CdcPublisher(db)
     for mapping in job.mappings():
         publisher.add_mapping(mapping)
-    applier = DeltaApplier(warehouse, broker, job.mappings())
+    applier = DeltaApplier(warehouse, job.mappings())
+    publisher.add_sink(applier)
     report = job.run()
-    publisher.skip_to(report.cursor_lsn)
+    applier.start_at(report.cursor_lsn)
     return warehouse, job, publisher, applier
 
 
@@ -139,17 +137,33 @@ class TestLsnMonotonicity:
         assert (tmp_path / "wal.jsonl").read_bytes() == before
         assert Database(data_dir=tmp_path).table("articles").row_count() == 1
 
-    def test_tailer_cursor_is_monotonic_and_durable(self, tmp_path):
-        wal = WriteAheadLog()
-        for i in range(3):
-            wal.append("insert", "t", {"row": {"k": i}})
-        cursor_path = tmp_path / "cursor.json"
-        tailer = WalTailer(wal, cursor_path=cursor_path)
-        assert [r.sequence for r in tailer.tail()] == [1, 2, 3]
-        tailer.advance(3)
-        tailer.advance(1)  # stale advance is ignored
-        assert tailer.cursor == 3
-        assert WalTailer(wal, cursor_path=cursor_path).cursor == 3
+    @pytest.mark.parametrize("backing", ["file", "memory"])
+    def test_pending_is_the_replay_count_without_a_replay(self, backing, tmp_path):
+        db = Database(data_dir=tmp_path if backing == "file" else None)
+        db.create_table(_articles_schema())
+        warehouse, _job, publisher, applier = _pipeline(db)
+        ts = datetime(2020, 2, 1, 12)
+
+        def replayed_past_cursor():
+            return sum(1 for r in db.wal.replay() if r.sequence > publisher.cursor)
+
+        for i in range(4):
+            db.insert("articles", _row(f"a{i}", ts + timedelta(hours=i)))
+        db.update("articles", col("article_id") == "a1", {"score": 0.5})
+        assert publisher.pending() == replayed_past_cursor() == 5
+        publisher.publish(); applier.apply()  # an in-memory log is pruned here
+        db.delete("articles", col("article_id") == "a2")
+        db.insert("articles", _row("a9", ts))
+        assert publisher.pending() == replayed_past_cursor() == 2
+        if backing == "memory":
+            publisher.publish()
+            assert [r.sequence for r in db.wal.replay()] == [db.wal_lsn() - 1, db.wal_lsn()]
+
+        calls = []
+        replay = db.wal.replay
+        db.wal.replay = lambda: calls.append(1) or replay()
+        publisher.pending()
+        assert calls == []
 
 
 # ======================================================================
@@ -316,36 +330,26 @@ class TestCommittedChangesOnly:
 
 
 class TestExactlyOnce:
-    def test_checkpoint_restore_resumes_without_reapplying(self, tmp_path):
+    def test_a_restarted_applier_resumes_at_what_the_warehouse_holds(self):
         ts = datetime(2020, 2, 1, 9)
         db = _db([_row("a0", ts)])
-        warehouse = Warehouse(block_rows=4)
-        job = MigrationJob(db, warehouse)
-        job.add_table("articles", sort_key=["created_at"])
-        broker = MessageBroker(default_partitions=4)
-        publisher = CdcPublisher(db, broker)
-        for mapping in job.mappings():
-            publisher.add_mapping(mapping)
-        checkpoints = CheckpointStore(tmp_path / "offsets.json")
-        applier = DeltaApplier(warehouse, broker, job.mappings(),
-                               checkpoints=checkpoints)
-        report = job.run()
-        publisher.skip_to(report.cursor_lsn)
-
+        warehouse, job, publisher, applier = _pipeline(db)
         for i in range(1, 6):
             db.insert("articles", _row(f"a{i}", ts + timedelta(hours=i)))
         publisher.publish()
         assert applier.apply().rows == 5
 
-        # A replacement consumer restores the committed offsets and sees an
-        # empty backlog — nothing is reapplied.
-        restarted = DeltaApplier(warehouse, broker, job.mappings(),
-                                 checkpoints=CheckpointStore(tmp_path / "offsets.json"))
+        # A replacement applier over the same warehouse starts at its
+        # high-water LSN: nothing is handed again, nothing is reapplied.
+        restarted = DeltaApplier(warehouse, job.mappings())
+        assert restarted.position == db.wal_lsn()
+        publisher.sinks[:] = [restarted]
+        assert publisher.publish() == 0
         assert restarted.lag() == 0
         assert restarted.apply().rows == 0
         assert warehouse.table("articles").row_count() == 6
 
-    def test_redelivery_after_lost_checkpoint_is_idempotent(self):
+    def test_rereading_from_zero_is_idempotent(self):
         ts = datetime(2020, 2, 1, 9)
         db = _db([_row("a0", ts)])
         warehouse, _job, publisher, applier = _pipeline(db)
@@ -358,10 +362,11 @@ class TestExactlyOnce:
             (r["article_id"], r["score"]) for r in warehouse.table("articles").scan()
         ))
 
-        # Offsets lost: every message is redelivered from the beginning.  The
-        # per-key LSN index drops every stale version, so nothing changes.
-        for topic in publisher.topics():
-            applier.consumer.broker.seek_to_beginning(applier.consumer.group, topic)
+        # The position is lost: every change still in the log is read and
+        # handed again.  The per-key LSN index drops every stale version.
+        applier.start_at(0)
+        assert publisher.publish() == 4
+        assert applier.lag() == 4
         assert applier.apply().rows == 0
         after = repr(sorted(
             (r["article_id"], r["score"]) for r in warehouse.table("articles").scan()
@@ -369,12 +374,53 @@ class TestExactlyOnce:
         assert warehouse.table("articles").row_count() == 4
         assert after == before
 
+    @pytest.mark.parametrize("failing_write", [1, 2], ids=["first_block", "second_block"])
+    def test_a_delta_write_that_fails_lands_when_read_again(self, failing_write):
+        ts = datetime(2020, 2, 1, 9)
+        db = _db([_row("a0", ts, score=1 / 3)])
+        warehouse, job, publisher, applier = _pipeline(db)
+        first = db.wal_lsn() + 1
+        # Two partitions: a0's day holds LSNs first and first + 2, a1's day
+        # holds first + 1, so a landed first block alone would lift the
+        # high-water mark past a change that did not land.
+        db.update("articles", col("article_id") == "a0", {"score": 2 / 3})
+        db.insert("articles", _row("a1", ts + timedelta(days=1), score=4 / 3))
+        db.update("articles", col("article_id") == "a0", {"score": 5 / 3})
+        dfs = warehouse.dfs
+        write_file, writes = dfs.write_file, []
+
+        def flaky(path, data, overwrite=True):
+            writes.append(path)
+            if len(writes) == failing_write:
+                raise StorageError("the DFS is down")
+            return write_file(path, data, overwrite)
+
+        dfs.write_file = flaky
+        publisher.publish()
+        with pytest.raises(StorageError):
+            applier.apply()
+        # No part of the batch landed: no delta file, the old rows, and
+        # nothing moved.
+        assert not [path for path in dfs.list_files("/warehouse/") if "/delta-" in path]
+        assert applier.lag() == 3 and applier.position < first
+        table = warehouse.table("articles")
+        assert [(r["article_id"], r["score"]) for r in table.scan()] == [("a0", 1 / 3)]
+        dfs.write_file = write_file
+        # A warehouse reopened over the same DFS resumes below the batch.
+        reopened = Warehouse(dfs, block_rows=4)
+        MigrationJob(db, reopened).add_table("articles", sort_key=["created_at"])
+        assert DeltaApplier(reopened, job.mappings()).position < first
+
+        assert applier.apply().rows == 3  # both a0 versions and a1
+        copied = TestMergeDeterminism()._batch_copy(db)
+        assert repr(list(table.scan())) == repr(list(copied.scan()))
+
     def test_out_of_order_delivery_keeps_the_newest_version(self):
         ts = datetime(2020, 2, 1, 9)
         db = _db([_row("a0", ts)])
         warehouse, _job, _publisher, _applier = _pipeline(db)
         table = warehouse.table("articles")
-        # Deliver LSN 10 before LSN 9 (broker partitions interleave): the
+        # Deliver LSN 10 before LSN 9 (a re-read after a restart): the
         # stale version must lose regardless of arrival order.
         assert table.append_deltas(
             [(10, "u", _row("a0", ts, score=1.0))], primary_key="article_id"

@@ -2,12 +2,8 @@
 
 Covers the primitives in :mod:`repro.storage.faults` (seeded injector,
 retry policy, circuit breaker, health records) and the per-layer contracts
-they guard: all-or-nothing DFS writes, torn-cursor tolerance in the WAL
-tailer, checkpoint saves that fail without losing offsets, and the new
-configuration knobs.
+they guard: all-or-nothing DFS writes and the configuration knobs.
 """
-
-import json
 
 import pytest
 
@@ -15,7 +11,6 @@ from repro.config import PlatformConfig
 from repro.errors import (
     CircuitOpenError,
     RetryExhaustedError,
-    StorageError,
     TransientFaultError,
     WarehouseError,
 )
@@ -26,9 +21,7 @@ from repro.storage.faults import (
     RetryPolicy,
     SubsystemHealth,
 )
-from repro.storage.rdbms.wal import WalTailer, WriteAheadLog
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.checkpoint import CheckpointStore
 
 
 def _instant_policy(**overrides):
@@ -298,69 +291,6 @@ class TestDfsFaultTolerance:
         dfs.write_file("/t/a.blk", b"payload")
         assert health.state == "ok"
         assert health.recoveries == 1
-
-
-# ======================================================================
-# WAL tailer torn cursor
-# ======================================================================
-
-
-class TestWalTailerCursor:
-    def _wal(self, n=3):
-        wal = WriteAheadLog()
-        for i in range(n):
-            wal.append("insert", "t", {"row": {"k": i}})
-        return wal
-
-    def test_torn_cursor_restarts_from_zero_instead_of_crashing(self, tmp_path):
-        cursor_path = tmp_path / "cursor.json"
-        cursor_path.write_text("{garbage", encoding="utf-8")
-        tailer = WalTailer(self._wal(), cursor_path=cursor_path)
-        assert tailer.cursor == 0
-        assert [r.sequence for r in tailer.tail()] == [1, 2, 3]
-
-    def test_wrong_shape_cursor_is_also_tolerated(self, tmp_path):
-        cursor_path = tmp_path / "cursor.json"
-        cursor_path.write_text(json.dumps({"wrong": "shape"}), encoding="utf-8")
-        assert WalTailer(self._wal(), cursor_path=cursor_path).cursor == 0
-
-    def test_reset_rewinds_and_persists(self, tmp_path):
-        cursor_path = tmp_path / "cursor.json"
-        tailer = WalTailer(self._wal(), cursor_path=cursor_path)
-        tailer.advance(3)
-        tailer.reset(1)
-        assert tailer.cursor == 1
-        assert WalTailer(self._wal(), cursor_path=cursor_path).cursor == 1
-        with pytest.raises(StorageError):
-            tailer.reset(-1)
-
-
-# ======================================================================
-# Checkpoint saves under faults
-# ======================================================================
-
-
-class TestCheckpointFaults:
-    def test_save_faults_are_retried(self, tmp_path):
-        policy, _ = _instant_policy(max_attempts=4)
-        injector = FaultInjector()
-        store = CheckpointStore(
-            tmp_path / "offsets.json", fault_injector=injector, retry_policy=policy
-        )
-        injector.inject("checkpoint.save", count=2)
-        store.save("g", "topic", 0, 5)
-        assert store.offsets("g", "topic") == {0: 5}
-        restored = CheckpointStore(tmp_path / "offsets.json")
-        assert restored.offsets("g", "topic") == {0: 5}
-
-    def test_failed_save_keeps_in_memory_offsets(self, tmp_path):
-        injector = FaultInjector()
-        store = CheckpointStore(tmp_path / "offsets.json", fault_injector=injector)
-        injector.inject("checkpoint.save", count=1)
-        with pytest.raises(TransientFaultError):
-            store.save("g", "topic", 0, 5)
-        # The worst case is a stale file (redelivery), never a lost offset.
-        assert store.offsets("g", "topic") == {0: 5}
 
 
 # ======================================================================

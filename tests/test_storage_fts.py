@@ -26,7 +26,7 @@ from repro.storage.fts.segments import TOMBSTONE_LEN
 from repro.storage.faults import FaultInjector
 from repro.storage.warehouse.blocks import wrap_payload
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.broker import MessageBroker
+from repro.storage.cdc import RowChange
 
 
 def make_dfs() -> DistributedFileSystem:
@@ -272,47 +272,63 @@ class TestDurability:
 # ------------------------------------------------------------- CDC indexer
 
 
-def cdc_message(op: str, lsn: int, row: dict) -> dict:
-    return {"op": op, "table": "articles", "lsn": lsn, "ts": 0.0, "row": row}
+def change(op: str, lsn: int, row: dict, table: str = "articles") -> RowChange:
+    return RowChange(lsn=lsn, table=table, op=op, row=row, ts=0.0)
 
 
 class TestFtsIndexer:
     def build(self):
-        broker = MessageBroker()
         index = FtsIndex("articles", dfs=make_dfs(), flush_docs=None)
-        indexer = FtsIndexer(index, broker)
-        return broker, index, indexer
+        return index, FtsIndexer(index)
 
-    def test_consumes_updates_and_deletes(self):
-        broker, index, indexer = self.build()
-        broker.produce("cdc.articles", cdc_message("u", 1, {"article_id": "a", "title": "hello", "text": "world"}))
-        broker.produce("cdc.articles", cdc_message("u", 2, {"article_id": "b", "title": "other", "text": "doc"}))
-        broker.produce("cdc.articles", cdc_message("d", 3, {"article_id": "a"}))
+    def test_lands_updates_and_deletes(self):
+        index, indexer = self.build()
+        indexer.hand([
+            change("u", 1, {"article_id": "a", "title": "hello", "text": "world"}),
+            change("u", 2, {"article_id": "b", "title": "other", "text": "doc"}),
+            change("u", 3, {"post_id": "p", "text": "hello"}, table="posts"),
+            change("d", 4, {"article_id": "a"}),
+        ], read_upto=5)
+        assert indexer.lag() == 3  # only its own table is handed
         report = indexer.run()
         assert report["indexed"] == 2 and report["deleted"] == 1
-        assert report["segments"] == 1  # flushed before committing offsets
+        assert report["segments"] == 1  # flushed before the position moves
         assert index.match_ids("hello") == set()
         assert index.match_ids("other") == {"b"}
-        assert indexer.lag() == 0
+        assert indexer.lag() == 0 and indexer.position == 5
 
     def test_bootstrap_backfill_then_cdc_wins(self):
-        broker, index, indexer = self.build()
+        index, indexer = self.build()
         indexer.bootstrap(
             [{"article_id": "a", "title": "old title", "text": ""}], lsn=10
         )
-        assert index.match_ids("old") == {"a"}
-        # CDC messages at or below the bootstrap LSN are duplicates…
-        broker.produce("cdc.articles", cdc_message("u", 10, {"article_id": "a", "title": "old title", "text": ""}))
-        # …newer ones win.
-        broker.produce("cdc.articles", cdc_message("u", 11, {"article_id": "a", "title": "new title", "text": ""}))
+        assert index.match_ids("old") == {"a"} and indexer.position == 10
+        # Changes at or below the bootstrap LSN are not handed again…
+        indexer.hand([
+            change("u", 10, {"article_id": "a", "title": "old title", "text": ""}),
+            # …newer ones win.
+            change("u", 11, {"article_id": "a", "title": "new title", "text": ""}),
+        ], read_upto=11)
+        assert indexer.lag() == 1
         report = indexer.run()
-        assert report["stale"] == 1 and report["indexed"] == 1
+        assert report["stale"] == 0 and report["indexed"] == 1
         assert index.match_ids("new") == {"a"}
         assert index.match_ids("old") == set()
 
+    def test_a_change_read_again_is_stale(self):
+        index, indexer = self.build()
+        first = change("u", 3, {"article_id": "a", "title": "hello", "text": ""})
+        indexer.hand([first], read_upto=3)
+        indexer.run()
+        indexer.start_at(0)  # position lost: the change is handed again
+        indexer.hand([first], read_upto=3)
+        report = indexer.run()
+        assert report["stale"] == 1 and report["indexed"] == 0
+        assert index.match_ids("hello") == {"a"}
+
     def test_rows_without_primary_key_are_skipped(self):
-        broker, index, indexer = self.build()
-        broker.produce("cdc.articles", cdc_message("u", 1, {"title": "no id"}))
+        index, indexer = self.build()
+        indexer.hand([change("u", 1, {"title": "no id"})], read_upto=1)
         report = indexer.run()
         assert report["indexed"] == 0 and index.doc_count == 0
 
@@ -376,7 +392,7 @@ class TestPlatformSearch:
         # No CDC drain needed: the bootstrap fed the index directly.
         hits = platform.search_articles("vaccine", sync=False)
         assert [a.article_id for a, _ in hits] == ["a0"]
-        # Draining CDC afterwards indexes nothing new (cursor was skipped).
+        # Draining CDC afterwards indexes nothing new (it starts at the copy).
         assert platform.process_cdc()["fts"]["indexed"] == 0
         assert platform.fts_index.doc_count == 1
 
@@ -388,14 +404,16 @@ class TestPlatformSearch:
         status = platform.status()
         assert status["fts"]["docs"] == 1 and status["fts"]["lag"] == 0
 
-    def test_recover_storage_reports_fts(self):
+    def test_an_indexer_over_a_recovered_index_resumes_at_its_last_lsn(self):
         platform = SciLensPlatform()
         platform.store_article(article(0, "measles vaccine trial"))
         platform.process_cdc()
-        report = platform.recover_storage()
-        assert report["fts"]["segments"] >= 1
-        assert report["fts"]["indexer"]["lag"] == 0
-        assert {a.article_id for a, _ in platform.search_articles("vaccine")} == {"a0"}
+        reopened = FtsIndex("articles", dfs=platform.dfs)
+        assert reopened.recover()["segments"] >= 1
+        indexer = FtsIndexer(reopened)
+        assert indexer.position == reopened.last_lsn > 0
+        assert indexer.lag() == 0
+        assert reopened.match_ids("vaccine") == {"a0"}
 
 
 class TestArticlesServiceSearch:

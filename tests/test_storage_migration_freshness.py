@@ -2,7 +2,7 @@
 
 PR 6 replaced the watermark-based incremental copy with continuous CDC:
 ``MigrationJob.run`` only bootstrap-backfills empty warehouse tables, and
-every later mutation reaches the warehouse through the WAL → broker → delta
+every later mutation reaches the warehouse through the WAL → delta
 pipeline.  These tests cover the bootstrap contract, the CDC analogue of the
 old boundary bugs (late rows sharing a timestamp — trivially safe now, since
 nothing filters by timestamp anymore) and tz-aware report stamps.
@@ -19,7 +19,6 @@ from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.warehouse import Warehouse
-from repro.streaming.broker import MessageBroker
 
 
 def _db(rows=()):
@@ -45,14 +44,14 @@ def _row(article_id, created_at, outlet="x.example.com"):
 
 def _wire_cdc(db, warehouse, job, bootstrap=True):
     """Bootstrap the warehouse and attach a publisher + applier to it."""
-    broker = MessageBroker(default_partitions=2)
-    publisher = CdcPublisher(db, broker)
+    publisher = CdcPublisher(db)
     for mapping in job.mappings():
         publisher.add_mapping(mapping)
-    applier = DeltaApplier(warehouse, broker, job.mappings())
+    applier = DeltaApplier(warehouse, job.mappings())
+    publisher.add_sink(applier)
     if bootstrap:
         report = job.run()
-        publisher.skip_to(report.cursor_lsn)
+        applier.start_at(report.cursor_lsn)
     return publisher, applier
 
 
@@ -202,7 +201,7 @@ class TestNoPrimaryKey:
         db = self._events_db()
         job = MigrationJob(db, Warehouse())
         job.add_table("events")
-        publisher = CdcPublisher(db, MessageBroker(default_partitions=2))
+        publisher = CdcPublisher(db)
         (mapping,) = job.mappings()
         assert mapping.primary_key is None
         with pytest.raises(StorageError):

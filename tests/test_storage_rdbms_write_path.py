@@ -15,9 +15,8 @@ from datetime import datetime
 import pytest
 
 from repro.errors import ConstraintViolation
-from repro.storage.cdc import CdcPublisher, TableMapping, cdc_topic
+from repro.storage.cdc import CdcPublisher, CdcSink, TableMapping
 from repro.storage.rdbms import Column, ColumnType, Database, TableSchema, col
-from repro.streaming.broker import MessageBroker
 
 PAGES = TableSchema(
     name="pages",
@@ -145,15 +144,19 @@ class TestWalMeaning:
         assert table.index("url").lookup("b") == table.index("id").lookup(2)
         assert db.wal_lsn() == 6
 
-        broker = MessageBroker(default_partitions=1)
-        publisher = CdcPublisher(db, broker)
+        sink = CdcSink(["pages"], position=0)
+        publisher = CdcPublisher(db)
         publisher.add_mapping(TableMapping("pages", "pages", "seen_at", primary_key="id"))
-        assert publisher.publish() == 3 and publisher.cursor == 6
+        publisher.add_sink(sink)
+        assert publisher.publish() == 3
+        changes = sink.handed
+        sink.landed()
+        assert publisher.cursor == 6
         db.insert("pages", {"id": 3, "url": "c"})
         assert db.wal_lsn() == 7 and publisher.publish() == 1
-        messages = broker.read_all(cdc_topic("pages"))
-        assert [m.value["lsn"] for m in messages] == row_lsns + [7]
-        assert [m.value["row"]["id"] for m in messages] == [1, 2, 1, 3]
+        changes += sink.handed
+        assert [c.lsn for c in changes] == row_lsns + [7]
+        assert [c.row["id"] for c in changes] == [1, 2, 1, 3]
         assert Database(data_dir=tmp_path).table("pages").rows() == db.table("pages").rows()
 
     def test_commit_logs_in_statement_order_and_rollback_logs_nothing(self, tmp_path):

@@ -7,34 +7,39 @@
   silently dropping a span at the next benchmark run.
 * **Retry guard** — :func:`~repro.storage.faults.retrying` is the one place
   a retry policy meets a health record.
-* **Runner contract** — both CDC sinks (warehouse applier, search indexer)
-  run on :class:`~repro.storage.cdc.CdcConsumerGroup`; one parametrized test
-  drives each through retry-on-poll, crash-between-land-and-commit and
-  full-topic redelivery.
-* **Shapes** — ``process_cdc()`` / ``status()`` / ``recover_storage()`` keep
-  the key sets callers and dashboards read (literals captured before
-  ``StorageSync`` took the bodies over).
+* **Sink contract** — both CDC sinks (warehouse applier, search indexer)
+  share :class:`~repro.storage.cdc.CdcSink`; one parametrized test drives
+  each through where a position starts, a crash between landing and the
+  position moving, a re-read from LSN 0 and a hand that replaces the last.
+* **One log** — one WAL read per ``process_cdc()`` and per
+  ``search_articles()``; after a drain nothing of the change stream is left
+  outside the WAL: no ``cdc.*`` topic, no cursor or offsets file, and the
+  cursor is the WAL head with both sinks caught up.
+* **Shapes** — ``process_cdc()`` / ``status()`` keep the key sets callers
+  and dashboards read.
 * **Job path** — a failed job re-raises with the typed error as its cause,
   and the structures on that path are bounded.
 """
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
 
 from repro import SciLensPlatform
 from repro.compute.jobs import HISTORY_KEEP, JobTracker
+from repro.config import PlatformConfig
 from repro.errors import RetryExhaustedError, TransientFaultError, WarehouseError
-from repro.models import Article
-from repro.storage.cdc import QUARANTINE_KEEP, DeltaApplier, cdc_topic
-from repro.storage.faults import FaultInjector, RetryPolicy, SubsystemHealth, retrying
+from repro.models import Article, ExpertReview
+from repro.storage.cdc import QUARANTINE_KEEP, DeltaApplier, RowChange
+from repro.storage.faults import RetryPolicy, SubsystemHealth, retrying
 from repro.storage.fts import FtsIndex, FtsIndexer
 from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
+from repro.storage.rdbms.wal import WriteAheadLog
 from repro.storage.warehouse import Warehouse
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.broker import MessageBroker
 
 T0 = datetime(2020, 3, 1, 9)
 
@@ -152,19 +157,19 @@ class TestRetryGuard:
 
 
 # ====================================================================== #
-# Runner contract: one test, both sinks
+# Sink contract: one test, both sinks
 # ====================================================================== #
 
 
-def _message(op, lsn, article_id, title="hello world"):
+def _change(op, lsn, article_id, title="hello world"):
     row = {"article_id": article_id, "title": title, "text": "", "created_at": T0}
-    return {"op": op, "table": "articles", "lsn": lsn, "ts": 0.0, "row": row}
+    return RowChange(lsn=lsn, table="articles", op=op, row=row, ts=0.0)
 
 
 class _ApplierSink:
     """DeltaApplier over a one-table warehouse."""
 
-    def __init__(self, broker, **wiring):
+    def __init__(self):
         database = Database()
         database.create_table(TableSchema(
             name="articles", primary_key="article_id",
@@ -178,7 +183,11 @@ class _ApplierSink:
         self.warehouse = Warehouse(block_rows=4)
         job = MigrationJob(database, self.warehouse)
         job.add_table("articles")
-        self.sink = DeltaApplier(self.warehouse, broker, job.mappings(), **wiring)
+        self.mappings = job.mappings()
+        self.sink = self.reopen()
+
+    def reopen(self):
+        return DeltaApplier(self.warehouse, self.mappings)
 
     def drain(self) -> int:
         return self.sink.apply().rows
@@ -192,11 +201,14 @@ class _ApplierSink:
 class _IndexerSink:
     """FtsIndexer over a DFS-backed index."""
 
-    def __init__(self, broker, **wiring):
+    def __init__(self):
         self.index = FtsIndex(
             "articles", dfs=DistributedFileSystem(n_nodes=3, replication=2), flush_docs=None
         )
-        self.sink = FtsIndexer(self.index, broker, **wiring)
+        self.sink = self.reopen()
+
+    def reopen(self):
+        return FtsIndexer(self.index)
 
     def drain(self) -> int:
         report = self.sink.run()
@@ -207,69 +219,233 @@ class _IndexerSink:
 
 
 @pytest.mark.parametrize("make_sink", [_ApplierSink, _IndexerSink], ids=["applier", "indexer"])
-class TestRunnerContracts:
-    def _produce(self, broker, n=5):
-        for lsn in range(1, n + 1):
-            broker.produce(cdc_topic("articles"), key=f"a{lsn}", value=_message("u", lsn, f"a{lsn}"))
+class TestSinkContracts:
+    def _changes(self, n=5):
+        return [_change("u", lsn, f"a{lsn}") for lsn in range(1, n + 1)]
 
-    def test_poll_fault_is_retried_and_counted(self, make_sink):
-        injector = FaultInjector()
-        broker = MessageBroker(default_partitions=2, fault_injector=injector)
-        health = SubsystemHealth("sink")
-        harness = make_sink(
-            broker, health=health,
-            retry_policy=RetryPolicy(max_attempts=4, sleep=lambda _delay: None),
-        )
-        self._produce(broker)
-        injector.inject("broker.poll", count=2)
+    def test_position_starts_at_what_the_sink_holds(self, make_sink):
+        harness = make_sink()
+        assert harness.sink.position == 0  # an empty sink reads from LSN 0
+        harness.sink.hand(self._changes(), read_upto=5)
         assert harness.drain() == 5
-        assert injector.triggered("broker.poll") == 2
-        assert health.retries == 2 and health.state == "ok"
-        assert harness.sink.lag() == 0
+        assert harness.sink.position == 5
+        # A sink rebuilt over the same store resumes at what it holds.
+        assert harness.reopen().position == 5
 
-    def test_poll_fault_without_a_policy_raises_as_is(self, make_sink):
-        injector = FaultInjector()
-        broker = MessageBroker(default_partitions=2, fault_injector=injector)
-        harness = make_sink(broker)
-        self._produce(broker)
-        injector.inject("broker.poll", count=1)
-        with pytest.raises(TransientFaultError):
-            harness.drain()
-        assert harness.drain() == 5  # nothing was lost
+    def test_crash_before_the_position_moves_lands_no_duplicates(self, make_sink):
+        harness = make_sink()
+        harness.sink.hand(self._changes(), read_upto=7)
+        landed = harness.sink.landed
 
-    def test_crash_before_commit_lands_no_duplicates(self, make_sink):
-        broker = MessageBroker(default_partitions=2)
-        harness = make_sink(broker)
-        self._produce(broker)
-        commit = harness.sink.consumer.commit
+        def crash():
+            raise RuntimeError("process died after landing, before the position moved")
 
-        def crash(_messages):
-            raise RuntimeError("process died after landing, before the commit")
-
-        harness.sink.consumer.commit = crash
+        harness.sink.landed = crash
         with pytest.raises(RuntimeError):
             harness.drain()
-        landed = harness.landed()
-        assert harness.sink.lag() == 5  # landed, but the offsets never moved
+        after_crash = harness.landed()
+        assert harness.sink.lag() == 5 and harness.sink.position == 0
 
-        harness.sink.consumer.commit = commit
-        assert harness.drain() == 0  # redelivered, every LSN already applied
-        assert harness.landed() == landed
-        assert harness.sink.lag() == 0
+        harness.sink.landed = landed
+        assert harness.drain() == 0  # read again, every LSN already applied
+        assert harness.landed() == after_crash
+        assert harness.sink.lag() == 0 and harness.sink.position == 7
 
-    def test_redeliver_from_zero_lands_no_duplicates(self, make_sink):
-        broker = MessageBroker(default_partitions=2)
-        harness = make_sink(broker)
-        self._produce(broker)
-        broker.produce(cdc_topic("articles"), key="a1", value=_message("d", 6, "a1"))
+    def test_reread_from_zero_lands_no_duplicates(self, make_sink):
+        harness = make_sink()
+        changes = self._changes() + [_change("d", 6, "a1")]
+        harness.sink.hand(changes, read_upto=6)
         assert harness.drain() == 6
         landed = harness.landed()
 
-        report = harness.sink.recover(redeliver=True)
-        assert report["redelivered"] and report["lag"] == 6
+        harness.sink.start_at(0)
+        harness.sink.hand(changes, read_upto=6)
+        assert harness.sink.lag() == 6
         assert harness.drain() == 0
         assert harness.landed() == landed
         assert harness.sink.lag() == 0
+
+    def test_a_hand_replaces_what_was_handed_before(self, make_sink):
+        harness = make_sink()
+        changes = self._changes()
+        harness.sink.hand(changes[:3], read_upto=3)
+        harness.sink.hand(changes, read_upto=5)  # the same read, and more
+        assert harness.sink.lag() == 5
+        assert harness.drain() == 5
+        assert harness.sink.lag() == 0 and harness.sink.position == 5
+
+
+# ====================================================================== #
+# One log
+# ====================================================================== #
+
+
+def open_platform(data_dir) -> SciLensPlatform:
+    config = PlatformConfig()
+    return SciLensPlatform(replace(config, storage=replace(config.storage, data_dir=data_dir)))
+
+
+class TestOneLog:
+    def test_one_wal_read_per_process_cdc_and_per_search(self, tmp_path, monkeypatch):
+        platform = open_platform(tmp_path)
+        platform.store_article(article(1))
+        platform.run_daily_migration()
+        reads = []
+        replay = WriteAheadLog.replay
+        monkeypatch.setattr(
+            WriteAheadLog, "replay", lambda wal: reads.append(1) or replay(wal)
+        )
+        for i in range(2, 5):
+            platform.store_article(article(i))
+            reads.clear()
+            platform.process_cdc()
+            assert len(reads) == 1
+            platform.store_article(article(10 + i))
+            reads.clear()
+            assert platform.search_articles("vaccine")
+            assert len(reads) == 1
+            reads.clear()
+            platform.status()
+            assert reads == []
+
+    def test_after_a_drain_only_the_wal_and_the_ingestion_topics_remain(self, tmp_path):
+        platform = open_platform(tmp_path)
+        for i in range(1, 4):
+            platform.store_article(article(i))
+        platform.run_daily_migration()
+        platform.store_article(article(4))
+        assert platform.search_articles("vaccine")
+        platform.process_cdc()
+        streaming = platform.config.streaming
+        assert platform.broker.topics() == sorted(
+            [streaming.postings_topic, streaming.reactions_topic]
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["wal.jsonl"]
+
+    def test_after_a_drain_the_cursor_is_the_wal_head_and_nothing_lags(self):
+        platform = SciLensPlatform()
+        for i in range(1, 4):
+            platform.store_article(article(i))
+            assert platform.cdc_publisher.pending() > 0
+            platform.process_cdc()
+            assert platform.cdc_publisher.cursor == platform.database.wal_lsn()
+            assert platform.cdc_applier.lag() == 0 and platform.fts_indexer.lag() == 0
+            assert platform.status()["cdc"]["pending_records"] == 0
+        # A search lands the search index only; the applier's position and
+        # so the cursor stay until the next drain.
+        platform.store_article(article(9))
+        platform.search_articles("vaccine")
+        assert platform.fts_indexer.position == platform.database.wal_lsn()
+        assert platform.cdc_publisher.cursor == platform.cdc_applier.position
+        assert platform.cdc_publisher.cursor < platform.database.wal_lsn()
+        platform.process_cdc()
+        assert platform.cdc_publisher.cursor == platform.database.wal_lsn()
+        assert {row["article_id"] for row in platform.warehouse.table("articles").scan()} == {
+            "a1", "a2", "a3", "a9",
+        }
+
+
+    def test_an_in_memory_wal_keeps_only_what_a_sink_has_not_landed(self):
+        platform = SciLensPlatform()
+        wal = platform.database.wal
+        for i in range(1, 6):
+            platform.store_article(article(i))
+            before = platform.cdc_publisher.cursor
+            platform.process_cdc()
+            # The records this drain read stay until the next read...
+            assert [r.sequence for r in wal.replay()] == list(
+                range(before + 1, platform.database.wal_lsn() + 1)
+            )
+        platform.process_cdc()
+        # ...which drops everything both sinks have landed.
+        assert list(wal.replay()) == []
+        assert wal.last_lsn == platform.database.wal_lsn() > 0
+
+    def test_unregistered_tables_and_ddl_move_the_positions_without_a_change(self):
+        platform = SciLensPlatform()
+        platform.store_article(article(1))
+        platform.process_cdc()
+        platform.database.create_index("outlets", "name", kind="hash")  # DDL
+        platform.database.upsert("indicators", {  # not a CDC table
+            "article_id": "a1", "computed_at": T0, "payload": {},
+        })
+        lsn = platform.database.wal_lsn()
+        assert platform.cdc_publisher.pending() == 2
+        report = platform.process_cdc()
+        assert report["published"] == 0 and report["fts"]["changes"] == 0
+        assert platform.cdc_applier.position == platform.fts_indexer.position == lsn
+
+    def test_bootstrap_starts_both_sinks_at_the_copy_and_drops_what_was_handed(self):
+        platform = SciLensPlatform()
+        for i in range(1, 4):
+            platform.store_article(article(i))
+        # A search before the first migration: the index lands the rows
+        # through CDC and the applier is handed them, unlanded.
+        assert len(platform.search_articles("vaccine")) == 3
+        assert platform.cdc_applier.lag() == 3
+        reads = []
+        publish = platform.cdc_publisher.publish
+        platform.cdc_publisher.publish = lambda: reads.append(platform.cdc_publisher.cursor) or publish()
+        report = platform.run_daily_migration()
+        assert report.bootstrapped and report.migrated_rows["articles"] == 3
+        # The drain after the copy read from the copy's LSN, not from 0.
+        assert reads == [report.cursor_lsn]
+        assert platform.cdc_applier.lag() == 0
+        assert platform.warehouse.table("articles").row_count() == 3
+        assert platform.fts_index.doc_count == 3
+
+    def test_a_drained_platform_equals_a_fresh_copy_and_a_fresh_index(self):
+        from repro.core.platform import ARTICLE_FTS_COLUMNS
+        from repro.storage.fts import document_text
+        from repro.storage.rdbms.expressions import col
+
+        platform = SciLensPlatform()
+        database = platform.database
+        for i in range(1, 7):
+            platform.store_article(article(i))
+        platform.run_daily_migration()
+        for i in range(7, 12):
+            platform.store_article(article(i))
+            platform.add_expert_review(ExpertReview(
+                review_id=f"r{i}", article_id=f"a{i}", reviewer_id="e1", created_at=T0,
+                scores={"factual_accuracy": i % 5 + 1}, reviewer_weight=i / 7,
+            ))
+        platform.process_cdc()
+        database.update("reviews", col("review_id") == "r8", {"reviewer_weight": 10 / 3})
+        database.update(  # a cross-partition move: another publication day
+            "articles", col("article_id") == "a2",
+            {"published_at": T0 + timedelta(days=30), "title": "Outbreak vaccine update"},
+        )
+        database.delete("articles", col("article_id").is_in(["a3", "a9"]))
+        platform.process_cdc()
+        platform.run_warehouse_compaction()
+        database.update("articles", col("article_id") == "a4", {"text": "vaccine vaccine"})
+        platform.process_cdc()
+
+        copy = Warehouse()
+        job = MigrationJob(database, copy)
+        for mapping in platform.migration.mappings():
+            source = platform.warehouse.table(mapping.warehouse_table)
+            job.add_table(
+                mapping.rdbms_table, partition_column=mapping.partition_column,
+                sort_key=source.sort_key,
+            )
+        job.run()
+        for name in platform.warehouse.table_names():
+            merged = platform.warehouse.table(name)
+            copied = copy.table(name)
+            key = merged.primary_key
+            assert merged.partitions() == copied.partitions()
+            assert repr(sorted(merged.scan(), key=lambda r: r[key])) == repr(
+                sorted(copied.scan(), key=lambda r: r[key])
+            )
+
+        fresh = FtsIndex("fresh")
+        for row in database.table("articles").rows():
+            fresh.add(row["article_id"], text=document_text(row, ARTICLE_FTS_COLUMNS))
+        for query in ("vaccine", "trial report", "outbreak", "vacc*"):
+            found = [(a.article_id, score) for a, score in platform.search_articles(query, 20)]
+            assert found == fresh.search(query, limit=20)
 
 
 # ====================================================================== #
@@ -278,14 +454,14 @@ class TestRunnerContracts:
 
 
 class TestReturnShapes:
-    def test_process_cdc_status_and_recover_key_sets(self):
+    def test_process_cdc_and_status_key_sets(self):
         platform = SciLensPlatform()
         platform.store_article(article(1))
         report = platform.process_cdc()
         assert list(report) == [
             "published", "applied_rows", "applied_tables", "max_latency_s", "fts",
         ]
-        assert set(report["fts"]) == {"messages", "indexed", "deleted", "stale", "segments"}
+        assert set(report["fts"]) == {"changes", "indexed", "deleted", "stale", "segments"}
         assert report["applied_tables"] == {"articles": 1}
 
         status = platform.status()
@@ -301,13 +477,7 @@ class TestReturnShapes:
         assert list(status["fts"]) == [
             "docs", "total_tokens", "segments", "buffered_docs", "last_lsn", "lag",
         ]
-
-        recovery = platform.recover_storage()
-        assert list(recovery) == ["publisher", "applier", "fts"]
-        assert list(recovery["publisher"]) == ["cursor", "wal_lsn", "rewound", "pending"]
-        assert list(recovery["applier"]) == ["redelivered", "lag", "tables"]
-        assert list(recovery["fts"]) == ["segments", "docs", "last_lsn", "indexer"]
-        assert list(recovery["fts"]["indexer"]) == ["redelivered", "lag", "last_lsn"]
+        assert not hasattr(platform, "recover_storage")
 
     def test_open_breaker_reports_the_same_shape_plus_breaker_open(self):
         platform = SciLensPlatform()
@@ -324,6 +494,9 @@ class TestReturnShapes:
         assert report["fts"]["indexed"] == 1  # search freshness survives the breaker
         health = platform.status()["health"]["subsystems"]["cdc-applier"]
         assert health["state"] == "degraded" and "CircuitOpenError" in health["last_error"]
+        # The applier did not move: the change is still pending for it.
+        assert platform.cdc_applier.lag() == 1
+        assert platform.cdc_publisher.cursor < platform.database.wal_lsn()
 
 
 # ====================================================================== #
@@ -369,16 +542,15 @@ class TestJobPath:
         platform = SciLensPlatform()
         applier = platform.cdc_applier
         applier.skip_poisoned = True
-        applier.batch_rows = 1  # one poisoned message per quarantined batch
+        applier.batch_rows = 1  # one poisoned change per quarantined batch
+        # Poison: the warehouse no longer holds the table the changes map to.
+        platform.warehouse.drop_table("articles")
         poisoned = QUARANTINE_KEEP + 5
-        for lsn in range(1, poisoned + 1):
-            platform.broker.produce(
-                cdc_topic("articles"), key=f"k{lsn}",
-                value={"op": "u", "table": "missing", "lsn": lsn, "ts": 0.0,
-                       "row": {"article_id": f"zz{lsn}"}},
-            )
+        for i in range(1, poisoned + 1):
+            platform.store_article(article(i))
         platform.process_cdc()
         assert len(applier.quarantined) == QUARANTINE_KEEP
-        assert applier.quarantined[-1]["messages"][0].value["lsn"] == poisoned
+        assert applier.quarantined[-1]["changes"][0].lsn == platform.database.wal_lsn()
         assert platform.status()["cdc"]["quarantined_batches"] == poisoned
         assert applier.lag() == 0
+        assert applier.position == platform.database.wal_lsn()

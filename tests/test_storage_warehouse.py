@@ -13,7 +13,6 @@ from repro.storage.rdbms.types import ColumnType
 from repro.storage.warehouse.blocks import ColumnarBlock
 from repro.storage.warehouse.dfs import DistributedFileSystem
 from repro.storage.warehouse.warehouse import Warehouse
-from repro.streaming.broker import MessageBroker
 
 
 class TestDistributedFileSystem:
@@ -178,11 +177,12 @@ class TestMigration:
         assert warehouse.table("articles").row_count() == 6
 
         # Increments flow through the CDC pipeline, not a second copy.
-        publisher = CdcPublisher(db, MessageBroker(default_partitions=2))
+        publisher = CdcPublisher(db)
         for mapping in job.mappings():
             publisher.add_mapping(mapping)
-        applier = DeltaApplier(warehouse, publisher.broker, job.mappings())
-        publisher.skip_to(first.cursor_lsn)
+        applier = DeltaApplier(warehouse, job.mappings())
+        publisher.add_sink(applier)
+        applier.start_at(first.cursor_lsn)
         db.insert("articles", {"article_id": "a9", "outlet": "x.example.com",
                                "created_at": datetime(2020, 1, 25)})
         publisher.publish()

@@ -26,7 +26,6 @@ from repro.storage.warehouse.blocks import (
 )
 from repro.storage.warehouse.dfs import DistributedFileSystem
 from repro.storage.warehouse.warehouse import Warehouse
-from repro.streaming.broker import MessageBroker
 
 
 # ======================================================================
@@ -447,8 +446,7 @@ def _migrated_platform(n_days=5, per_day=40):
     job.add_table(
         "articles", partition_column="published_at", sort_key=["published_at"],
     )
-    broker = MessageBroker(default_partitions=2)
-    publisher = CdcPublisher(db, broker)
+    publisher = CdcPublisher(db)
     applier = None
     base = datetime(2020, 1, 15, 6)
     counter = 0
@@ -467,8 +465,9 @@ def _migrated_platform(n_days=5, per_day=40):
             report = job.run(now=base + timedelta(days=n_days, hours=run))
             for mapping in job.mappings():
                 publisher.add_mapping(mapping)
-            applier = DeltaApplier(warehouse, broker, job.mappings())
-            publisher.skip_to(report.cursor_lsn)
+            applier = DeltaApplier(warehouse, job.mappings())
+            publisher.add_sink(applier)
+            applier.start_at(report.cursor_lsn)
         else:
             publisher.publish()
             applier.apply()

@@ -27,7 +27,6 @@ from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.warehouse import RollupSpec, Warehouse
-from repro.streaming.broker import MessageBroker
 
 AGGS = {
     "n": ("count", "*"),
@@ -357,7 +356,7 @@ class TestMigrationRefresh:
 
     def test_run_with_compaction_refreshes_after_the_rewrite(self):
         db, warehouse, job, rollup = self._job()
-        publisher = CdcPublisher(db, MessageBroker(default_partitions=2))
+        publisher = CdcPublisher(db)
         applier = None
         base = datetime(2020, 2, 1, 9)
         for batch in range(3):
@@ -371,8 +370,9 @@ class TestMigrationRefresh:
                 report = job.run()
                 for mapping in job.mappings():
                     publisher.add_mapping(mapping)
-                applier = DeltaApplier(warehouse, publisher.broker, job.mappings())
-                publisher.skip_to(report.cursor_lsn)
+                applier = DeltaApplier(warehouse, job.mappings())
+                publisher.add_sink(applier)
+                applier.start_at(report.cursor_lsn)
             else:
                 publisher.publish()
                 applier.apply()

@@ -1,10 +1,9 @@
-"""Tests for the message broker, consumer and checkpointing."""
+"""Tests for the message broker and consumer."""
 
 import pytest
 
 from repro.errors import OffsetOutOfRange, StreamingError, TopicNotFound
 from repro.streaming.broker import MessageBroker
-from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.consumer import Consumer
 from repro.streaming.message import Message
 
@@ -66,14 +65,6 @@ class TestBroker:
         with pytest.raises(StreamingError):
             broker.commit("g", "t", 9, 0)
 
-    def test_seek_to_beginning(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        broker.produce("t", {"i": 1})
-        broker.poll("g", "t")
-        broker.seek_to_beginning("g", "t")
-        assert len(broker.poll("g", "t")) == 1
-
     def test_capped_polls_rotate_across_partitions(self):
         # Each poll starts its round-robin one partition later than the
         # previous one, so short polls don't repeatedly favour partition 0
@@ -97,25 +88,22 @@ class TestBroker:
         assert len(remaining) == 9
         assert broker.lag("g", "t") == 0
 
-    def test_read_all_preserves_messages(self):
-        broker = MessageBroker(default_partitions=2)
-        broker.create_topic("t")
-        broker.produce_many("t", [("a", {"i": 1}), ("b", {"i": 2})])
-        assert len(broker.read_all("t")) == 2
-
     def test_produce_many_appends_a_batch_in_order(self):
         broker = MessageBroker(default_partitions=1)
         broker.create_topic("t")
         assert broker.produce_many("t", [(None, {"i": i}) for i in range(3)]) == 3
         assert broker.topic_stats("t").total_messages == 3
-        assert [(m.offset, m.value["i"]) for m in broker.read_all("t")] == [(0, 0), (1, 1), (2, 2)]
+        polled = broker.poll("g", "t", max_messages=10)
+        assert [(m.offset, m.value["i"]) for m in polled] == [(0, 0), (1, 1), (2, 2)]
 
     def test_produce_many_routes_keys_like_produce(self):
         broker = MessageBroker(default_partitions=4)
         broker.create_topic("t")
         broker.produce_many("t", [(f"k{i % 3}", {"i": i}) for i in range(9)])
         single = {key: broker.produce("t", {}, key=key).partition for key in ("k0", "k1", "k2")}
-        for message in broker.read_all("t"):
+        polled = broker.poll("g", "t", max_messages=100)
+        assert len(polled) == 12
+        for message in polled:
             assert message.partition == single[message.key]
 
     def test_topic_needs_a_partition_and_poll_a_budget(self):
@@ -155,25 +143,6 @@ class TestProducerConsumer:
         with pytest.raises(StreamingError):
             Consumer(MessageBroker(), "g", [])
 
-    def test_checkpoint_restores_position_across_consumers(self, tmp_path):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        for i in range(4):
-            broker.produce("t", {"i": i})
-        store = CheckpointStore(tmp_path / "offsets.json")
-        consumer = Consumer(broker, "g", ["t"], checkpoints=store)
-        consumer.commit(consumer.poll(2))
-
-        # A fresh broker (restart) with the same data and a fresh consumer
-        # using the same checkpoint store resumes from offset 2.
-        broker2 = MessageBroker(default_partitions=1)
-        broker2.create_topic("t")
-        for i in range(4):
-            broker2.produce("t", {"i": i})
-        consumer2 = Consumer(broker2, "g", ["t"], checkpoints=CheckpointStore(tmp_path / "offsets.json"))
-        remaining = consumer2.poll(10)
-        assert [m.value["i"] for m in remaining] == [2, 3]
-
     def test_drain_processes_everything(self):
         broker = MessageBroker(default_partitions=2)
         broker.create_topic("t")
@@ -184,46 +153,11 @@ class TestProducerConsumer:
         assert count == 25
         assert consumer.lag() == 0
 
-    def test_stale_checkpoint_restore_never_rewinds_the_group(self, tmp_path):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        for i in range(6):
-            broker.produce("t", {"i": i})
-        # The checkpoint file lags the broker: it recorded offset 2, but the
-        # group later committed up to 5 (e.g. offsets committed after the
-        # store's last write).
-        store = CheckpointStore(tmp_path / "offsets.json")
-        store.save("g", "t", 0, 2)
-        broker.commit("g", "t", 0, 5)
-
-        consumer = Consumer(broker, "g", ["t"], checkpoints=store)
-        # Restoring must keep the higher broker offset — the old code blindly
-        # committed 2 and redelivered messages 2..4.
-        assert broker.committed_offset("g", "t", 0) == 5
-        assert [m.value["i"] for m in consumer.poll(10)] == [5]
-
-    def test_checkpoint_ahead_of_broker_is_clamped_not_fatal(self, tmp_path):
-        # The broker is in-memory while checkpoints persist: after a restart
-        # the log is shorter (here: empty) than the checkpointed offset.
-        store = CheckpointStore(tmp_path / "offsets.json")
-        store.save("g", "t", 0, 5)
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        consumer = Consumer(broker, "g", ["t"], checkpoints=store)  # no raise
-        assert broker.committed_offset("g", "t", 0) == 0
-        broker.produce("t", {"i": "fresh"})
-        assert [m.value["i"] for m in consumer.poll(10)] == ["fresh"]
-        # A checkpoint for a partition the re-created topic no longer has is
-        # ignored rather than fatal.
-        store.save("g", "t", 7, 3)
-        Consumer(broker, "g", ["t"], checkpoints=store)
-
-    def test_checkpointed_consumer_can_subscribe_before_topic_exists(self, tmp_path):
-        store = CheckpointStore(tmp_path / "offsets.json")
+    def test_consumer_can_subscribe_before_topic_exists(self):
         broker = MessageBroker(default_partitions=1)
         broker.create_topic("early")
         broker.produce("early", {"i": 0})
-        consumer = Consumer(broker, "g", ["early", "later"], checkpoints=store)
+        consumer = Consumer(broker, "g", ["early", "later"])
         # The existing topic drains even while the other is still missing.
         batch = consumer.poll(10)
         assert [m.value["i"] for m in batch] == [0]
@@ -232,16 +166,6 @@ class TestProducerConsumer:
         broker.create_topic("later")
         broker.produce("later", {"i": 1})
         assert [m.value["i"] for m in consumer.poll(10)] == [1]
-
-    def test_checkpoint_restore_still_advances_a_fresh_group(self, tmp_path):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        for i in range(4):
-            broker.produce("t", {"i": i})
-        store = CheckpointStore(tmp_path / "offsets.json")
-        store.save("g", "t", 0, 3)
-        Consumer(broker, "g", ["t"], checkpoints=store)
-        assert broker.committed_offset("g", "t", 0) == 3
 
     def test_poll_budget_is_shared_across_topics(self):
         broker = MessageBroker(default_partitions=1)
