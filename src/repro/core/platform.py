@@ -167,10 +167,10 @@ class SciLensPlatform:
         # once per pass and hands each sink the row changes past its own
         # position — the applier lands them as warehouse delta blocks, the
         # indexer as BM25 segments (exactly-once via per-document LSN
-        # checks).  The migration job above keeps only the bootstrap
-        # backfill and the compaction schedule.  Both positions start from
-        # what the sinks hold, so over a reopened data directory (empty DFS)
-        # the first drain re-reads the WAL from LSN 0.
+        # checks).  The migration job above keeps only the bootstrap copy
+        # and the compaction schedule.  The DFS is in-process, so both sinks
+        # open empty at position 0, and the first sync step copies the
+        # tables at the current LSN and starts both there (StorageSync).
         self.cdc_publisher = CdcPublisher(self.database)
         for mapping in self.migration.mappings():
             self.cdc_publisher.add_mapping(mapping)
@@ -181,7 +181,9 @@ class SciLensPlatform:
             breaker=CircuitBreaker(),
             skip_poisoned=self.config.storage.cdc_skip_poisoned,
         )
-        self.fts_index = FtsIndex("articles", dfs=self.dfs)
+        # No size-triggered flush: the indexer flushes once per batch, and
+        # the start step's backfill must not write before the positions move.
+        self.fts_index = FtsIndex("articles", dfs=self.dfs, flush_docs=None)
         self.fts_indexer = FtsIndexer(
             self.fts_index,
             table="articles",
@@ -588,9 +590,10 @@ class SciLensPlatform:
     def run_daily_migration(self, now: datetime | None = None) -> MigrationReport:
         """Synchronise the warehouse with the RDBMS (bootstrap + CDC drain).
 
-        Empty warehouse tables are bootstrap-backfilled; everything newer
-        reaches the warehouse through the CDC delta stream, which this job
-        drains before returning.  The report combines both paths, so callers
+        The first sync step on an open platform copies the tables (this job,
+        or a ``process_cdc()`` that came first); everything newer reaches the
+        warehouse through the CDC delta stream, which this job drains before
+        returning.  The report combines both paths, so callers
         keep the old contract: rows move on the first run, a re-run with no
         new operational writes reports zero.
         """

@@ -12,10 +12,11 @@ here as from-scratch substrates:
   per pass is decoded into row changes and handed to each sink past its own
   position, landing as warehouse delta blocks and keeping the two stores in
   sync without a batch copy; also the sink base both sinks share;
-* :mod:`repro.storage.migration` — the bootstrap backfill and scheduled
+* :mod:`repro.storage.migration` — the start copy and scheduled
   compaction that remain around the CDC stream;
 * :mod:`repro.storage.sync` — the one owner of the synchronisation protocol
-  over those mechanisms: bootstrap → drain → restart reconciliation;
+  over those mechanisms: the start copy (the derived stores keep no
+  recovery state) → drain;
 * :mod:`repro.storage.fts` — full-text search: one BM25 index of
   posting-list segments on the DFS, the second CDC sink;
 * :mod:`repro.storage.faults` — the shared fault-injection, retry,

@@ -12,7 +12,9 @@ one position in it.
   what it handed before.  Nothing outlives a drain.
 * :class:`CdcSink` is what both sinks share: the position (the last WAL LSN
   whose changes the sink has landed), the handed changes and ``lag()``.
-  A position starts from what the sink holds, so a restart resumes there.
+  A position starts at 0: a sink is empty when its process opens, and
+  :class:`~repro.storage.sync.StorageSync` starts both sinks with one copy
+  at the current LSN (:meth:`CdcSink.start_at`).
 * :class:`DeltaApplier` is such a sink and lands the changes via
   :meth:`WarehouseTable.append_deltas`, which writes small sorted *delta
   blocks* and keeps a last-writer-wins index by primary key/LSN.
@@ -86,12 +88,12 @@ class CdcSink:
     re-reads the same changes next pass, and the LSN checks drop them.
     """
 
-    def __init__(self, tables: Iterable[str], position: int) -> None:
+    def __init__(self, tables: Iterable[str]) -> None:
         self.tables = frozenset(tables)
         #: The last WAL LSN whose changes this sink has landed.
-        self.position = position
+        self.position = 0
         self.handed: list[RowChange] = []
-        self._read_upto = position
+        self._read_upto = 0
 
     def hand(self, changes: list[RowChange], read_upto: int) -> None:
         """Replace the handed changes with ``changes`` past this sink's
@@ -198,19 +200,6 @@ class CdcApplyReport:
     max_latency_s: float = 0.0
 
 
-def _lowest_high_water(warehouse: "Warehouse", mappings: Iterable[TableMapping]) -> int:
-    """The lowest CDC LSN the warehouse holds over ``mappings`` (0 when any
-    of their tables holds none): where an applier over it resumes."""
-    return min(
-        (
-            warehouse.table(m.warehouse_table).delta_high_water()
-            if warehouse.has_table(m.warehouse_table) else 0
-            for m in mappings
-        ),
-        default=0,
-    )
-
-
 class DeltaApplier(CdcSink):
     """The sink that lands CDC row changes as warehouse delta blocks."""
 
@@ -223,9 +212,7 @@ class DeltaApplier(CdcSink):
         breaker: CircuitBreaker | None = None,
         skip_poisoned: bool = False,
     ) -> None:
-        super().__init__(
-            [m.rdbms_table for m in mappings], _lowest_high_water(warehouse, mappings)
-        )
+        super().__init__([m.rdbms_table for m in mappings])
         self.warehouse = warehouse
         self.batch_rows = max(1, batch_rows)
         self._mappings = {m.rdbms_table: m for m in mappings}

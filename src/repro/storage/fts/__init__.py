@@ -8,9 +8,10 @@ The subsystem has four layers:
 * :mod:`.segments` — immutable typed-binary posting-list segments on the
   warehouse format-4 wire (tombstones travel inside segments);
 * :mod:`.index` — the buffer-over-segments index with last-writer-wins LSN
-  liveness, recovery by segment rescan, and segment compaction;
+  liveness and segment compaction;
 * :mod:`.indexer` — the CDC sink that keeps a DFS-backed index fresh from
-  the WAL's row changes, exactly-once.
+  the WAL's row changes, exactly-once, and backfills it from the table when
+  the platform starts (the index keeps no recovery state).
 
 There is one index: the platform serves search from a DFS-backed
 :class:`FtsIndex` kept fresh by an :class:`FtsIndexer`.  Without a DFS the

@@ -7,10 +7,11 @@ document carries the LSN of its latest version, exactly one location (buffer
 or one segment) is live per document, and stale or repeated updates are
 dropped by LSN — the same exactly-once idiom the warehouse delta path uses.
 
-The segment files are the only durable state.  Deletes write tombstones
-*into* segments (negative length), so :meth:`FtsIndex.recover` — a rescan of
-the segment directory — reconstructs exact liveness: no ghost postings, no
-resurrected documents.
+Segments live on the DFS, but the index keeps no recovery state: the DFS is
+in-process, so an index that opens is empty and the start step of
+:class:`~repro.storage.sync.StorageSync` backfills it from the ``articles``
+rows.  Deletes are tombstones in the liveness map (and in the next segment),
+so a stale, later-arriving update cannot resurrect a deleted document.
 
 Scoring is BM25 over AND-ed query terms with optional trailing-``*`` prefix
 expansion; results are ordered by ``(-score, doc_id)``.  The arithmetic lives
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ...errors import FtsError
 from .analysis import analyze, bm25_term_score, parse_query
 from .segments import (
     TOMBSTONE_LEN,
@@ -44,11 +44,10 @@ class _BufferedDoc:
 
 
 class FtsIndex:
-    """A crash-safe incremental BM25 index over ``(doc_id, text)`` documents.
+    """An incremental BM25 index over ``(doc_id, text)`` documents.
 
     With ``dfs=None`` the index is purely in-memory (a reference for tests);
-    with a DFS it persists flushed segments under ``prefix`` and recovers
-    from them via :meth:`recover`.
+    with a DFS it writes flushed segments under ``prefix``.
     """
 
     def __init__(
@@ -191,10 +190,8 @@ class FtsIndex:
         The merged segment is rebuilt from the live postings through the same
         serialisation path as a fresh flush, so merging preserves postings
         bit-identically and re-merging is idempotent.  Tombstones are carried
-        over: liveness (and LSN idempotence) survives a post-compaction
-        rescan.  Crash-safe: the merged segment is written first, old
-        segments deleted next — at every intermediate point a rescan
-        reconstructs the same live state.
+        over.  The merged segment is written first and the old segments are
+        deleted next, so a failed write leaves the index as it was.
         """
         self.flush()
         if len(self._segments) <= 1:
@@ -229,48 +226,6 @@ class FtsIndex:
                     if entry is not None and entry[1] == segment.segment_id:
                         term_postings.setdefault(term, {})[ordinal_of[doc_id]] = list(positions)
         return doc_meta, term_postings
-
-    # --------------------------------------------------------------- recovery
-
-    def recover(self) -> dict[str, Any]:
-        """Rebuild state from the segment files on the DFS.
-
-        Every segment found is loaded and liveness is reconstructed from the
-        per-document LSNs — tombstones included, so deleted documents stay
-        deleted.  The next segment id and the next LSN resume past the
-        highest ones any segment carries.
-        """
-        if self.dfs is None:
-            raise FtsError("recover() requires a DFS-backed index")
-        self._segments = {}
-        self._buffer.clear()
-        self._buffer_terms.clear()
-        self._live = {}
-        self._n_docs = 0
-        self._total_len = 0
-        max_lsn = 0
-        for path in sorted(self.dfs.list_files(self.prefix)):
-            if path.endswith(".fts"):
-                segment = Segment(self.dfs.read_file(path))
-                self._segments[segment.segment_id] = segment
-        for segment in self._ordered_segments():
-            for doc_id, lsn, length in segment.doc_entries():
-                max_lsn = max(max_lsn, lsn)
-                entry = self._live.get(doc_id)
-                if entry is not None and lsn <= entry[0]:
-                    continue  # first (oldest) segment wins ties — duplicates are identical
-                self._live[doc_id] = (lsn, segment.segment_id, length)
-        for _doc_id, (_lsn, _where, length) in self._live.items():
-            if length >= 0:
-                self._n_docs += 1
-                self._total_len += length
-        self._next_segment_id = (max(self._segments) + 1) if self._segments else 0
-        self._next_lsn = max_lsn + 1
-        return {
-            "segments": len(self._segments),
-            "docs": self._n_docs,
-            "last_lsn": self._next_lsn - 1,
-        }
 
     # ------------------------------------------------------------------ reads
 

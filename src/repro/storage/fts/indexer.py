@@ -10,11 +10,11 @@ per-document LSN check drops every duplicate, so maintenance is exactly-once
 without coordination — the same contract the delta applier keeps with the
 warehouse.
 
-Bootstrap backfill: when the migration bootstraps the warehouse directly from
-table scans, both sinks start past the copied records, so those rows never
-reach the indexer as changes.  :meth:`FtsIndexer.bootstrap` covers that path
-by feeding the current rows straight into the index at the bootstrap LSN —
-later changes carry higher LSNs and win as usual.
+Bootstrap backfill: the index is empty when its process opens, and the start
+step of :class:`~repro.storage.sync.StorageSync` copies the tables at the
+current LSN instead of replaying the WAL, so the copied rows never reach the
+indexer as changes.  :meth:`FtsIndexer.bootstrap` feeds them straight into
+the index at that LSN — later changes carry higher LSNs and win as usual.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class FtsIndexer(CdcSink):
         primary_key: str = "article_id",
         batch_docs: int = 256,
     ) -> None:
-        super().__init__([table], index.last_lsn)
+        super().__init__([table])
         self.index = index
         self.table = table
         self.columns = tuple(columns)
@@ -84,8 +84,12 @@ class FtsIndexer(CdcSink):
         return report
 
     def bootstrap(self, rows: Iterable[dict], lsn: int) -> int:
-        """Index ``rows`` directly at ``lsn`` (migration-bootstrap backfill)
-        and start the position there."""
+        """Index ``rows`` directly at ``lsn`` (the start step's backfill),
+        start the position there, then flush.
+
+        The position moves before the flush: a failed flush keeps the
+        buffer, which serves reads and lands with the next flush.
+        """
         count = 0
         for row in rows:
             doc_id = row.get(self.primary_key)
@@ -93,7 +97,6 @@ class FtsIndexer(CdcSink):
                 continue
             if self.index.add(doc_id, text=document_text(row, self.columns), lsn=lsn):
                 count += 1
-        if count:
-            self.index.flush()
         self.start_at(lsn)
+        self.index.flush()
         return count

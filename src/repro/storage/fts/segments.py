@@ -27,10 +27,10 @@ frequency per posting, and ``pos_seg`` the concatenated token positions of
 every posting — a posting's positions are its next ``tf`` values, so no
 separate length array is needed.
 
-Tombstones travel *inside* segments (``lens`` entry of ``-1``): the segment
-files are the index's only durable state, and the directory rescan that
-recovers it reconstructs exact liveness from them, so a crash can never
-resurrect a deleted document (no ghost postings).
+Tombstones travel *inside* segments (``lens`` entry of ``-1``).  No reader
+decodes a segment's per-document ``lsns``/``lens`` any more: the index keeps
+liveness in memory and backfills from the table on open.  The fields stay so
+the format (and its byte pin) does not move.
 
 Query-time decoding is lazy per term, like the warehouse's lazy columns:
 only the posting lists of the queried terms are materialised.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from ...errors import FtsError
 from ..warehouse.blocks import (
@@ -179,11 +179,6 @@ class Segment:
 
     def has_term(self, term: str) -> bool:
         return term in self._specs
-
-    def doc_entries(self) -> Iterator[tuple[Any, int, int]]:
-        """Yield ``(doc_id, lsn, length)`` per document (tombstones included)."""
-        for ordinal, doc_id in enumerate(self.doc_ids):
-            yield doc_id, self.lsns[ordinal], self.lens[ordinal]
 
     def term_tfs(self, term: str) -> tuple[array, array]:
         """``(ordinals, tfs)`` of a term's postings (empty arrays if absent).

@@ -6,11 +6,13 @@ the warehouse fresh *continuously* through change-data capture
 (:mod:`repro.storage.cdc`: WAL → delta blocks); what remains here is
 everything CDC cannot do by construction:
 
-* **Bootstrap backfill** — :meth:`MigrationJob.run` copies a registered RDBMS
-  table wholesale into its (empty) warehouse table, seeding the base blocks
-  that subsequent deltas merge against.  Rows that existed before CDC started
-  tailing are never replayed by the WAL, so the first sync is always a batch
-  copy.  (The old watermark-based incremental copy is gone — deltas carry the
+* **Bootstrap copy** — :meth:`MigrationJob.run` copies every registered RDBMS
+  table wholesale into its warehouse table, seeding the base blocks that
+  later deltas merge against.  The first sync is always this copy: the
+  warehouse keeps no recovery state, so on an open platform its tables are
+  empty, and :class:`~repro.storage.sync.StorageSync` copies them at the
+  current WAL LSN before any change is read.  Both CDC sinks start at that
+  LSN.  (The old watermark-based incremental copy is gone — deltas carry the
   increments now.)
 * **Scheduled compaction** — :meth:`MigrationJob.run_compaction` folds landed
   delta blocks into the base and merges fragmented partitions back into few
@@ -51,12 +53,12 @@ class MigrationReport:
 
     run_at: datetime
     migrated_rows: dict[str, int] = field(default_factory=dict)
-    #: RDBMS tables that were copied wholesale this run — their warehouse
-    #: tables were empty.
+    #: RDBMS tables that were copied wholesale this run (empty when the
+    #: platform had already started and no copy ran).
     bootstrapped: tuple[str, ...] = ()
-    #: The database's WAL LSN captured when the copy started.  When *every*
-    #: registered table bootstrapped, both CDC sinks start at this LSN: the
-    #: copied rows already reflect all mutations up to it.
+    #: The database's WAL LSN captured when the copy started.  Both CDC sinks
+    #: start at this LSN: the copied rows already reflect every mutation up
+    #: to it.
     cursor_lsn: int = 0
     #: Materialized roll-up name → number of partitions re-aggregated by the
     #: refresh that followed the CDC drain (only roll-ups where something
@@ -170,36 +172,33 @@ class MigrationJob:
         )
 
     def run(self, now: datetime | None = None, compact: bool = False) -> MigrationReport:
-        """Bootstrap-backfill registered tables and return a report.
+        """Copy every registered table wholesale into its (empty) warehouse
+        table — the seed the CDC delta stream merges against — and return a
+        report.
 
-        Each registered table whose warehouse table is still **empty** is
-        copied wholesale — the seed the CDC delta stream merges against.
-        Tables that already hold rows are left alone: their increments arrive
-        as deltas (:mod:`repro.storage.cdc`), not as copies.  With
-        ``compact=True`` a compaction pass (:meth:`run_compaction`) follows,
-        so one scheduled job keeps the warehouse both folded and
-        defragmented.  The copy itself does not refresh the materialized
-        roll-ups (they read through to the live scan until
+        All or nothing: when a copy fails, the tables this run already
+        copied are cleared again before the error propagates, so the run can
+        simply be repeated.  With ``compact=True`` a compaction pass
+        (:meth:`run_compaction`) follows.  The copy itself does not refresh
+        the materialized roll-ups (they read through to the live scan until
         :meth:`refresh_standing_rollups` or a compaction pass runs).
         """
         now = now or _utcnow()
         cursor_lsn = self.database.wal_lsn()
         migrated: dict[str, int] = {}
-        bootstrapped: list[str] = []
-
-        for mapping in self._mappings:
-            table = self.warehouse.table(mapping.warehouse_table)
-            if table.row_count() > 0:
-                migrated[mapping.rdbms_table] = 0
-                continue
-            rows = self.database.query(mapping.rdbms_table).execute().rows
-            if rows:
-                table.append(rows)
-            migrated[mapping.rdbms_table] = len(rows)
-            bootstrapped.append(mapping.rdbms_table)
+        try:
+            for mapping in self._mappings:
+                rows = self.database.query(mapping.rdbms_table).execute().rows
+                self.warehouse.table(mapping.warehouse_table).append(rows)
+                migrated[mapping.rdbms_table] = len(rows)
+        except Exception:
+            for mapping in self._mappings:
+                if mapping.rdbms_table in migrated:
+                    self.warehouse.table(mapping.warehouse_table).clear()
+            raise
 
         report = MigrationReport(
-            run_at=now, migrated_rows=migrated, bootstrapped=tuple(bootstrapped),
+            run_at=now, migrated_rows=migrated, bootstrapped=tuple(migrated),
             cursor_lsn=cursor_lsn,
         )
         if compact:

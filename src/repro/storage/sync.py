@@ -10,15 +10,19 @@ place the order of the steps is written down:
   search index → land the warehouse → refresh the standing roll-ups;
 * :meth:`StorageSync.refresh_search` — the search-freshness step: one WAL
   read, landed in the search index only;
-* :meth:`StorageSync.bootstrap` — the backfill in front of the first drain:
-  copy empty warehouse tables wholesale, start both sinks at the copy's
-  LSN (the search index is backfilled from the table), then drain;
+* :meth:`StorageSync.bootstrap` — the scheduled migration: a drain whose
+  report also counts the rows the start step copied;
 * :meth:`StorageSync.status` — the ``cdc`` / ``fts`` freshness sections of
   the platform status.
 
-There is no restart step: each sink's position starts from what the sink
-holds, so sinks that come back empty re-read the WAL from LSN 0 and the
-LSN checks absorb any overlap.
+One rule says where the sinks start.  The WAL is the only durable state; the
+warehouse and the search index keep no recovery state of their own, so when
+a platform opens both are empty and both positions are 0.  While the
+publisher's cursor is 0, each of the three steps above first runs the start
+step: one copy of every registered table at the current LSN L
+(:meth:`MigrationJob.run`), the search index backfilled from the ``articles``
+rows at L, and both sinks started at L.  No sink ever re-reads the WAL from
+LSN 0.
 
 The mechanisms stay where they were: :mod:`repro.storage.cdc` (publisher,
 sink base, delta applier), :mod:`repro.storage.fts` (index and indexer) and
@@ -31,7 +35,7 @@ objects sees every call made from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Any
 
 from ..errors import CircuitOpenError
@@ -57,6 +61,7 @@ class StorageSync:
         worst write→visible latency observed (seconds) and the indexer's
         report under ``"fts"``.
         """
+        copied = self._start()
         published = self.publisher.publish()
         # The search index lands first: it never shares the applier's
         # breaker, so search freshness survives a quarantined warehouse batch.
@@ -75,7 +80,7 @@ class StorageSync:
             if self.applier.health is not None:
                 self.applier.health.degrade(exc)
             return {**summary, "breaker_open": True}
-        if refresh_rollups and report.rows:
+        if refresh_rollups and (report.rows or copied is not None):
             self.migration.refresh_standing_rollups()
         by_rdbms_table = {
             m.warehouse_table: m.rdbms_table for m in self.migration.mappings()
@@ -96,37 +101,47 @@ class StorageSync:
         The applier keeps what it was handed; the next :meth:`drain` hands
         it the same changes again, and more.
         """
+        self._start()
         self.publisher.publish()
         return self.fts_indexer.run()
 
     def bootstrap(self, now: datetime | None = None) -> MigrationReport:
-        """Backfill empty warehouse tables, then drain; one combined report.
+        """Drain, reporting the rows the start step copied (if it ran) plus
+        the rows CDC applied; the roll-ups are refreshed once, after the
+        deltas have landed, so they see the post-sync block identity.
 
-        Rows move on the first run; a re-run with no new operational writes
-        reports zero.  The roll-ups are refreshed once the CDC deltas have
-        landed, so they see the post-sync block identity.
+        A re-run with no new operational writes reports zero rows.
         """
-        copied = self.migration.run(now=now)
-        if set(copied.bootstrapped) == set(self.migration.registered_tables()):
-            # Every registered table was copied wholesale, so the WAL records
-            # up to the pre-copy LSN are already reflected — start the applier
-            # past them.  (On partial bootstraps the position stays put;
-            # re-reading is safe because delta application is idempotent.)
-            self.applier.start_at(copied.cursor_lsn)
-            # The search index backfills straight from the table at the
-            # bootstrap LSN and starts there (later changes carry higher
-            # LSNs and win).
-            if self.fts_indexer.table in copied.bootstrapped:
-                self.fts_indexer.bootstrap(
-                    self.migration.database.table(self.fts_indexer.table).rows(),
-                    lsn=copied.cursor_lsn,
-                )
+        copied = self._start(now) or MigrationReport(
+            run_at=now or datetime.now(timezone.utc),
+            migrated_rows=dict.fromkeys(self.migration.registered_tables(), 0),
+            cursor_lsn=self.publisher.database.wal_lsn(),
+        )
         sync = self.drain(refresh_rollups=False)
         rollups_refreshed = self.migration.refresh_standing_rollups()
         migrated = dict(copied.migrated_rows)
         for rdbms_table, rows in sync["applied_tables"].items():
             migrated[rdbms_table] = migrated.get(rdbms_table, 0) + rows
         return replace(copied, migrated_rows=migrated, rollups_refreshed=rollups_refreshed)
+
+    def _start(self, now: datetime | None = None) -> MigrationReport | None:
+        """The start step (see the module docstring); ``None`` once the
+        sinks have started.
+
+        The copy is all or nothing, and nothing after it writes to the DFS
+        before both positions have moved (the platform's index has no
+        size-triggered flush), so a failed start leaves the cursor at 0 and
+        the next step simply runs it again.  A failed flush
+        of the backfilled index keeps its buffer, which serves reads and
+        lands with the next flush.
+        """
+        if self.publisher.cursor:
+            return None
+        copied = self.migration.run(now=now)
+        self.applier.start_at(copied.cursor_lsn)
+        articles = self.migration.database.table(self.fts_indexer.table).rows()
+        self.fts_indexer.bootstrap(articles, lsn=copied.cursor_lsn)
+        return copied
 
     def status(self) -> dict[str, dict[str, Any]]:
         """The ``cdc`` and ``fts`` freshness sections of the platform status."""

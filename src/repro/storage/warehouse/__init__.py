@@ -5,10 +5,12 @@ plays the role of HDFS, and a partitioned columnar table format
 (:class:`WarehouseTable` inside a :class:`Warehouse`) plays the role of the
 Spark-managed warehouse tables the paper's analytics jobs read.  A table is
 three pieces behind one class: the block catalog (:mod:`.catalog` — physical
-blocks, block writer, decoded-block LRU cache, recovery manifest), the delta
-merge (:mod:`.delta` — last-writer-wins CDC state) and the scan/aggregate
-engine (:mod:`.engine` — selection vectors over raw column arrays, stats-only
-aggregates, grouped partial states).  Standing grouped aggregations can
+blocks, block writer, decoded-block LRU cache), the delta merge
+(:mod:`.delta` — last-writer-wins CDC state) and the scan/aggregate engine
+(:mod:`.engine` — selection vectors over raw column arrays, stats-only
+aggregates, grouped partial states).  A table keeps no recovery state: it is
+derived from the RDBMS write-ahead log, and one that opens empty is seeded by
+a copy (:mod:`repro.storage.sync`).  Standing grouped aggregations can
 additionally be registered as incremental materialized roll-ups
 (:mod:`.rollups`): materialised per partition, refreshed only where the
 partition's block set changed, served with zero DFS reads.

@@ -8,49 +8,24 @@ compress at ``compression_level``, default zlib 6, 0 = raw → one DFS file per
 block), the LRU cache of decoded blocks, per-partition read counters, and
 storage accounting from the byte counts recorded at write time.
 
-It also writes the per-table recovery *manifest* (``_manifest.json`` under the
-table's DFS prefix): its refs and allocation counter plus the logical fields
-its caller hands it (the state of :mod:`.delta` — encoded and decoded there,
-stored here).  :meth:`BlockCatalog.adopt_manifest` rebuilds the refs in
-O(manifest) when the document parses and its block paths agree exactly with
-the DFS listing; otherwise :meth:`BlockCatalog.rescan` reads every block back.
-The manifest is an accelerator, never the source of truth.
+The refs live in memory only.  A warehouse is derived from the RDBMS write-ahead
+log and keeps no recovery state of its own: a process that opens finds its
+tables empty, and the first sync copies them (:mod:`repro.storage.sync`).
 """
 
 from __future__ import annotations
 
-import json
-import re
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Iterator, Sequence
 
-from ...errors import RetryExhaustedError, TransientFaultError, WarehouseError
-from .blocks import (
-    ColumnarBlock,
-    decode_value,
-    encode_value,
-    sort_rows,
-    unwrap_payload,
-    wrap_payload,
-)
+from ...errors import WarehouseError
+from .blocks import ColumnarBlock, sort_rows, wrap_payload
 from .dfs import DistributedFileSystem
-
-T = TypeVar("T")
-
-#: Version stamp of the per-table manifest document.  Bump on layout changes:
-#: an unknown version makes recovery fall back to the full block rescan,
-#: never misread a newer manifest.
-_MANIFEST_VERSION = 1
 
 #: Columns a delta block carries after the table's own.
 DELTA_COLUMNS = ["_cdc_lsn", "_cdc_op"]
-
-
-def manifest_path(table: str) -> str:
-    """DFS path of a table's recovery manifest."""
-    return f"/warehouse/{table}/_manifest.json"
 
 
 @dataclass
@@ -70,51 +45,6 @@ class BlockRef:
     #: partition).  Synthetic refs are never persisted: loading one returns
     #: this object directly and the path is only an identity token.
     block: ColumnarBlock | None = None
-
-
-def _encode_ref(ref: BlockRef) -> dict[str, Any]:
-    return {
-        "path": ref.path,
-        "n_rows": ref.n_rows,
-        "stats": {
-            column: {name: encode_value(value) for name, value in stat.items()}
-            for column, stat in ref.stats.items()
-        },
-        "sort_key": list(ref.sort_key) if ref.sort_key else None,
-        "compressed_bytes": ref.compressed_bytes,
-        "uncompressed_bytes": ref.uncompressed_bytes,
-        "role": ref.role,
-    }
-
-
-def _decode_ref(obj: Mapping[str, Any]) -> BlockRef:
-    sort_key = obj["sort_key"]
-    return BlockRef(
-        path=obj["path"],
-        n_rows=int(obj["n_rows"]),
-        stats={
-            column: {name: decode_value(value) for name, value in stat.items()}
-            for column, stat in obj["stats"].items()
-        },
-        sort_key=tuple(sort_key) if sort_key else None,
-        compressed_bytes=int(obj["compressed_bytes"]),
-        uncompressed_bytes=int(obj["uncompressed_bytes"]),
-        role=obj["role"],
-    )
-
-
-def _encode_refs(refs: Mapping[str, list[BlockRef]]) -> dict[str, list[dict[str, Any]]]:
-    return {partition: [_encode_ref(ref) for ref in part] for partition, part in refs.items()}
-
-
-def _decode_refs(obj: Mapping[str, list[Mapping[str, Any]]]) -> dict[str, list[BlockRef]]:
-    return {partition: [_decode_ref(ref) for ref in part] for partition, part in obj.items()}
-
-
-def _block_file_counter(path: str) -> int:
-    """The allocation counter embedded in a block filename (0 if unparsable)."""
-    match = re.search(r"(?:block|delta)-(\d+)\.blk$", path)
-    return int(match.group(1)) if match else 0
 
 
 class _BlockCache:
@@ -163,7 +93,7 @@ class _BlockCache:
 
 
 class BlockCatalog:
-    """The physical blocks of one table: refs, writer, loader, manifest."""
+    """The physical blocks of one table: refs, writer, loader."""
 
     def __init__(
         self,
@@ -252,7 +182,7 @@ class BlockCatalog:
 
         All or nothing: when a write fails, the blocks this call already
         wrote are unlinked and deleted again before the error propagates, so
-        neither a reader nor a later rescan sees part of the append.
+        no reader sees part of the append.
         """
         layout = self.base if role == "base" else self.deltas
         written: list[tuple[str, BlockRef]] = []
@@ -394,105 +324,3 @@ class BlockCatalog:
                 ],
             }
         return out
-
-    def write_manifest(self, logical: Mapping[str, Any]) -> None:
-        """Persist the recovery manifest (atomic via the DFS write path):
-        this catalog's refs and counter plus the caller's ``logical`` fields."""
-        payload = {
-            "version": _MANIFEST_VERSION,
-            "table": self.table,
-            "block_counter": self._block_counter,
-            "partitions": _encode_refs(self.base),
-            "delta_partitions": _encode_refs(self.deltas),
-            **logical,
-        }
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.dfs.write_file(manifest_path(self.table), data)
-
-    def delete_manifest(self) -> None:
-        self.dfs.delete_file(manifest_path(self.table))
-
-    def block_paths(self) -> list[str]:
-        """Every block file under the table's DFS prefix."""
-        return [
-            path
-            for path in self.dfs.list_files(f"/warehouse/{self.table}/")
-            if path.endswith(".blk")
-        ]
-
-    def adopt_manifest(
-        self, block_paths: list[str], decode_logical: Callable[[dict[str, Any]], T]
-    ) -> T | None:
-        """Adopt the manifest's refs when it parses and its block paths agree
-        exactly with ``block_paths``; returns ``decode_logical(manifest)``
-        then, else ``None`` (missing, torn, unknown version, or blocks landed
-        after the last manifest write — the caller rescans)."""
-        path = manifest_path(self.table)
-        if not self.dfs.exists(path):
-            return None
-        try:
-            payload = json.loads(self.dfs.read_file(path))
-        except (
-            ValueError,
-            UnicodeDecodeError,
-            TransientFaultError,
-            RetryExhaustedError,
-            WarehouseError,
-        ):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != _MANIFEST_VERSION or payload.get("table") != self.table:
-            return None
-        try:
-            base = _decode_refs(payload["partitions"])
-            deltas = _decode_refs(payload["delta_partitions"])
-            block_counter = int(payload["block_counter"])
-            logical = decode_logical(payload)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None  # structurally torn
-        manifest_paths = {
-            ref.path
-            for refs in list(base.values()) + list(deltas.values())
-            for ref in refs
-        }
-        if manifest_paths != set(block_paths):
-            return None
-        self.base = base
-        self.deltas = deltas
-        self._block_counter = max(
-            block_counter, max(map(_block_file_counter, block_paths), default=0)
-        )
-        return logical
-
-    def rescan(
-        self, block_paths: list[str]
-    ) -> Iterator[tuple[str, BlockRef, ColumnarBlock]]:
-        """Full fallback: read every block back, yielding ``(partition, ref,
-        block)`` so the caller rebuilds its logical state in the same pass.
-        The refs are adopted once the last block has been consumed — an error
-        on either side leaves the catalog untouched."""
-        prefix = f"/warehouse/{self.table}/"
-        base: dict[str, list[BlockRef]] = {}
-        deltas: dict[str, list[BlockRef]] = {}
-        max_counter = 0
-        for path in sorted(block_paths):
-            partition, _, filename = path[len(prefix):].rpartition("/")
-            if not partition:
-                continue  # stray file outside a partition directory
-            data = self.dfs.read_file(path)
-            block = ColumnarBlock.from_bytes(data)
-            is_delta = filename.startswith("delta-") or block.role == "delta"
-            ref = BlockRef(
-                path=path, n_rows=block.n_rows, stats=block.stats,
-                sort_key=block.sort_key,
-                compressed_bytes=len(data),
-                uncompressed_bytes=len(unwrap_payload(data)),
-                role="delta" if is_delta else block.role,
-            )
-            (deltas if is_delta else base).setdefault(partition, []).append(ref)
-            max_counter = max(max_counter, _block_file_counter(path))
-            yield partition, ref, block
-        self.base = base
-        self.deltas = deltas
-        self._block_counter = max(self._block_counter, max_counter)

@@ -9,20 +9,17 @@ partition whose bytes did not change but whose visible rows did), and the
 cached merged view of each partition with outstanding deltas.  Compaction
 *folds* a partition: the merged view becomes its base blocks and the folded
 versions are flagged so reads stop suppressing the now up-to-date base rows.
-This state persists as four manifest fields encoded and decoded here; after a
-block rescan it is rebuilt from the delta and base rows (folded flags are lost
-that way — safe, because a folded version read again re-applies content
-identical to the base row).
+The state lives in memory only: a table that opens is empty and is seeded by
+a copy, not restored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ...compute.shuffle import canonical_key
 from ...errors import WarehouseError
-from .blocks import ColumnarBlock, decode_value, encode_value
 from .catalog import BlockCatalog, BlockRef
 
 
@@ -40,19 +37,6 @@ class _DeltaEntry:
     partition: str
     op: str  # "u" (upsert) | "d" (delete)
     folded: bool = False
-
-
-def _encode_key(key: Any) -> Any:
-    """JSON-encode a canonical primary key (tuples and datetimes round-trip)."""
-    if isinstance(key, tuple):
-        return {"__tuple__": [_encode_key(item) for item in key]}
-    return encode_value(key)
-
-
-def _decode_key(obj: Any) -> Any:
-    if isinstance(obj, dict) and set(obj) == {"__tuple__"}:
-        return tuple(_decode_key(item) for item in obj["__tuple__"])
-    return decode_value(obj)
 
 
 class DeltaMerge:
@@ -172,13 +156,6 @@ class DeltaMerge:
         """Suppression epoch: non-zero while rows moved away are unfolded."""
         return self._suppression_epoch.get(partition, 0)
 
-    def high_water(self) -> int:
-        """The highest CDC LSN landed (0 when none)."""
-        return max((entry.lsn for entry in self._delta_info.values()), default=0)
-
-    def tracked_keys(self) -> int:
-        return len(self._delta_info)
-
     def effective_refs(self, partition: str) -> list[BlockRef]:
         """The partition's readable block refs: base blocks as stored, or the
         merged base+delta view when deltas (or away-moves) are outstanding."""
@@ -247,100 +224,3 @@ class DeltaMerge:
             # else: deleted, or moved to another partition — drop.
         merged.extend(row for _lsn, row in sorted(latest.values(), key=lambda v: v[0]))
         return merged
-
-    def manifest_fields(self) -> dict[str, Any]:
-        return {
-            "primary_key": self.primary_key,
-            "suppression_epoch": dict(self._suppression_epoch),
-            "delta_info": [
-                [_encode_key(key), entry.lsn, entry.partition, entry.op, entry.folded]
-                for key, entry in self._delta_info.items()
-            ],
-            "pk_partition": [
-                [_encode_key(key), partition]
-                for key, partition in self._pk_partition.items()
-            ],
-        }
-
-    def decode_manifest(self, payload: dict[str, Any]) -> tuple:
-        """Parse this module's manifest fields into :meth:`restore` arguments
-        (raises ``KeyError``/``TypeError``/``ValueError`` on a torn document)."""
-        suppression = {
-            partition: int(epoch)
-            for partition, epoch in payload["suppression_epoch"].items()
-            if int(epoch)
-        }
-        delta_info = {
-            _decode_key(key): _DeltaEntry(
-                lsn=int(lsn), partition=partition, op=op, folded=bool(folded)
-            )
-            for key, lsn, partition, op, folded in payload["delta_info"]
-        }
-        pk_partition = {
-            _decode_key(key): partition
-            for key, partition in payload["pk_partition"]
-        }
-        return payload["primary_key"], suppression, delta_info, pk_partition
-
-    def restore(
-        self,
-        primary_key: str | None,
-        suppression: dict[str, int],
-        delta_info: dict[Any, _DeltaEntry],
-        pk_partition: dict[Any, str],
-    ) -> None:
-        if (
-            primary_key is not None
-            and self.primary_key is None
-            and primary_key in self.catalog.columns
-        ):
-            self.primary_key = primary_key
-        self._suppression_epoch = suppression
-        self._delta_info = delta_info
-        self._pk_partition = pk_partition
-        self._merged_refs.clear()
-
-    def rebuild(
-        self, scanned: Iterable[tuple[str, BlockRef, ColumnarBlock]]
-    ) -> None:
-        """Rebuild the index from a full block rescan: the per-key newest LSN
-        from the delta rows, key locations from the base rows, and suppression
-        epochs from keys whose base row lives in a partition their latest
-        version moved away from."""
-        delta_info: dict[Any, _DeltaEntry] = {}
-        base_keys: list[tuple[Any, str]] = []
-        for partition, ref, block in scanned:
-            if ref.role == "delta":
-                if self.primary_key is None:
-                    raise WarehouseError(
-                        f"table {self.catalog.table!r} needs a primary key to "
-                        "recover its CDC delta state from a block rescan"
-                    )
-                for row in block.to_rows():
-                    lsn = row["_cdc_lsn"]
-                    key = canonical_key(row.get(self.primary_key))
-                    existing = delta_info.get(key)
-                    if existing is None or lsn > existing.lsn:
-                        delta_info[key] = _DeltaEntry(
-                            lsn=lsn, partition=partition, op=row["_cdc_op"]
-                        )
-            elif self.primary_key is not None:
-                for value in block.columns[self.primary_key]:
-                    base_keys.append((canonical_key(value), partition))
-        # Base rows record where each key physically lives; the newest delta
-        # version then overrides (or, for deletes, removes) that location.
-        pk_partition = dict(base_keys)
-        for key, entry in delta_info.items():
-            if entry.op == "d":
-                pk_partition.pop(key, None)
-            else:
-                pk_partition[key] = entry.partition
-        # A base row whose latest version moved to another partition must be
-        # suppressed at merge time even though its partition has no delta
-        # blocks — recover those partitions' suppression epochs.
-        suppression: dict[str, int] = {}
-        for key, base_partition in base_keys:
-            entry = delta_info.get(key)
-            if entry is not None and entry.op == "u" and entry.partition != base_partition:
-                suppression[base_partition] = 1
-        self.restore(None, suppression, delta_info, pk_partition)

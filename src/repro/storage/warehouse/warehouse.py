@@ -7,8 +7,8 @@ rows of each partition are then sorted by those columns before being cut into
 blocks, so block zone maps on the sort column become tight and mostly disjoint.
 
 :class:`WarehouseTable` orchestrates three pieces, each owning its own state:
-:mod:`.catalog` (physical blocks, block writer, decoded-block cache, recovery
-manifest), :mod:`.delta` (last-writer-wins reconciliation of CDC deltas) and
+:mod:`.catalog` (physical blocks, block writer, decoded-block cache),
+:mod:`.delta` (last-writer-wins reconciliation of CDC deltas) and
 :mod:`.engine` (stateless scan/aggregate functions).  Reads come in two kinds:
 :meth:`WarehouseTable.scan` streams row dicts for one-shot full-row consumers
 (e.g. model training) and deliberately bypasses the block cache so they don't
@@ -141,7 +141,7 @@ class WarehouseTable:
         #: stale-but-available, surfaced through ``health``.
         self.degraded_reads = degraded_reads
         #: Optional health record (usually the platform monitor's
-        #: ``"warehouse"`` subsystem) fed by degraded reads + manifest faults.
+        #: ``"warehouse"`` subsystem) fed by degraded reads.
         self.health = health
         self._catalog = BlockCatalog(
             name, self.columns, dfs, block_rows, cache_blocks,
@@ -194,7 +194,7 @@ class WarehouseTable:
         ``"delete"``/``"d"`` (tombstone; ``row`` is the deleted row, used for
         partition routing).  Application is **idempotent**: an entry whose LSN
         is not strictly greater than the latest landed version of its primary
-        key is dropped, so changes read again (a restart below the landed
+        key is dropped, so changes read again (a re-read below the landed
         position, a batch retried after a failure) never land twice —
         regardless of the order they arrive in.
 
@@ -213,10 +213,8 @@ class WarehouseTable:
 
     def _land(self, grouped: dict[str, list[dict[str, Any]]], role: str) -> None:
         """Write each partition's rows as ``role`` blocks, visible one by one
-        as they land (all or nothing), then persist the manifest."""
+        as they land (all or nothing)."""
         self._catalog.append_blocks(grouped, role)
-        if grouped:
-            self._write_manifest()
 
     def delta_block_count(self, partition: str | None = None) -> int:
         """Physical delta blocks awaiting a fold (optionally of one partition)."""
@@ -241,7 +239,6 @@ class WarehouseTable:
         """Delete every block of ``partition``; returns the number of rows removed."""
         removed = self._catalog.drop_partition(partition)
         self._delta.forget(partition)
-        self._write_manifest()
         return removed
 
     def compact_partition(self, partition: str) -> dict[str, int]:
@@ -279,7 +276,6 @@ class WarehouseTable:
         report = self._catalog.replace_partition(partition, rows)
         if folding:
             self._delta.fold(partition)
-        self._write_manifest()
         return report
 
     def _needs_fold(self, partition: str) -> bool:
@@ -297,66 +293,10 @@ class WarehouseTable:
             or self._needs_fold(partition)
         ]
 
-    # -------------------------------------------------- durability & recovery
-
-    def delta_high_water(self) -> int:
-        """The highest CDC LSN landed in this table (0 when none).
-
-        After :meth:`recover`, this is where a CDC applier over the table
-        resumes: changes at or below it are already landed and are dropped
-        by the exactly-once index when read again.
-        """
-        return self._delta.high_water()
-
-    def _write_manifest(self) -> None:
-        """Persist the recovery manifest after a state change.  It is not the
-        source of truth (recovery cross-checks it against the file listing and
-        rescans on any disagreement), so a failed write degrades health rather
-        than failing the data operation that triggered it."""
-        try:
-            self._catalog.write_manifest(self._delta.manifest_fields())
-        except (TransientFaultError, RetryExhaustedError, WarehouseError) as exc:
-            if self.health is not None:
-                self.health.degrade(exc)
-
-    def _drop(self) -> None:
-        """Remove every DFS file of the table (its manifest last)."""
+    def clear(self) -> None:
+        """Delete every block of the table; the table stays, empty."""
         for partition in self.partitions():
             self.drop_partition(partition)
-        self._catalog.delete_manifest()
-
-    def recover(self) -> dict[str, Any]:
-        """Rebuild in-memory state from the DFS after a process restart.
-
-        Fast path: parse the per-table manifest and adopt it when its block
-        paths agree exactly with the DFS file listing.  Fallback (manifest
-        missing, torn, unknown version, or stale vs the listing): read every
-        ``block-``/``delta-`` file back, rebuilding block refs from the block
-        headers and the last-writer-wins state from the delta/base rows, then
-        re-seed the manifest so the *next* open takes the fast path.
-
-        Returns a report: ``source`` (``"manifest"``/``"scan"``/``"empty"``),
-        block/key counts and the recovered ``delta_high_water``.
-        """
-        block_paths = self._catalog.block_paths()
-        logical = self._catalog.adopt_manifest(block_paths, self._delta.decode_manifest)
-        if logical is not None:
-            self._delta.restore(*logical)
-            source = "manifest"
-        elif block_paths:
-            self._delta.rebuild(self._catalog.rescan(block_paths))
-            self._write_manifest()
-            source = "scan"
-        else:
-            source = "empty"
-        self._catalog.cache.clear()
-        return {
-            "source": source,
-            "base_blocks": self.block_count() - self.delta_block_count(),
-            "delta_blocks": self.delta_block_count(),
-            "tracked_keys": self._delta.tracked_keys(),
-            "delta_high_water": self.delta_high_water(),
-        }
 
     # ----------------------------------------------------------------- reads
 
@@ -680,7 +620,6 @@ class Warehouse:
         sort_key: Sequence[str] | None = None,
         compression_level: int | None = None,
         primary_key: str | None = None,
-        recover: bool = True,
     ) -> WarehouseTable:
         """Create a table partitioned by ``partition_column`` (by day or by value).
 
@@ -691,12 +630,6 @@ class Warehouse:
         ``primary_key`` names the row-identity column required for CDC delta
         application (:meth:`WarehouseTable.append_deltas`); declare it at
         creation so base appends track row locations from the start.
-
-        With ``recover`` (the default), a table whose DFS prefix already
-        holds files — this process is reopening a warehouse another process
-        (or a crashed run) wrote — rebuilds its in-memory state via
-        :meth:`WarehouseTable.recover` before being returned, so the
-        exactly-once CDC index survives restarts transparently.
         """
         if name in self._tables:
             if if_not_exists:
@@ -724,8 +657,6 @@ class Warehouse:
             degraded_reads=self.degraded_reads,
             health=self.health,
         )
-        if recover and self.dfs.list_files(f"/warehouse/{name}/"):
-            table.recover()
         self._tables[name] = table
         return table
 
@@ -741,7 +672,7 @@ class Warehouse:
         return sorted(self._tables)
 
     def drop_table(self, name: str) -> None:
-        self.table(name)._drop()
+        self.table(name).clear()
         del self._tables[name]
         if self._rollup_manager is not None:
             self._rollup_manager.discard_table(name)

@@ -3,19 +3,20 @@
 Each scenario runs under several :class:`FaultInjector` seeds and asserts the
 pipeline's end-state invariants rather than any particular failure schedule:
 
-* a warehouse reopened mid-CDC (changes read but not landed) recovers its
-  delta index from DFS blocks, resumes at what it holds and lands the WAL
-  past that with zero duplicate rows, bit-identical (``repr`` of float
-  payloads included) to an uninterrupted run — even when the log is then
-  re-read from LSN 0, and even when the recovery manifest is torn and the
-  table falls back to a full block rescan;
+* a platform reopened over its ``data_dir`` mid-CDC (changes read but not
+  landed) starts from one copy of its tables while DFS write faults hit that
+  copy; a failed start leaves nothing behind, and the result equals an
+  uninterrupted run bit for bit (``repr`` of float payloads included), with
+  zero duplicate rows;
 * a crash during compaction leaves no half-written replacement blocks and
   changes no query result, and the scheduled compaction job skips the failed
   table instead of aborting;
 * a change the warehouse rejects trips the applier's circuit breaker instead
   of hot-looping, and with ``skip_poisoned`` is quarantined and the applier's
   position moves past it;
-* every degradation surfaces in ``SciLensPlatform.status()["health"]``.
+* every degradation surfaces in ``SciLensPlatform.status()["health"]``;
+* a failed FTS segment flush keeps the buffer, and an index rebuilt by the
+  start step's copy equals one that saw the whole edit history.
 """
 
 import random
@@ -36,8 +37,8 @@ from repro.storage.rdbms.database import Database
 from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.warehouse import Warehouse
-from repro.storage.warehouse.catalog import manifest_path
 from repro.storage.warehouse.dfs import DistributedFileSystem
+from test_platform_reopen import converged_view, open_platform
 
 SEEDS = [11, 23, 37]
 
@@ -128,116 +129,100 @@ def _snapshot(table):
     ))
 
 
-def _reopen(db, old_warehouse, block_rows=4):
-    """Rebuild the warehouse from its DFS blocks — the restart path — and a
-    publisher + applier over it; the applier resumes at what it holds."""
-    warehouse = Warehouse(old_warehouse.dfs, block_rows=block_rows)
-    job = MigrationJob(db, warehouse)
-    job.add_table("articles", sort_key=["created_at"])  # triggers recover()
-    publisher, applier = _wire(db, warehouse, job.mappings())
-    return warehouse, publisher, applier
+def _platform_script(seed, n=36):
+    """A deterministic platform script from ``seed``: articles and expert
+    reviews stored, float reviewer weights updated, articles moved to
+    another publication day, and deletes."""
+    rng = random.Random(seed * 7919 + 3)
+    words = ["vaccine", "outbreak", "trial", "masks", "virus", "study", "genome"]
+    ops, articles, reviews = [], [], []
+    for i in range(n):
+        roll = rng.random()
+        day = T0 + timedelta(days=rng.randrange(3), minutes=rng.randrange(600))
+        if not articles or roll < 0.35:
+            text = " ".join(["coronavirus"] + rng.choices(words, k=rng.randrange(2, 7)))
+            ops.append(("article", f"a{i}", day, text))
+            articles.append(f"a{i}")
+        elif roll < 0.55:
+            ops.append(("review", f"r{i}", rng.choice(articles), rng.random() * 3, day))
+            reviews.append(f"r{i}")
+        elif roll < 0.70 and reviews:
+            ops.append(("weight", rng.choice(reviews), rng.random() * 3))
+        elif roll < 0.85 or len(articles) < 2:
+            ops.append(("move", rng.choice(articles), day))
+        else:
+            ops.append(("delete", articles.pop(rng.randrange(len(articles)))))
+    return ops
+
+
+def _run_script(platform, ops):
+    from repro.models import Article, ExpertReview
+
+    database = platform.database
+    for op in ops:
+        if op[0] == "article":
+            _, key, day, text = op
+            platform.store_article(Article(
+                article_id=key, url=f"https://news.example.com/{key}",
+                outlet_domain="news.example.com", title=f"Coronavirus report {key}",
+                published_at=day, text=text,
+            ))
+        elif op[0] == "review":
+            _, key, article_id, weight, day = op
+            platform.add_expert_review(ExpertReview(
+                review_id=key, article_id=article_id, reviewer_id="e1",
+                created_at=day, scores={"factual_accuracy": 3}, reviewer_weight=weight,
+            ))
+        elif op[0] == "weight":
+            database.update("reviews", col("review_id") == op[1], {"reviewer_weight": op[2]})
+        elif op[0] == "move":
+            database.update("articles", col("article_id") == op[1], {"published_at": op[2]})
+        else:
+            database.delete("articles", col("article_id") == op[1])
 
 
 class TestChaosRestartMidCdc:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_chaos_reopen_mid_cdc_lands_backlog_exactly_once(self, seed):
-        ops = _make_ops(seed)
-        half = len(ops) // 2
+    def test_chaos_reopen_mid_cdc_lands_backlog_exactly_once(self, seed, tmp_path):
+        script = _platform_script(seed)
+        half = len(script) // 2
 
-        # Reference: the same script, uninterrupted and fault-free.
-        ref_db = Database()
-        ref_db.create_table(_articles_schema())
-        ref_wh, _, ref_pub, ref_app = _pipeline(ref_db)
-        _apply_ops(ref_db, ops)
-        ref_pub.publish()
-        ref_app.apply()
-        reference = _snapshot(ref_wh.table("articles"))
+        platform = open_platform(tmp_path)
+        _run_script(platform, script[:half])
+        platform.process_cdc()
+        _run_script(platform, script[half:])
+        platform.cdc_publisher.publish()  # read, never landed: the crash window
+        assert platform.cdc_applier.lag() > 0
 
-        # Chaos run: transient DFS write faults, retried instantly.
+        # Crash.  The reopened platform starts from one copy of its tables
+        # while seeded DFS write faults (three at most, not retried) hit that
+        # copy.  A start that fails before the positions move clears what it
+        # copied, so the next drain simply starts again; one that fails in
+        # the index flush after them keeps the index buffer.  The seeds cover
+        # both.
+        reopened = open_platform(tmp_path)
         injector = FaultInjector(seed=seed)
-        policy = RetryPolicy(max_attempts=8, sleep=lambda _d: None)
-        injector.inject("dfs.write", probability=0.25)
-        db = Database()
-        db.create_table(_articles_schema())
-        warehouse, _, publisher, applier = _pipeline(db)
-        warehouse.dfs.fault_injector = injector
-        warehouse.dfs.retry_policy = policy
+        reopened.dfs.fault_injector = injector
+        reopened.dfs.retry_policy = RetryPolicy(max_attempts=1)
+        injector.inject("dfs.write", probability=0.3, count=3)
+        failed_starts = 0
+        for _attempt in range(50):
+            try:
+                reopened.process_cdc()
+                break
+            except RetryExhaustedError:
+                failed_starts += 1
+                assert reopened.cdc_publisher.cursor or reopened.warehouse.total_rows() == 0
+        assert failed_starts > 0
+        injector.disarm()
+        reopened.process_cdc()
 
-        _apply_ops(db, ops[:half])
-        publisher.publish()
-        applier.apply()
-
-        # Crash: the warehouse process dies with changes read but not
-        # landed.  A new warehouse recovers its state from the DFS blocks
-        # alone; a new applier resumes at what it holds and lands the rest.
-        _apply_ops(db, ops[half:])
-        publisher.publish()
-        assert applier.lag() > 0
-        warehouse, publisher, applier = _reopen(db, warehouse)
-        high_water = warehouse.table("articles").delta_high_water()
-        assert applier.position == high_water > 0
-        assert publisher.pending() == db.wal_lsn() - high_water > 0
-        publisher.publish()
-        applier.apply()
-        assert publisher.cursor == db.wal_lsn()
-
-        table = warehouse.table("articles")
-        ids = [r["article_id"] for r in table.scan()]
+        assert reopened.cdc_publisher.cursor == reopened.database.wal_lsn()
+        ids = [row["article_id"] for row in reopened.warehouse.table("articles").scan()]
         assert len(ids) == len(set(ids))  # zero duplicate rows
-        assert _snapshot(table) == reference
-
-        # Re-reading everything still in the log changes nothing: every
-        # LSN at or below the recovered high-water mark is dropped.
-        applier.start_at(0)
-        assert publisher.publish() > 0
-        assert applier.apply().rows == 0
-        assert _snapshot(table) == reference
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_chaos_torn_manifest_falls_back_to_rescan(self, seed):
-        ops = _make_ops(seed)
-        db = Database()
-        db.create_table(_articles_schema())
-        warehouse, _, publisher, applier = _pipeline(db)
-        _apply_ops(db, ops)
-        publisher.publish()
-        applier.apply()
-        expected = _snapshot(warehouse.table("articles"))
-
-        def reopen():
-            reopened = Warehouse(warehouse.dfs, block_rows=4)
-            return reopened, reopened.create_table(
-                "articles",
-                columns=["article_id", "outlet", "score", "created_at"],
-                partition_column="created_at", partition_by="day",
-                sort_key=["created_at"], primary_key="article_id",
-                recover=False,
-            )
-
-        # An intact manifest is adopted: same rows, same exactly-once index.
-        _, table = reopen()
-        assert table.recover()["source"] == "manifest"
-        assert _snapshot(table) == expected
-        assert table.delta_high_water() == warehouse.table("articles").delta_high_water()
-
-        # Tear the recovery manifest: the reopened table must detect the
-        # damage and rebuild its delta index from a full block rescan.
-        warehouse.dfs.write_file(manifest_path("articles"), b"{torn mid-write")
-        reopened, table = reopen()
-        assert table.recover()["source"] == "scan"
-        assert _snapshot(table) == expected
-        # The rescan reseeds the manifest, so the *next* reopen is fast path.
-        assert table.recover()["source"] == "manifest"
-
-        # Re-reading the log from LSN 0 against the rescanned index still
-        # lands zero duplicates.
-        job = MigrationJob(db, reopened)
-        job.add_table("articles", sort_key=["created_at"])
-        publisher, applier = _wire(db, reopened, job.mappings())
-        applier.start_at(0)
-        assert publisher.publish() > 0
-        assert applier.apply().rows == 0
-        assert _snapshot(table) == expected
+        # Reference: the platform that never crashed, fault-free.
+        platform.process_cdc()
+        assert converged_view(reopened) == converged_view(platform)
 
 
 class TestChaosCompactionCrash:
@@ -262,10 +247,10 @@ class TestChaosCompactionCrash:
         # No half-written replacement blocks survive the crash...
         leftovers = set(warehouse.dfs.list_files("/warehouse/articles/"))
         assert leftovers <= files_before
-        # ...and every read is unchanged, here and after a full reopen.
+        # ...and every read is unchanged, here and in a fresh copy.
         assert _snapshot(table) == before
-        reopened, _, _ = _reopen(db, warehouse)
-        assert _snapshot(reopened.table("articles")) == before
+        copy, _, _, _ = _pipeline(db)
+        assert _snapshot(copy.table("articles")) == before
 
         # Once the fault clears, compaction completes and folds the deltas.
         injector.disarm()
@@ -408,15 +393,15 @@ class TestChaosPlatformHealth:
 
 
 class TestChaosFtsSegmentCrash:
-    """FTS index crash mid-segment-write: reopen must recover exact postings.
+    """FTS index faults mid-segment-write, and a rebuild by copy.
 
     A CDC-style edit history is applied with flushes whose DFS writes fail
-    probabilistically.  Every failed flush "crashes" the process: a fresh
-    index recovers from whatever segments landed, and the whole history is
-    redelivered from the start (at-least-once) — the per-document LSN check
-    must absorb the duplicates.  The final postings must equal an
+    probabilistically.  A failed flush keeps the buffer (reads still see
+    it), so the next flush lands it; the final postings must equal an
     uninterrupted control run's: no ghost postings for deleted documents, no
-    missing documents, identical positions.
+    missing documents, identical positions.  An index that opens empty is
+    rebuilt by the start step's copy of the final rows, and must rank
+    exactly like the control.
     """
 
     VOCAB = [
@@ -443,7 +428,7 @@ class TestChaosFtsSegmentCrash:
                 index.add(doc, text=text, lsn=lsn)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_crash_mid_segment_write_recovers_exact_postings(self, seed):
+    def test_failed_flush_keeps_the_buffer_and_a_reflush_matches_control(self, seed):
         from repro.storage.fts import FtsIndex
 
         rng = random.Random(seed)
@@ -455,53 +440,51 @@ class TestChaosFtsSegmentCrash:
         dfs = DistributedFileSystem(
             n_nodes=3, replication=2, fault_injector=injector
         )
-        injector.inject("dfs.write", probability=0.3)
+        injector.inject("dfs.write", probability=0.5)
         index = FtsIndex("chaos", dfs=dfs, flush_docs=None)
-        crashes = 0
-        position = 0
-        while position < len(ops):
-            chunk = ops[position:position + 5]
-            self._apply(index, chunk)
-            position += len(chunk)
+        failed = 0
+        for start in range(0, len(ops), 5):
+            self._apply(index, ops[start:start + 5])
             try:
                 index.flush()
             except TransientFaultError:
-                # Crash: a new process recovers from the segments that made
-                # it to the DFS, then the log is read again from the start.
-                crashes += 1
-                injector.disarm("dfs.write")
-                index = FtsIndex("chaos", dfs=dfs, flush_docs=None)
-                index.recover()
-                self._apply(index, ops[:position])  # redelivery, stale-dropped
-                injector.inject("dfs.write", probability=0.3)
+                failed += 1
+                assert index.stats()["buffered_docs"] > 0  # kept, still served
+        assert failed > 0
         injector.disarm()
         index.flush()
+        assert index.stats()["buffered_docs"] == 0
         assert index.postings_snapshot() == control.postings_snapshot()
         assert index.doc_count == control.doc_count
         assert index.total_tokens == control.total_tokens
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_recover_from_segments_matches_control(self, seed):
-        from repro.storage.fts import FtsIndex
+    def test_reopen_rebuilds_the_index_by_copy_equal_to_control(self, seed):
+        from repro.storage.fts import FtsIndex, FtsIndexer
 
         rng = random.Random(seed)
         ops = self._history(rng)
         control = FtsIndex("control", flush_docs=None)
         self._apply(control, ops)
+        rows = {}
+        for _lsn, doc, text in ops:
+            if text is None:
+                rows.pop(doc, None)
+            else:
+                rows[doc] = {"article_id": doc, "title": text, "text": ""}
 
+        # The DFS of a reopened process is empty: the start step backfills
+        # the index from the rows at the copy's LSN.
         dfs = DistributedFileSystem(n_nodes=3, replication=2)
         index = FtsIndex("chaos", dfs=dfs, flush_docs=None)
-        for start in range(0, len(ops), 5):
-            self._apply(index, ops[start:start + 5])
-            index.flush()
-        # The segment files are the only durable state: a fresh process must
-        # reconstruct identical liveness, LSN floor and segment-id floor.
-        reopened = FtsIndex("chaos", dfs=dfs, flush_docs=None)
-        report = reopened.recover()
-        assert report["segments"] == index.stats()["segments"]
-        assert reopened.postings_snapshot() == control.postings_snapshot()
-        assert reopened.stats() == index.stats()
-        assert reopened.last_lsn == control.last_lsn
-        for each in (index, reopened):
-            each.add("next", text="alpha beta")
-        assert reopened.flush() == index.flush()  # same next segment id
+        indexer = FtsIndexer(index)
+        assert indexer.position == 0
+        assert indexer.bootstrap(rows.values(), lsn=len(ops)) == len(rows)
+        assert indexer.position == len(ops) and index.stats()["segments"] == 1
+        snapshot, expected = index.postings_snapshot(), control.postings_snapshot()
+        assert snapshot["terms"] == expected["terms"]
+        assert {doc: length for doc, (_lsn, length) in snapshot["docs"].items()} == {
+            doc: length for doc, (_lsn, length) in expected["docs"].items()
+        }
+        for query in self.VOCAB + ["vacc*", "climate carbon"]:
+            assert index.search(query) == control.search(query)

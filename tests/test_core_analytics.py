@@ -13,7 +13,6 @@ from repro.core.analytics import (
 )
 from repro.errors import WarehouseError
 from repro.models import RatingClass
-from repro.storage.warehouse.catalog import manifest_path
 from repro.storage.warehouse.warehouse import Warehouse
 
 
@@ -157,13 +156,6 @@ class TestActiveDaysLayouts:
 
     def test_fully_deleted_day_leaves_no_ghost_partition(self):
         columns = ["url", "outlet_domain", "published_at", "topics"]
-
-        def open_table(dfs, recover):
-            return Warehouse(dfs).create_table(
-                "articles", columns, "published_at",
-                primary_key="url", recover=recover,
-            )
-
         warehouse = Warehouse()
         table = warehouse.create_table(
             "articles", columns, "published_at", primary_key="url"
@@ -175,13 +167,6 @@ class TestActiveDaysLayouts:
         assert warehouse.compact()["articles"][0]["blocks_after"] == 0
         assert table.partitions() == ["2020-01-01"]
         assert WarehouseAnalytics._partitioned_by_day_of(table, "published_at")
-        adopted = open_table(warehouse.dfs, recover=False)
-        assert adopted.recover()["source"] == "manifest"
-        assert adopted.partitions() == ["2020-01-01"]
-        warehouse.dfs.delete_file(manifest_path("articles"))
-        rescanned = open_table(warehouse.dfs, recover=False)
-        assert rescanned.recover()["source"] == "scan"
-        assert rescanned.partitions() == ["2020-01-01"]
         # The folded tombstone still guards against redelivery.
         assert table.append_deltas([(1, "d", self.ROWS[3])]) == 0
         profiles = self._profiles(warehouse)

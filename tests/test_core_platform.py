@@ -147,6 +147,7 @@ class TestAnalyticsJobs:
         from repro import SciLensPlatform
 
         platform = SciLensPlatform()
+        platform.process_cdc()  # the start step: the reviews arrive as deltas
         day = datetime(2020, 3, 14, 9)
         reviews = [
             ExpertReview(

@@ -1,14 +1,17 @@
 """A platform reopened over its own ``data_dir`` comes back the same.
 
 What survives a reopen is the WAL, the one file the platform writes; the DFS
-and the broker are in-process and restart empty.  Five regressions:
+and the broker are in-process and restart empty.  Six regressions:
 
 * the in-memory halves of ``register_outlet`` / ``add_expert_review`` are
   rehydrated from the replayed tables, so an evaluation does not change;
 * declaring the start-up indexes again is a no-op, so a reopen neither grows
   the WAL nor rebuilds an index;
-* both CDC sinks come back empty and so start at LSN 0, and
-  ``process_cdc()`` alone converges RDBMS ≡ warehouse ≡ FTS;
+* both CDC sinks come back empty at position 0, and the first sync step
+  starts them from one copy at the WAL head — it never replays the WAL from
+  LSN 0 — and converges RDBMS ≡ warehouse ≡ FTS;
+* what the reopened platform converges to equals what the platform that
+  never closed holds;
 * cursor and offsets files an older version left behind — one of them torn —
   neither stop the platform from opening nor change what it converges to;
 * the extraction pipeline's known-article set is rehydrated too, so a posting
@@ -19,6 +22,8 @@ import json
 import shutil
 from dataclasses import replace
 from datetime import datetime
+
+import pytest
 
 from repro import PlatformConfig, SciLensPlatform
 from repro.models import Article, ExpertReview, Outlet, RatingClass
@@ -127,10 +132,16 @@ def test_both_positions_restart_at_zero_over_empty_sinks(tmp_path):
     assert platform.cdc_publisher.cursor == platform.database.wal_lsn() > 0
 
     reopened = open_platform(tmp_path)
+    lsn = reopened.database.wal_lsn()
     assert reopened.cdc_applier.position == reopened.fts_indexer.position == 0
     assert reopened.cdc_publisher.cursor == 0
-    assert reopened.cdc_publisher.pending() == reopened.database.wal_lsn()
-    assert reopened.status()["cdc"]["pending_records"] == reopened.database.wal_lsn()
+    assert reopened.status()["cdc"]["pending_records"] == lsn
+    # The first drain starts both sinks at the WAL head from one copy.
+    summary = reopened.process_cdc()
+    assert summary["published"] == 0 and summary["fts"]["changes"] == 0
+    assert reopened.cdc_applier.position == reopened.fts_indexer.position == lsn
+    assert reopened.status()["cdc"]["pending_records"] == 0
+    assert reopened.warehouse.table("articles").row_count() == 1
 
 
 def converged_view(platform: SciLensPlatform) -> dict:
@@ -192,6 +203,63 @@ def test_cursor_and_torn_offsets_files_left_behind_do_not_stop_a_reopen(
     assert reopened.warehouse.table("articles").row_count() == (
         reopened.database.table("articles").row_count()
     )
+
+
+@pytest.mark.parametrize(
+    "first_step", ["process_cdc", "search_articles", "run_daily_migration"]
+)
+def test_the_first_step_after_a_reopen_copies_once_and_equals_the_open_platform(
+    tmp_path, small_scenario, monkeypatch, first_step
+):
+    from repro.storage.migration import MigrationJob
+    from repro.storage.rdbms.expressions import col
+    from repro.storage.rdbms.wal import WriteAheadLog
+
+    wiring = {
+        "site_store": small_scenario.site_store,
+        "account_registry": small_scenario.outlets.account_registry(),
+    }
+    platform = open_platform(tmp_path, **wiring)
+    platform.register_outlets(small_scenario.outlets.outlets())
+    platform.ingest_posting_events(list(small_scenario.posting_events())[:200])
+    platform.ingest_reaction_events(list(small_scenario.reaction_events())[:300])
+    platform.process_stream()
+    for i in range(1, 5):
+        platform.store_article(article(i))
+        platform.add_expert_review(ExpertReview(
+            review_id=f"r{i}", article_id=f"a{i}", reviewer_id="expert-1", created_at=T0,
+            scores={"factual_accuracy": i}, comment="", reviewer_weight=i / 3,
+        ))
+    platform.process_cdc()
+    platform.database.update("reviews", col("review_id") == "r2", {"reviewer_weight": 2 / 7})
+    platform.database.update(  # a move to another publication day
+        "articles", col("article_id") == "a3", {"published_at": T0.replace(day=28)},
+    )
+    platform.database.delete("articles", col("article_id") == "a4")
+    platform.run_warehouse_compaction()
+    platform.store_article(article(5))
+    platform.cdc_publisher.publish()  # read, never landed: the crash window
+
+    reopened = open_platform(tmp_path, **wiring)
+    copies, reads = [], []
+    run, records_after = MigrationJob.run, WriteAheadLog.records_after
+    monkeypatch.setattr(MigrationJob, "run", lambda job, **kw: copies.append(1) or run(job, **kw))
+    monkeypatch.setattr(
+        WriteAheadLog, "records_after",
+        lambda wal, after: reads.append(after) or records_after(wal, after),
+    )
+    if first_step == "search_articles":
+        reopened.search_articles("coronavirus")
+    else:
+        getattr(reopened, first_step)()
+    assert copies == [1] and 0 not in reads
+    reopened.process_cdc()
+    assert copies == [1] and 0 not in reads
+
+    platform.process_cdc()  # the platform that never closed
+    view = converged_view(reopened)
+    assert len(view["rdbms"]) == 6 and len(view["warehouse"]) == 4 and view["search"]
+    assert view == converged_view(platform)
 
 
 def test_posting_of_a_stored_url_is_not_extracted_again_after_a_reopen(tmp_path, small_scenario):

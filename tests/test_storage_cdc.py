@@ -330,25 +330,6 @@ class TestCommittedChangesOnly:
 
 
 class TestExactlyOnce:
-    def test_a_restarted_applier_resumes_at_what_the_warehouse_holds(self):
-        ts = datetime(2020, 2, 1, 9)
-        db = _db([_row("a0", ts)])
-        warehouse, job, publisher, applier = _pipeline(db)
-        for i in range(1, 6):
-            db.insert("articles", _row(f"a{i}", ts + timedelta(hours=i)))
-        publisher.publish()
-        assert applier.apply().rows == 5
-
-        # A replacement applier over the same warehouse starts at its
-        # high-water LSN: nothing is handed again, nothing is reapplied.
-        restarted = DeltaApplier(warehouse, job.mappings())
-        assert restarted.position == db.wal_lsn()
-        publisher.sinks[:] = [restarted]
-        assert publisher.publish() == 0
-        assert restarted.lag() == 0
-        assert restarted.apply().rows == 0
-        assert warehouse.table("articles").row_count() == 6
-
     def test_rereading_from_zero_is_idempotent(self):
         ts = datetime(2020, 2, 1, 9)
         db = _db([_row("a0", ts)])
@@ -406,10 +387,6 @@ class TestExactlyOnce:
         table = warehouse.table("articles")
         assert [(r["article_id"], r["score"]) for r in table.scan()] == [("a0", 1 / 3)]
         dfs.write_file = write_file
-        # A warehouse reopened over the same DFS resumes below the batch.
-        reopened = Warehouse(dfs, block_rows=4)
-        MigrationJob(db, reopened).add_table("articles", sort_key=["created_at"])
-        assert DeltaApplier(reopened, job.mappings()).position < first
 
         assert applier.apply().rows == 3  # both a0 versions and a1
         copied = TestMergeDeterminism()._batch_copy(db)

@@ -1,10 +1,8 @@
-"""Golden pins of the three on-disk formats: warehouse blocks, the warehouse
-manifest and FTS segments.
+"""Golden pins of the two on-disk formats: warehouse blocks and FTS segments.
 
 Fixed rows go through every writer (append, CDC deltas with an update, a
 delete and two cross-partition moves, a fold) at ``compression_level=0`` so
-the digests do not depend on the zlib build.  Three separate constants: a
-change to the manifest layout moves only ``MANIFEST_SHA256``.  A moved pin
+the digests do not depend on the zlib build.  A moved pin
 means files written by the previous commit are no longer byte-identical —
 either restore the bytes or update the pin together with the format notes in
 ``docs/warehouse-format.md`` / ``docs/fts.md``.
@@ -17,7 +15,6 @@ from repro.storage.fts import FtsIndex
 from repro.storage.warehouse import DistributedFileSystem, Warehouse
 
 BLOCKS_SHA256 = "56827b196d9f4470272f1fbad03986b8efb5f4d9386c07e478d4b4180dd00284"
-MANIFEST_SHA256 = "580d7615096d00571058afd238b2854a17c0eca101a326466b130ef96d1ceba0"
 FTS_SEGMENTS_SHA256 = "e62edb6fa27979f638d152ca134e62d33fbd49d2154db77057f65c3d1601c623"
 
 COLUMNS = ["id", "outlet", "score", "title", "topics", "ts"]
@@ -59,7 +56,7 @@ def _digest(dfs, paths):
     return digest.hexdigest()
 
 
-def test_warehouse_blocks_and_manifest_are_byte_stable():
+def test_warehouse_blocks_are_byte_stable():
     dfs = DistributedFileSystem(n_nodes=3, replication=2)
     warehouse = Warehouse(dfs, block_rows=2, compression_level=0)
     table = warehouse.create_table(
@@ -68,14 +65,13 @@ def test_warehouse_blocks_and_manifest_are_byte_stable():
     )
     table.append(BASE_ROWS)
     table.append_deltas(DELTAS)
-    # Fold one partition only: the other two keep their delta blocks and a
-    # suppression epoch, so delta blocks and every manifest field are pinned.
+    # Fold one partition only: the other two keep their delta blocks, so
+    # base and delta blocks are both pinned.
     table.compact_partition("2020-03-01")
-    files = dfs.list_files("/warehouse/pins/")
-    blocks = [path for path in files if path.endswith(".blk")]
+    blocks = dfs.list_files("/warehouse/pins/")
+    assert all(path.endswith(".blk") for path in blocks)
     assert any("/delta-" in path for path in blocks)
     assert _digest(dfs, blocks) == BLOCKS_SHA256
-    assert _digest(dfs, set(files) - set(blocks)) == MANIFEST_SHA256
 
 
 def test_fts_segments_are_byte_stable():

@@ -1,7 +1,7 @@
 """Unit tests for the full-text search subsystem.
 
 Segment codec, index semantics (ranking, prefixes, deletes, LSN idempotence),
-DFS durability (flush / recovery from segments), the CDC-fed indexer's
+segment flushes and compaction on the DFS, the CDC-fed indexer's
 exactly-once contract, and the platform/service surface.
 """
 
@@ -60,7 +60,7 @@ class TestSegmentCodec:
     def test_tombstones_travel_inside_segments(self):
         data = build_segment_from_docs(0, [("gone", 5, None), ("kept", 6, ["x"])])
         segment = Segment(data)
-        entries = list(segment.doc_entries())
+        entries = list(zip(segment.doc_ids, segment.lsns, segment.lens))
         assert ("gone", 5, TOMBSTONE_LEN) in entries
         assert ("kept", 6, 1) in entries
 
@@ -174,7 +174,7 @@ class TestIndexMatchesOracle:
         assert index.search(query) == oracle.search(query)
 
 
-# --------------------------------------------------------------- durability
+# ----------------------------------------------------------------- segments
 
 
 class TestDurability:
@@ -184,7 +184,7 @@ class TestDurability:
         index.add("a", text="hello world")
         path = index.flush()
         assert path == "/fts/news/seg-000000.fts"
-        assert dfs.list_files("/fts/news") == [path]  # no second manifest
+        assert dfs.list_files("/fts/news") == [path]  # the segment and nothing else
 
     def test_auto_flush_at_threshold(self):
         dfs = make_dfs()
@@ -194,50 +194,6 @@ class TestDurability:
         index.add("b", text="two")
         assert index.stats()["segments"] == 1
         assert index.stats()["buffered_docs"] == 0
-
-    def test_recover_from_segments_matches_live_index(self):
-        dfs = make_dfs()
-        index = FtsIndex("news", dfs=dfs, flush_docs=None)
-        index.add("a", text="hello world", lsn=7)
-        index.flush()
-        reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
-        report = reopened.recover()
-        assert report == {"segments": 1, "docs": 1, "last_lsn": 7}
-        assert reopened.last_lsn == 7
-        assert reopened.postings_snapshot() == index.postings_snapshot()
-
-    def test_recover_resumes_segment_ids_and_lsns_past_a_compaction(self):
-        dfs = make_dfs()
-        index = FtsIndex("news", dfs=dfs, flush_docs=None)
-        index.add("a", text="hello world")
-        index.flush()
-        index.add("b", text="more words")
-        index.flush()
-        index.delete("a")
-        index.compact()
-        # A leftover manifest from an older layout is not a segment: ignored.
-        dfs.write_file("/fts/news/_manifest.json", b"{torn mid-write")
-        reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
-        report = reopened.recover()
-        assert report == {"segments": 1, "docs": 1, "last_lsn": index.last_lsn}
-        assert reopened.postings_snapshot() == index.postings_snapshot()
-        # Both indexes allocate the same next segment id and next LSN.
-        for each in (index, reopened):
-            each.add("c", text="fresh words")
-        assert reopened.flush() == index.flush() == "/fts/news/seg-000004.fts"
-        assert reopened.last_lsn == index.last_lsn
-
-    def test_rescan_cannot_resurrect_deleted_docs(self):
-        dfs = make_dfs()
-        index = FtsIndex("news", dfs=dfs, flush_docs=None)
-        index.add("doomed", text="ghost posting")
-        index.flush()
-        index.delete("doomed")
-        index.flush()
-        reopened = FtsIndex("news", dfs=dfs, flush_docs=None)
-        reopened.recover()
-        assert reopened.match_ids("ghost") == set()
-        assert reopened.doc_count == 0
 
     def test_failed_segment_write_leaves_buffer_reflushable(self):
         injector = FaultInjector(seed=1)
@@ -263,10 +219,6 @@ class TestDurability:
         listing = [p for p in dfs.list_files("/fts/news") if p.endswith(".fts")]
         assert listing == ["/fts/news/seg-000003.fts"]
         assert index.match_ids("common") == {"d0", "d1", "d2"}
-
-    def test_recover_requires_dfs(self):
-        with pytest.raises(FtsError):
-            FtsIndex("mem").recover()
 
 
 # ------------------------------------------------------------- CDC indexer
@@ -314,6 +266,22 @@ class TestFtsIndexer:
         assert report["stale"] == 0 and report["indexed"] == 1
         assert index.match_ids("new") == {"a"}
         assert index.match_ids("old") == set()
+
+    def test_bootstrap_moves_the_position_before_the_flush(self):
+        injector = FaultInjector(seed=1)
+        index = FtsIndex(
+            "articles", dfs=DistributedFileSystem(n_nodes=3, fault_injector=injector),
+            flush_docs=None,
+        )
+        indexer = FtsIndexer(index)
+        injector.inject("dfs.write", count=1)
+        rows = [{"article_id": "a", "title": "measles vaccine", "text": ""}]
+        with pytest.raises(StorageError):
+            indexer.bootstrap(rows, lsn=7)
+        # Started at the copy, the backfill held in the buffer and served.
+        assert indexer.position == 7 and index.stats()["buffered_docs"] == 1
+        assert index.match_ids("vaccine") == {"a"}
+        assert index.flush() is not None and index.stats()["segments"] == 1
 
     def test_a_change_read_again_is_stale(self):
         index, indexer = self.build()
@@ -398,22 +366,12 @@ class TestPlatformSearch:
 
     def test_status_and_process_cdc_report_fts(self):
         platform = SciLensPlatform()
+        platform.process_cdc()  # the start step
         platform.store_article(article(0, "measles vaccine trial"))
         report = platform.process_cdc()
         assert report["fts"]["indexed"] == 1
         status = platform.status()
         assert status["fts"]["docs"] == 1 and status["fts"]["lag"] == 0
-
-    def test_an_indexer_over_a_recovered_index_resumes_at_its_last_lsn(self):
-        platform = SciLensPlatform()
-        platform.store_article(article(0, "measles vaccine trial"))
-        platform.process_cdc()
-        reopened = FtsIndex("articles", dfs=platform.dfs)
-        assert reopened.recover()["segments"] >= 1
-        indexer = FtsIndexer(reopened)
-        assert indexer.position == reopened.last_lsn > 0
-        assert indexer.lag() == 0
-        assert reopened.match_ids("vaccine") == {"a0"}
 
 
 class TestArticlesServiceSearch:

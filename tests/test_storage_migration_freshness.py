@@ -1,10 +1,10 @@
 """Regression tests for the warehouse freshness path.
 
-PR 6 replaced the watermark-based incremental copy with continuous CDC:
-``MigrationJob.run`` only bootstrap-backfills empty warehouse tables, and
-every later mutation reaches the warehouse through the WAL → delta
-pipeline.  These tests cover the bootstrap contract, the CDC analogue of the
-old boundary bugs (late rows sharing a timestamp — trivially safe now, since
+Continuous CDC replaced the watermark-based incremental copy:
+``MigrationJob.run`` is the one copy that starts an empty warehouse (the
+first sync step of an open platform runs it), and every later mutation
+reaches the warehouse through the WAL → delta pipeline.  These tests cover
+the bootstrap contract, the CDC analogue of the old boundary bugs (late rows sharing a timestamp — trivially safe now, since
 nothing filters by timestamp anymore) and tz-aware report stamps.
 """
 
@@ -63,23 +63,65 @@ def _sync(publisher, applier):
 
 class TestBootstrap:
     def test_bootstrap_copies_once_then_defers_to_cdc(self):
+        from repro import SciLensPlatform
+        from repro.models import Article
+
+        def article(key, ts):
+            return Article(
+                article_id=key, url=f"https://x.example.com/{key}",
+                outlet_domain="x.example.com", title=key, published_at=ts,
+            )
+
         ts = datetime(2020, 2, 1, 12, 30)
-        db = _db([_row("a0", ts - timedelta(hours=1)), _row("a1", ts)])
+        platform = SciLensPlatform()
+        platform.store_article(article("a0", ts - timedelta(hours=1)))
+        platform.store_article(article("a1", ts))
+        lsn = platform.database.wal_lsn()
+        first = platform.run_daily_migration()
+        assert first.migrated_rows["articles"] == 2
+        assert first.bootstrapped == ("articles", "posts", "reactions", "reviews")
+        assert first.cursor_lsn == lsn
+        # The platform has started: later runs copy nothing, even though the
+        # RDBMS grew — increments arrive as CDC deltas.
+        platform.store_article(article("a2-late", ts))
+        second = platform.run_daily_migration()
+        assert second.migrated_rows["articles"] == 1
+        assert second.bootstrapped == ()
+        assert platform.warehouse.table("articles").row_count() == 3
+        assert platform.warehouse.table("articles").delta_block_count() == 1
+
+    def test_a_failed_copy_clears_what_it_copied(self):
+        ts = datetime(2020, 2, 1, 12, 30)
+        db = _db([_row("a0", ts), _row("a1", ts + timedelta(days=1))])
+        db.create_table(TableSchema(
+            name="reviews", primary_key="review_id",
+            columns=(
+                Column("review_id", ColumnType.TEXT, nullable=False),
+                Column("created_at", ColumnType.TIMESTAMP, nullable=False),
+            ),
+        ))
+        db.insert("reviews", {"review_id": "r0", "created_at": ts})
         warehouse = Warehouse()
         job = MigrationJob(db, warehouse)
         job.add_table("articles")
+        job.add_table("reviews")
+        reviews = warehouse.table("reviews")
 
-        first = job.run()
-        assert first.migrated_rows["articles"] == 2
-        assert first.bootstrapped == ("articles",)
-        assert first.cursor_lsn == db.wal_lsn()
-        # The warehouse already holds rows: later runs copy nothing, even
-        # though the RDBMS grew — increments belong to the CDC stream now.
-        db.insert("articles", _row("a2-late", ts))
-        second = job.run()
-        assert second.migrated_rows["articles"] == 0
-        assert second.bootstrapped == ()
+        def broken(rows):
+            raise StorageError("the DFS is full")
+
+        # The articles copy lands, then the reviews copy fails.
+        reviews.append = broken
+        with pytest.raises(StorageError):
+            job.run()
+        assert warehouse.total_rows() == 0
+        assert warehouse.dfs.list_files("/warehouse/") == []
+        # Nothing is left behind: the same run simply runs again.
+        del reviews.append
+        assert job.run().migrated_rows == {"articles": 2, "reviews": 1}
         assert warehouse.table("articles").row_count() == 2
+        assert reviews.row_count() == 1
+
 
 class TestCdcFreshness:
     def test_late_row_sharing_a_timestamp_is_not_lost(self):
@@ -192,7 +234,6 @@ class TestNoPrimaryKey:
         job = MigrationJob(db, warehouse)
         job.add_table("events")
         assert job.run().migrated_rows["events"] == 2
-        assert job.run().migrated_rows["events"] == 0
         assert warehouse.table("events").row_count() == 2
 
     def test_cdc_refuses_tables_without_a_primary_key(self):

@@ -144,7 +144,7 @@ class TestWalMeaning:
         assert table.index("url").lookup("b") == table.index("id").lookup(2)
         assert db.wal_lsn() == 6
 
-        sink = CdcSink(["pages"], position=0)
+        sink = CdcSink(["pages"])
         publisher = CdcPublisher(db)
         publisher.add_mapping(TableMapping("pages", "pages", "seen_at", primary_key="id"))
         publisher.add_sink(sink)

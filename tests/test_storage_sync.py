@@ -36,6 +36,7 @@ from repro.storage.faults import RetryPolicy, SubsystemHealth, retrying
 from repro.storage.fts import FtsIndex, FtsIndexer
 from repro.storage.migration import MigrationJob
 from repro.storage.rdbms.database import Database
+from repro.storage.rdbms.expressions import col
 from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
 from repro.storage.warehouse import Warehouse
@@ -223,14 +224,13 @@ class TestSinkContracts:
     def _changes(self, n=5):
         return [_change("u", lsn, f"a{lsn}") for lsn in range(1, n + 1)]
 
-    def test_position_starts_at_what_the_sink_holds(self, make_sink):
+    def test_a_new_sink_starts_at_zero_whatever_its_store_holds(self, make_sink):
         harness = make_sink()
-        assert harness.sink.position == 0  # an empty sink reads from LSN 0
         harness.sink.hand(self._changes(), read_upto=5)
-        assert harness.drain() == 5
-        assert harness.sink.position == 5
-        # A sink rebuilt over the same store resumes at what it holds.
-        assert harness.reopen().position == 5
+        assert harness.drain() == 5 and harness.sink.position == 5
+        # A sink built over the same, non-empty store does not resume there:
+        # only the start step (one copy) moves a new sink's position.
+        assert harness.reopen().position == 0
 
     def test_crash_before_the_position_moves_lands_no_duplicates(self, make_sink):
         harness = make_sink()
@@ -348,6 +348,7 @@ class TestOneLog:
     def test_an_in_memory_wal_keeps_only_what_a_sink_has_not_landed(self):
         platform = SciLensPlatform()
         wal = platform.database.wal
+        platform.process_cdc()  # the start step: both sinks start at the copy
         for i in range(1, 6):
             platform.store_article(article(i))
             before = platform.cdc_publisher.cursor
@@ -375,29 +376,117 @@ class TestOneLog:
         assert report["published"] == 0 and report["fts"]["changes"] == 0
         assert platform.cdc_applier.position == platform.fts_indexer.position == lsn
 
-    def test_bootstrap_starts_both_sinks_at_the_copy_and_drops_what_was_handed(self):
+    @pytest.mark.parametrize(
+        "first_step", ["process_cdc", "search_articles", "run_daily_migration"]
+    )
+    def test_the_first_step_copies_once_and_starts_both_sinks_there(
+        self, first_step, monkeypatch
+    ):
         platform = SciLensPlatform()
         for i in range(1, 4):
             platform.store_article(article(i))
-        # A search before the first migration: the index lands the rows
-        # through CDC and the applier is handed them, unlanded.
-        assert len(platform.search_articles("vaccine")) == 3
-        assert platform.cdc_applier.lag() == 3
-        reads = []
-        publish = platform.cdc_publisher.publish
-        platform.cdc_publisher.publish = lambda: reads.append(platform.cdc_publisher.cursor) or publish()
-        report = platform.run_daily_migration()
-        assert report.bootstrapped and report.migrated_rows["articles"] == 3
-        # The drain after the copy read from the copy's LSN, not from 0.
-        assert reads == [report.cursor_lsn]
-        assert platform.cdc_applier.lag() == 0
+        lsn = platform.database.wal_lsn()
+        assert platform.cdc_applier.position == platform.fts_indexer.position == 0
+        copies, reads = [], []
+        run, records_after = MigrationJob.run, WriteAheadLog.records_after
+        monkeypatch.setattr(
+            MigrationJob, "run", lambda job, **kw: copies.append(lsn) or run(job, **kw)
+        )
+        monkeypatch.setattr(
+            WriteAheadLog, "records_after",
+            lambda wal, after: reads.append(after) or records_after(wal, after),
+        )
+        if first_step == "search_articles":
+            assert len(platform.search_articles("vaccine")) == 3
+        else:
+            getattr(platform, first_step)()
+        # One copy at the WAL head; the one WAL read starts past it.
+        assert copies == [lsn] and reads == [lsn]
+        assert platform.cdc_applier.position == platform.fts_indexer.position == lsn
         assert platform.warehouse.table("articles").row_count() == 3
         assert platform.fts_index.doc_count == 3
+
+        # Started: later steps copy nothing and read from the cursor.
+        platform.store_article(article(4))
+        platform.process_cdc()
+        assert copies == [lsn] and reads == [lsn, lsn]
+        assert platform.warehouse.table("articles").row_count() == 4
+        assert platform.fts_index.doc_count == 4
+
+    def test_the_warehouse_holds_nothing_but_blocks(self):
+        platform = SciLensPlatform()
+        database = platform.database
+        for i in range(1, 5):
+            platform.store_article(article(i))
+            platform.add_expert_review(ExpertReview(
+                review_id=f"r{i}", article_id=f"a{i}", reviewer_id="e1", created_at=T0,
+                scores={"factual_accuracy": i}, reviewer_weight=1.0,
+            ))
+        platform.process_cdc()
+        database.update("reviews", col("review_id") == "r1", {"reviewer_weight": 0.5})
+        database.delete("articles", col("article_id") == "a2")
+        platform.process_cdc()
+        platform.run_warehouse_compaction()
+        platform.store_article(article(9))
+        platform.process_cdc()
+        platform.warehouse.drop_table("reviews")
+        files = platform.dfs.list_files("/warehouse/")
+        assert files and all(path.endswith(".blk") for path in files)
+        assert not [path for path in files if path.startswith("/warehouse/reviews/")]
+
+    def test_the_start_step_refreshes_the_standing_rollups(self):
+        platform = SciLensPlatform()
+        for i in range(1, 4):
+            platform.store_article(article(i))
+        platform.process_cdc()
+        rollups = platform.warehouse.rollups
+        assert rollups.names() and all(
+            rollups.get(name).is_fresh() for name in rollups.names()
+        )
+
+    def test_a_failed_copy_leaves_the_cursor_at_zero_and_the_next_step_starts_again(self):
+        platform = SciLensPlatform()
+        for i in range(1, 4):
+            platform.store_article(article(i))
+        platform.fault_injector.inject("dfs.write")
+        with pytest.raises(RetryExhaustedError):
+            platform.process_cdc()
+        assert platform.cdc_publisher.cursor == 0
+        assert platform.warehouse.total_rows() == 0 and platform.fts_index.doc_count == 0
+        platform.fault_injector.disarm()
+        platform.process_cdc()
+        assert platform.cdc_publisher.cursor == platform.database.wal_lsn()
+        assert platform.warehouse.table("articles").row_count() == 3
+        assert platform.fts_index.doc_count == 3
+
+    def test_a_failed_index_flush_after_the_copy_keeps_the_buffer(self):
+        platform = SciLensPlatform()
+        for i in range(1, 4):
+            platform.store_article(article(i))
+        lsn = platform.database.wal_lsn()
+        flush = platform.fts_index.flush
+
+        def failing_flush():
+            raise TransientFaultError("segment write lost")
+
+        platform.fts_index.flush = failing_flush
+        with pytest.raises(TransientFaultError):
+            platform.process_cdc()
+        # Both positions had moved: the copy stays, nothing starts again.
+        assert platform.cdc_applier.position == platform.fts_indexer.position == lsn
+        assert platform.warehouse.table("articles").row_count() == 3
+        assert platform.fts_index.stats()["buffered_docs"] == 3
+        assert len(platform.search_articles("vaccine")) == 3  # the buffer serves
+        platform.fts_index.flush = flush
+        platform.store_article(article(4))
+        platform.process_cdc()
+        assert platform.fts_index.stats()["buffered_docs"] == 0
+        assert platform.fts_index.doc_count == 4
+        assert platform.warehouse.table("articles").row_count() == 4
 
     def test_a_drained_platform_equals_a_fresh_copy_and_a_fresh_index(self):
         from repro.core.platform import ARTICLE_FTS_COLUMNS
         from repro.storage.fts import document_text
-        from repro.storage.rdbms.expressions import col
 
         platform = SciLensPlatform()
         database = platform.database
@@ -456,6 +545,7 @@ class TestOneLog:
 class TestReturnShapes:
     def test_process_cdc_and_status_key_sets(self):
         platform = SciLensPlatform()
+        platform.process_cdc()  # the start step
         platform.store_article(article(1))
         report = platform.process_cdc()
         assert list(report) == [
@@ -481,6 +571,7 @@ class TestReturnShapes:
 
     def test_open_breaker_reports_the_same_shape_plus_breaker_open(self):
         platform = SciLensPlatform()
+        platform.process_cdc()  # the start step
         breaker = platform.cdc_applier.breaker
         for _ in range(breaker.failure_threshold):
             breaker.record_failure()
@@ -543,6 +634,7 @@ class TestJobPath:
         applier = platform.cdc_applier
         applier.skip_poisoned = True
         applier.batch_rows = 1  # one poisoned change per quarantined batch
+        platform.process_cdc()  # the start step
         # Poison: the warehouse no longer holds the table the changes map to.
         platform.warehouse.drop_table("articles")
         poisoned = QUARANTINE_KEEP + 5

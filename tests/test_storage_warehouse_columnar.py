@@ -354,6 +354,16 @@ class TestBlockCache:
         warehouse.drop_table("t")
         assert table.cache_info()["entries"] == 0
 
+    def test_clear_empties_the_table_and_keeps_it_usable(self):
+        warehouse, table = _table(block_rows=4, n=12)
+        table.read_column("outlet")
+        table.clear()
+        assert table.row_count() == 0 and table.partitions() == []
+        assert warehouse.dfs.list_files("/warehouse/t/") == []
+        assert table.cache_info()["entries"] == 0
+        table.append([{"article_id": "z", "outlet": "new", "created_at": datetime(2020, 1, 15), "reactions": 1}])
+        assert table.read_column("outlet") == ["new"]
+
     def test_lru_eviction_respects_capacity(self):
         warehouse, table = _table(block_rows=2, n=12, cache_blocks=2)
         table.read_column("reactions")
