@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from datetime import datetime
+from datetime import datetime, time, timedelta
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..config import PlatformConfig
@@ -742,13 +742,21 @@ class SciLensPlatform:
     ) -> TopicInsights:
         """Compute the three §4.2 axes for ``topic_key`` from the stored data.
 
-        One scan of ``articles`` serves all three axes.
+        One scan of ``articles`` serves all three axes, over the days
+        ``[window_start.date(), window_end.date())``.  An omitted start is the
+        first publication day; an omitted end covers the last one.  Articles
+        are walked in ``article_id`` order, so the payloads do not depend on
+        the order the rows were stored in.
         """
-        articles = self.articles()
+        articles = sorted(self.articles(), key=lambda a: a.article_id)
         if not articles:
             raise ArticleNotFound("the platform holds no articles yet")
         window_start = window_start or min(a.published_at for a in articles)
-        window_end = window_end or max(a.published_at for a in articles)
+        if window_end is None:
+            last_day = max(a.published_at for a in articles).date()
+            window_end = datetime.combine(last_day + timedelta(days=1), time())
+        first, end = window_start.date(), window_end.date()
+        articles = [a for a in articles if first <= a.published_at.date() < end]
 
         on_topic = _on_topic(articles, topic_key)
         engine = InsightsEngine(self.outlet_ratings)

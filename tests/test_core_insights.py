@@ -6,6 +6,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from repro import SciLensPlatform
 from repro.api import build_gateway
 
 from repro.core.insights import DistributionComparison, InsightsEngine, NewsroomActivity
@@ -153,21 +154,22 @@ class TestTopicInsightsBundle:
         assert not insights.evidence_seeking.low_mean_higher()
 
 
-# Captured on the commit before reference counts were stored with the row and
-# reactions counted from the hash index: sha256 of ``json.dumps(payload,
-# sort_keys=True)`` of each ``insights.*`` route over ``loaded_platform``.
-# The request path got faster; what it answers must not move by a bit.
+# sha256 of ``json.dumps(payload, sort_keys=True)`` of each ``insights.*``
+# route over ``loaded_platform``, captured when the window started to apply
+# to all three axes, an omitted end started to cover the last publication day
+# and the articles started to be walked in ``article_id`` order.  A change to
+# the request path must not move what it answers by a bit.
 WHOLE_CORPUS: dict = {}
 TEN_DAYS = {"window_start": "2020-01-20T00:00:00", "window_end": "2020-01-30T00:00:00"}
 PINNED_PAYLOADS = [
-    ("topic", WHOLE_CORPUS, "27e7e6cee63b9f527084c1e09143a47b54f42b49f1c0ee9f196a0b2f427d684e"),
-    ("newsroom_activity", WHOLE_CORPUS, "56a18bcbd22f062d5b94a8564f09a003c7b5e69602d73fe9e92e664778732f63"),
-    ("social_engagement", WHOLE_CORPUS, "9b5749f78d71ca04c22bb47279d18793bbcc50901b653e89dfb856363b239c3c"),
-    ("evidence_seeking", WHOLE_CORPUS, "ccf3faac65fde27866292d14b8865555eb0aca10178f3e640b4272b6d4792714"),
-    ("topic", TEN_DAYS, "8a076518533973e28a039d79320779d30e902eb4e50bf12810dfaa77708d17a6"),
+    ("topic", WHOLE_CORPUS, "f8a5dbe875c3bb74b95bff6388353d7cb7cbbab01b235a35b6fe3c7aa85d458b"),
+    ("newsroom_activity", WHOLE_CORPUS, "b7762fc13b7cbbf4cac0eaf36c9f6139a842b97bae4137e83a4f4e9a52cdfc12"),
+    ("social_engagement", WHOLE_CORPUS, "bd6f5ffd32b50c6340c9d056d58855dd935bb0fc3c22dcc0bc013f6357b80000"),
+    ("evidence_seeking", WHOLE_CORPUS, "f07ea65c6d6e49b288771936343befa9b3cf01f25dc523d17b203bce3b19e930"),
+    ("topic", TEN_DAYS, "baea4436c65a98645701dc0486aab470adace97d03e4e89b6f2a54da223d58a5"),
     ("newsroom_activity", TEN_DAYS, "7687ad111102f54d84c9b38150642ef6c663ec1d6a633c700b9d0d0696aa86b8"),
-    ("social_engagement", TEN_DAYS, "9b5749f78d71ca04c22bb47279d18793bbcc50901b653e89dfb856363b239c3c"),
-    ("evidence_seeking", TEN_DAYS, "ccf3faac65fde27866292d14b8865555eb0aca10178f3e640b4272b6d4792714"),
+    ("social_engagement", TEN_DAYS, "59392778ebeac861fac128322975d42e0f3ca2fb8260ef61e9a7226fc669e8ff"),
+    ("evidence_seeking", TEN_DAYS, "a03c81718391e2663304c7e0e95282cd00d663d44e527117c829888ee4f3a2c8"),
 ]
 
 
@@ -180,3 +182,66 @@ class TestServedPayloadsDidNotMove:
         assert response.ok
         served = json.dumps(response.payload, sort_keys=True).encode()
         assert hashlib.sha256(served).hexdigest() == digest
+
+
+def _served(platform, operation, window):
+    response = build_gateway(platform).handle(f"insights.{operation}", dict(window))
+    assert response.ok
+    return response.payload
+
+
+class TestTheWindowApplies:
+    def test_social_engagement_counts_only_the_articles_of_its_window(self, loaded_platform):
+        start = datetime(2020, 1, 20)
+        served = {}
+        for days in (5, 10):
+            end = start + timedelta(days=days)
+            window = {"window_start": start.isoformat(), "window_end": end.isoformat()}
+            served[days] = _served(loaded_platform, "social_engagement", window)
+            in_window = sorted(
+                (
+                    a for a in loaded_platform.articles()
+                    if "covid19" in a.topics and start.date() <= a.published_at.date() < end.date()
+                ),
+                key=lambda a: a.article_id,
+            )
+            reactions = loaded_platform.reactions_per_article("covid19")
+            direct = InsightsEngine(loaded_platform.outlet_ratings).social_engagement(
+                {a.article_id: reactions[a.article_id] for a in in_window},
+                {a.article_id: a.outlet_domain for a in in_window},
+            )
+            assert served[days]["summary"] == direct.summary()
+            assert served[days]["kde"] == direct.kde_curves()
+        assert served[5] != served[10]
+
+    def test_an_omitted_end_covers_the_last_publication_day(self, loaded_platform):
+        last_day = max(a.published_at for a in loaded_platform.articles()).date()
+        payload = _served(loaded_platform, "newsroom_activity", WHOLE_CORPUS)
+        assert payload["days"][-1] == last_day.isoformat()
+        assert all(len(series) == len(payload["days"]) for series in payload["series"].values())
+
+
+class TestStorageOrder:
+    def test_payloads_do_not_depend_on_the_order_articles_were_stored_in(
+        self, loaded_platform, small_scenario
+    ):
+        articles = loaded_platform.articles()
+        posts = loaded_platform.database.query("posts").execute().rows
+        reactions = loaded_platform.database.query("reactions").execute().rows
+
+        def stored(order):
+            platform = SciLensPlatform()
+            platform.register_outlets(small_scenario.outlets.outlets())
+            for article in order(articles):
+                platform.store_article(article)
+            for row in posts:
+                platform.database.upsert("posts", row)
+            for row in reactions:
+                platform.database.upsert("reactions", row)
+            return platform
+
+        forward, backward = stored(list), stored(lambda rows: rows[::-1])
+        for operation, window, _digest in PINNED_PAYLOADS:
+            assert json.dumps(_served(forward, operation, window), sort_keys=True) == json.dumps(
+                _served(backward, operation, window), sort_keys=True
+            )
