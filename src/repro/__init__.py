@@ -20,7 +20,6 @@ from .config import (
     PlatformConfig,
     ServingConfig,
     StorageConfig,
-    StreamingConfig,
 )
 from .errors import SciLensError
 from .models import (
@@ -52,7 +51,6 @@ __all__ = [
     "__version__",
     "SciLensError",
     "PlatformConfig",
-    "StreamingConfig",
     "StorageConfig",
     "AnalyticsConfig",
     "IndicatorConfig",

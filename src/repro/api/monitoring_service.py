@@ -61,11 +61,4 @@ class MonitoringService(MicroService):
     def _stream(self, request: ServiceRequest) -> ServiceResponse:
         stats = self.platform.extraction.stats.as_dict()
         stats["lag"] = self.platform.extraction.lag()
-        topics = {
-            topic: {
-                "partitions": self.platform.broker.topic_stats(topic).partitions,
-                "messages": self.platform.broker.topic_stats(topic).total_messages,
-            }
-            for topic in self.platform.broker.topics()
-        }
-        return ServiceResponse.success({"pipeline": stats, "topics": topics})
+        return ServiceResponse.success({"pipeline": stats})

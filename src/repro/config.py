@@ -1,9 +1,10 @@
 """Platform-wide configuration objects.
 
 The configuration holds the deployment settings of the operational SciLens
-platform: how the streaming layer is partitioned, where the data layer keeps
-its files, how the serving tier is sharded and rate-limited, and how the
-indicator fusion weighs each indicator family.
+platform: where the data layer keeps its files, how the serving tier is
+sharded and rate-limited, and how the indicator fusion weighs each indicator
+family.  The ingestion queue has no settings: its two topics are constants of
+:mod:`repro.streaming.pipeline`, and the extraction pipeline drains it whole.
 
 The platform runs in one storage mode — write-ahead log on, continuous
 change-data capture into the warehouse, segment-backed full-text search,
@@ -19,22 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class StreamingConfig:
-    """Configuration of the ingestion (message broker) layer."""
-
-    postings_topic: str = "postings"
-    reactions_topic: str = "reactions"
-    partitions: int = 4
-    max_batch_size: int = 500
-
-    def validate(self) -> None:
-        if self.partitions < 1:
-            raise ConfigurationError("streaming.partitions must be >= 1")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("streaming.max_batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,7 +161,6 @@ class ServingConfig:
 class PlatformConfig:
     """Top-level configuration for :class:`repro.core.platform.SciLensPlatform`."""
 
-    streaming: StreamingConfig = field(default_factory=StreamingConfig)
     storage: StorageConfig = field(default_factory=StorageConfig)
     analytics: AnalyticsConfig = field(default_factory=AnalyticsConfig)
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
@@ -186,7 +170,6 @@ class PlatformConfig:
 
     def validate(self) -> "PlatformConfig":
         """Validate every section and return ``self`` for chaining."""
-        self.streaming.validate()
         self.storage.validate()
         self.analytics.validate()
         self.indicators.validate()

@@ -2,7 +2,7 @@
 
 Wires every substrate into the three-component architecture of Figure 2:
 
-* **Data collection & storage** — the message broker + article-extraction
+* **Data collection & storage** — the ingestion queue + article-extraction
   pipeline feed the operational RDBMS; continuous change-data capture tails
   the RDBMS write-ahead log and lands row deltas in the warehouse (simulated
   DFS + columnar tables), with the migration job reduced to bootstrap
@@ -48,7 +48,12 @@ from ..storage.sync import StorageSync
 from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
 from ..streaming.broker import MessageBroker
-from ..streaming.pipeline import ArticleExtractionPipeline, article_id_for
+from ..streaming.pipeline import (
+    POSTINGS_TOPIC,
+    REACTIONS_TOPIC,
+    ArticleExtractionPipeline,
+    article_id_for,
+)
 from ..web.references import ReferenceProfile
 from ..web.scraper import ArticleScraper
 from ..web.sitestore import SiteStore
@@ -106,14 +111,8 @@ class SciLensPlatform:
         self.scraper = ArticleScraper(self.site_store)
         self.accounts = account_registry if account_registry is not None else AccountRegistry()
         self.broker = MessageBroker(
-            default_partitions=self.config.streaming.partitions,
-            fault_injector=self.fault_injector,
+            (POSTINGS_TOPIC, REACTIONS_TOPIC), fault_injector=self.fault_injector
         )
-        for topic in (
-            self.config.streaming.postings_topic,
-            self.config.streaming.reactions_topic,
-        ):
-            self.broker.create_topic(topic)
 
         # --- data layer -----------------------------------------------------
         # Without a data directory the WAL runs in memory: no durability, but
@@ -237,8 +236,6 @@ class SciLensPlatform:
             broker=self.broker,
             scraper=self.scraper,
             accounts=self.accounts,
-            postings_topic=self.config.streaming.postings_topic,
-            reactions_topic=self.config.streaming.reactions_topic,
             on_article=self.store_article,
             on_post=self.store_post,
             on_reaction=self.store_reaction,
@@ -290,16 +287,15 @@ class SciLensPlatform:
 
     def ingest_posting_events(self, events: Iterable[tuple[str | None, dict[str, Any]]]) -> int:
         """Publish posting events onto the postings topic."""
-        return self.broker.produce_many(self.config.streaming.postings_topic, events)
+        return self.broker.produce_many(POSTINGS_TOPIC, events)
 
     def ingest_reaction_events(self, events: Iterable[tuple[str | None, dict[str, Any]]]) -> int:
         """Publish reaction events onto the reactions topic."""
-        return self.broker.produce_many(self.config.streaming.reactions_topic, events)
+        return self.broker.produce_many(REACTIONS_TOPIC, events)
 
-    def process_stream(self, batch_size: int | None = None) -> dict[str, int]:
+    def process_stream(self) -> dict[str, int]:
         """Run the extraction pipeline over every pending event."""
-        batch_size = batch_size or self.config.streaming.max_batch_size
-        self.extraction.process_available(batch_size=batch_size)
+        self.extraction.process_available()
         return self.extraction.stats.as_dict()
 
     # ====================================================================== #

@@ -83,14 +83,6 @@ class StreamingError(SciLensError):
     """Base class for streaming-layer errors."""
 
 
-class TopicNotFound(StreamingError):
-    """Raised when producing to or consuming from an unknown topic."""
-
-
-class OffsetOutOfRange(StreamingError):
-    """Raised when a consumer seeks outside a partition's offset range."""
-
-
 class ComputeError(SciLensError):
     """Raised by the batch-compute substrate (job tracker)."""
 

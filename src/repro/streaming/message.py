@@ -9,26 +9,9 @@ from typing import Any
 
 @dataclass(frozen=True)
 class Message:
-    """One record on a topic partition.
-
-    ``offset`` and ``partition`` are assigned by the broker when the message
-    is appended; producers leave them at their defaults.
-    """
+    """One event on the ingestion queue."""
 
     topic: str
     value: dict[str, Any]
     key: str | None = None
     timestamp: datetime = field(default_factory=datetime.utcnow)
-    partition: int = -1
-    offset: int = -1
-
-    def with_position(self, partition: int, offset: int) -> "Message":
-        """Return a copy stamped with its storage position."""
-        return Message(
-            topic=self.topic,
-            value=self.value,
-            key=self.key,
-            timestamp=self.timestamp,
-            partition=partition,
-            offset=offset,
-        )

@@ -6,8 +6,8 @@ postings from a specific set of social media accounts along with their
 reactions.  These incoming data streams are processed, and the corresponding
 news articles are extracted." (§3.3)
 
-:class:`ArticleExtractionPipeline` consumes the postings and reactions topics,
-turns raw events into :class:`~repro.models.SocialPost` / :class:`~repro.models.Reaction`
+:class:`ArticleExtractionPipeline` drains the queue of the postings and
+reactions topics, turns raw events into :class:`~repro.models.SocialPost` / :class:`~repro.models.Reaction`
 objects, scrapes every article URL it has not seen before, and hands the
 resulting domain objects to sink callbacks (the platform wires those to the
 operational database).
@@ -27,9 +27,11 @@ from ..web.references import ReferenceClassifier
 from ..web.scraper import ArticleScraper, ScrapedArticle
 from ..web.urls import domain_of, normalize_url
 from .broker import MessageBroker
-from .consumer import Consumer
 from .message import Message
 
+#: The two ingestion topics: outlet postings and the reactions to them.
+POSTINGS_TOPIC = "postings"
+REACTIONS_TOPIC = "reactions"
 
 #: Classifies the links the scraper already extracted (the §3.1 shortlist).
 _REFERENCE_CLASSIFIER = ReferenceClassifier()
@@ -70,9 +72,6 @@ class ArticleExtractionPipeline:
         broker: MessageBroker,
         scraper: ArticleScraper,
         accounts: AccountRegistry | None = None,
-        postings_topic: str = "postings",
-        reactions_topic: str = "reactions",
-        group: str = "scilens-extraction",
         on_article: Callable[[Article], None] | None = None,
         on_post: Callable[[SocialPost], None] | None = None,
         on_reaction: Callable[[Reaction], None] | None = None,
@@ -80,32 +79,39 @@ class ArticleExtractionPipeline:
         self.broker = broker
         self.scraper = scraper
         self.accounts = accounts if accounts is not None else AccountRegistry()
-        self.postings_topic = postings_topic
-        self.reactions_topic = reactions_topic
         self.on_article = on_article
         self.on_post = on_post
         self.on_reaction = on_reaction
         self.stats = PipelineStats()
-        self._consumer = Consumer(broker, group, [postings_topic, reactions_topic])
 
     # ----------------------------------------------------------- event entry
 
-    def process_available(self, batch_size: int = 500) -> int:
-        """Process every pending message; returns the number processed."""
-        return self._consumer.drain(self._handle_message, batch_size=batch_size)
+    def process_available(self) -> int:
+        """Handle every pending event in production order; returns the number handled.
+
+        The head event leaves the queue only after its handler returned: a
+        handler that raises leaves that event and every later one queued, and
+        the next call starts with it without handling an earlier event again.
+        """
+        processed = 0
+        while (message := self.broker.poll()) is not None:
+            self._handle_message(message)
+            self.broker.ack()
+            processed += 1
+        return processed
 
     def lag(self) -> int:
-        """Messages still waiting on the subscribed topics."""
-        return self._consumer.lag()
+        """Events still waiting on the queue."""
+        return self.broker.lag()
 
     # -------------------------------------------------------------- handlers
 
     def _handle_message(self, message: Message) -> None:
-        if message.topic == self.postings_topic:
+        if message.topic == POSTINGS_TOPIC:
             self._handle_posting(message)
-        elif message.topic == self.reactions_topic:
+        elif message.topic == REACTIONS_TOPIC:
             self._handle_reaction(message)
-        else:  # pragma: no cover - the consumer only subscribes to two topics
+        else:
             raise StreamingError(f"unexpected topic {message.topic!r}")
 
     def _handle_posting(self, message: Message) -> None:

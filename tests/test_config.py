@@ -11,7 +11,6 @@ from repro.config import (
     PlatformConfig,
     ServingConfig,
     StorageConfig,
-    StreamingConfig,
 )
 from repro.errors import ConfigurationError
 
@@ -19,13 +18,6 @@ from repro.errors import ConfigurationError
 def test_default_platform_config_validates():
     config = PlatformConfig()
     assert config.validate() is config
-
-
-def test_streaming_config_rejects_bad_partitions():
-    with pytest.raises(ConfigurationError):
-        StreamingConfig(partitions=0).validate()
-    with pytest.raises(ConfigurationError):
-        StreamingConfig(max_batch_size=0).validate()
 
 
 def test_storage_config_rejects_bad_replication():
@@ -66,7 +58,7 @@ def test_api_config_rejects_negative_values():
 
 
 def test_nested_validation_runs_from_platform_config():
-    config = PlatformConfig(streaming=StreamingConfig(partitions=0))
+    config = PlatformConfig(storage=StorageConfig(warehouse_replication=0))
     with pytest.raises(ConfigurationError):
         config.validate()
 
@@ -76,7 +68,6 @@ def test_config_sections_hold_exactly_the_documented_fields():
     # so the config is deployment settings and policy only.  A new field has to
     # be argued for here (and in the config.py docstring), not slipped in.
     documented = {
-        StreamingConfig: ["postings_topic", "reactions_topic", "partitions", "max_batch_size"],
         StorageConfig: [
             "data_dir", "warehouse_replication", "warehouse_rollup_topic",
             "warehouse_degraded_reads", "cdc_skip_poisoned",
@@ -95,6 +86,6 @@ def test_config_sections_hold_exactly_the_documented_fields():
     for section, names in documented.items():
         assert [f.name for f in dataclasses.fields(section)] == names
     assert [f.name for f in dataclasses.fields(PlatformConfig)] == [
-        "streaming", "storage", "analytics", "indicators", "api", "serving", "random_seed",
+        "storage", "analytics", "indicators", "api", "serving", "random_seed",
     ]
-    assert sum(map(len, documented.values())) + 1 == 26
+    assert sum(map(len, documented.values())) + 1 == 22

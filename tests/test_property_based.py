@@ -20,9 +20,13 @@ from repro.storage.rdbms.table import Table
 from repro.storage.rdbms.types import ColumnType
 from repro.storage.warehouse.blocks import ColumnarBlock
 from repro.streaming.broker import MessageBroker
+from repro.streaming.pipeline import POSTINGS_TOPIC, REACTIONS_TOPIC, ArticleExtractionPipeline
+from repro.web.scraper import ArticleScraper
+from repro.web.sitestore import SiteStore
 
 # Text strategies: printable-ish text including punctuation and unicode.
 texts = st.text(min_size=0, max_size=400)
+TOPICS = (POSTINGS_TOPIC, REACTIONS_TOPIC)
 words = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu")), min_size=1, max_size=20)
 
 
@@ -106,38 +110,57 @@ class TestStorageProperties:
 
 
 class TestStreamingProperties:
-    @given(st.lists(st.tuples(st.text(min_size=1, max_size=8), st.integers()), min_size=1, max_size=80),
-           st.integers(min_value=1, max_value=6))
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TOPICS), st.one_of(st.none(), st.text(min_size=1, max_size=8)),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
     @settings(max_examples=40, deadline=None)
-    def test_broker_delivers_every_message_exactly_once_per_group(self, events, partitions):
-        broker = MessageBroker(default_partitions=partitions)
-        broker.create_topic("t")
-        for key, value in events:
-            broker.produce("t", {"v": value}, key=key)
-
+    def test_queue_delivers_every_event_once_in_production_order(self, events):
+        broker = MessageBroker(TOPICS)
+        for seq, (topic, key) in enumerate(events):
+            broker.produce(topic, {"seq": seq}, key=key)
         delivered = []
-        while True:
-            batch = broker.poll("group", "t", max_messages=7)
-            if not batch:
-                break
-            delivered.extend(batch)
-        assert len(delivered) == len(events)
-        assert Counter(m.value["v"] for m in delivered) == Counter(v for _k, v in events)
-        assert broker.lag("group", "t") == 0
+        while (message := broker.poll()) is not None:
+            delivered.append((message.topic, message.key, message.value["seq"]))
+            broker.ack()
+        assert delivered == [(topic, key, seq) for seq, (topic, key) in enumerate(events)]
+        assert broker.lag() == 0
 
-    @given(st.lists(st.tuples(st.text(min_size=1, max_size=8), st.integers()), min_size=1, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_per_key_ordering_is_preserved(self, events):
-        broker = MessageBroker(default_partitions=4)
-        broker.create_topic("t")
-        for index, (key, _value) in enumerate(events):
-            broker.produce("t", {"seq": index}, key=key)
-        seen: dict[int, int] = {}
-        for message in broker.poll("g", "t", max_messages=10_000):
-            partition = message.partition
-            if partition in seen:
-                assert message.offset > seen[partition]
-            seen[partition] = message.offset
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.sets(st.integers(min_value=0, max_value=39), max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_raising_handler_sees_its_event_again_and_nothing_before_it(self, n, failing):
+        broker = MessageBroker(TOPICS)
+        for seq in range(n):
+            broker.produce(REACTIONS_TOPIC, {"reaction_id": str(seq), "post_id": "p"})
+        handled: list[int] = []
+        to_fail = set(failing)
+
+        def on_reaction(item):
+            seq = int(item.reaction_id)
+            if seq in to_fail:
+                to_fail.discard(seq)
+                raise RuntimeError("transient failure")
+            handled.append(seq)
+
+        pipeline = ArticleExtractionPipeline(
+            broker=broker, scraper=ArticleScraper(SiteStore()), on_reaction=on_reaction
+        )
+        while True:
+            try:
+                pipeline.process_available()
+                break
+            except RuntimeError:
+                pass
+        assert handled == list(range(n))
+        assert broker.lag() == 0
 
 
 class TestMathProperties:

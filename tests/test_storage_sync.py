@@ -41,6 +41,7 @@ from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
 from repro.storage.warehouse import Warehouse
 from repro.storage.warehouse.dfs import DistributedFileSystem
+from repro.streaming.pipeline import POSTINGS_TOPIC, REACTIONS_TOPIC
 
 T0 = datetime(2020, 3, 1, 9)
 
@@ -316,10 +317,8 @@ class TestOneLog:
         platform.store_article(article(4))
         assert platform.search_articles("vaccine")
         platform.process_cdc()
-        streaming = platform.config.streaming
-        assert platform.broker.topics() == sorted(
-            [streaming.postings_topic, streaming.reactions_topic]
-        )
+        assert platform.broker.topics() == sorted([POSTINGS_TOPIC, REACTIONS_TOPIC])
+        assert platform.broker.lag() == 0
         assert sorted(path.name for path in tmp_path.iterdir()) == ["wal.jsonl"]
 
     def test_after_a_drain_the_cursor_is_the_wal_head_and_nothing_lags(self):

@@ -1,231 +1,190 @@
-"""Tests for the message broker and consumer."""
+"""Tests for the ingestion queue and its drain by the extraction pipeline."""
+
+import dataclasses
+import threading
+from datetime import datetime
 
 import pytest
 
-from repro.errors import OffsetOutOfRange, StreamingError, TopicNotFound
+from repro import SciLensPlatform
+from repro.api import build_gateway
+from repro.errors import StreamingError, TransientFaultError
+from repro.storage.faults import FaultInjector
 from repro.streaming.broker import MessageBroker
-from repro.streaming.consumer import Consumer
 from repro.streaming.message import Message
+from repro.streaming.pipeline import POSTINGS_TOPIC, REACTIONS_TOPIC, ArticleExtractionPipeline
+from repro.web.scraper import ArticleScraper
+from repro.web.sitestore import SiteStore
+
+TOPICS = (POSTINGS_TOPIC, REACTIONS_TOPIC)
 
 
-class TestBroker:
-    def test_create_topic_is_idempotent(self):
-        broker = MessageBroker(default_partitions=2)
-        broker.create_topic("postings")
-        broker.create_topic("postings")
-        assert broker.topics() == ["postings"]
-        assert broker.topic_stats("postings").partitions == 2
+def reaction(i):
+    return {"reaction_id": f"r{i}", "post_id": f"p{i}", "kind": "like"}
 
-    def test_produce_assigns_partition_and_offset(self):
-        broker = MessageBroker(default_partitions=3)
-        broker.create_topic("t")
-        first = broker.produce("t", {"v": 1}, key="account-a")
-        second = broker.produce("t", {"v": 2}, key="account-a")
-        assert first.partition == second.partition  # same key -> same partition
-        assert second.offset == first.offset + 1
 
-    def test_unknown_topic(self):
-        broker = MessageBroker()
-        with pytest.raises(TopicNotFound):
+def pipeline_over(broker, on_reaction):
+    return ArticleExtractionPipeline(
+        broker=broker, scraper=ArticleScraper(SiteStore()), on_reaction=on_reaction
+    )
+
+
+class TestQueue:
+    def test_produce_appends_in_production_order_across_topics(self):
+        broker = MessageBroker(TOPICS)
+        broker.produce(POSTINGS_TOPIC, {"i": 0}, key="a")
+        broker.produce(REACTIONS_TOPIC, {"i": 1}, key="b")
+        assert broker.produce_many(POSTINGS_TOPIC, [("a", {"i": 2}), (None, {"i": 3})]) == 2
+        assert broker.lag() == 4
+        delivered = []
+        while (message := broker.poll()) is not None:
+            delivered.append((message.topic, message.key, message.value["i"]))
+            broker.ack()
+        assert delivered == [
+            (POSTINGS_TOPIC, "a", 0), (REACTIONS_TOPIC, "b", 1),
+            (POSTINGS_TOPIC, "a", 2), (POSTINGS_TOPIC, None, 3),
+        ]
+        assert broker.lag() == 0
+
+    def test_poll_leaves_the_head_in_place_until_ack(self):
+        broker = MessageBroker(TOPICS)
+        first = broker.produce(POSTINGS_TOPIC, {"i": 0})
+        broker.produce(POSTINGS_TOPIC, {"i": 1})
+        assert broker.poll() is first
+        assert broker.poll() is first
+        broker.ack()
+        assert broker.poll().value == {"i": 1}
+        assert broker.lag() == 1
+
+    def test_an_unknown_topic_is_rejected_at_produce(self):
+        broker = MessageBroker(TOPICS)
+        with pytest.raises(StreamingError):
             broker.produce("missing", {})
-        with pytest.raises(TopicNotFound):
-            broker.poll("g", "missing")
-
-    def test_poll_and_commit_semantics(self):
-        broker = MessageBroker(default_partitions=2)
-        broker.create_topic("t")
-        for i in range(10):
-            broker.produce("t", {"i": i}, key=f"k{i}")
-
-        first_batch = broker.poll("group", "t", max_messages=4)
-        assert len(first_batch) == 4
-        assert broker.lag("group", "t") == 6
-        rest = broker.poll("group", "t", max_messages=100)
-        assert len(rest) == 6
-        assert broker.lag("group", "t") == 0
-        # Independent groups see everything again.
-        assert len(broker.poll("other", "t", max_messages=100)) == 10
-
-    def test_manual_commit_allows_replay(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        broker.produce("t", {"i": 1})
-        batch = broker.poll("g", "t", auto_commit=False)
-        assert len(batch) == 1
-        # Not committed: polling again redelivers.
-        assert len(broker.poll("g", "t", auto_commit=False)) == 1
-        broker.commit("g", "t", 0, 1)
-        assert broker.poll("g", "t") == []
-
-    def test_commit_validation(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        with pytest.raises(OffsetOutOfRange):
-            broker.commit("g", "t", 0, 5)
         with pytest.raises(StreamingError):
-            broker.commit("g", "t", 9, 0)
+            broker.produce_many("missing", [(None, {})])
+        assert broker.lag() == 0 and broker.poll() is None
+        assert broker.topics() == sorted(TOPICS)
 
-    def test_capped_polls_rotate_across_partitions(self):
-        # Each poll starts its round-robin one partition later than the
-        # previous one, so short polls don't repeatedly favour partition 0
-        # while higher partitions starve behind the cap.
-        broker = MessageBroker(default_partitions=3)
-        broker.create_topic("t")
-        for partition in range(3):
-            for i in range(4):
-                message = Message(topic="t", value={"p": partition, "i": i})
-                broker._topics["t"][partition].append(
-                    message.with_position(partition, i)
-                )
-        first_served = []
-        for _ in range(3):
-            batch = broker.poll("g", "t", max_messages=1)
-            first_served.append(batch[0].partition)
-        # Three single-message polls touch three different partitions.
-        assert sorted(first_served) == [0, 1, 2]
-        # And nothing is lost or duplicated overall.
-        remaining = broker.poll("g", "t", max_messages=100)
-        assert len(remaining) == 9
-        assert broker.lag("g", "t") == 0
+    @pytest.mark.parametrize("site", ["broker.publish", "broker.poll"])
+    def test_an_armed_fault_site_leaves_the_queue_unchanged(self, site):
+        injector = FaultInjector(seed=1)
+        broker = MessageBroker(TOPICS, fault_injector=injector)
+        head = broker.produce(POSTINGS_TOPIC, {"i": 0})
+        injector.inject(site, count=1)
+        with pytest.raises(TransientFaultError):
+            if site == "broker.publish":
+                broker.produce(POSTINGS_TOPIC, {"i": 1})
+            else:
+                broker.poll()
+        assert broker.lag() == 1 and broker.poll() is head
+        assert injector.triggered(site) == 1
 
-    def test_produce_many_appends_a_batch_in_order(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        assert broker.produce_many("t", [(None, {"i": i}) for i in range(3)]) == 3
-        assert broker.topic_stats("t").total_messages == 3
-        polled = broker.poll("g", "t", max_messages=10)
-        assert [(m.offset, m.value["i"]) for m in polled] == [(0, 0), (1, 1), (2, 2)]
+    def test_produce_many_goes_through_produce_once_per_event(self):
+        # Wrapping ``produce`` on the instance sees every event of a batch.
+        broker = MessageBroker(TOPICS)
+        calls = []
+        produce = broker.produce
+        broker.produce = lambda *args, **kwargs: calls.append(args) or produce(*args, **kwargs)
+        assert broker.produce_many(REACTIONS_TOPIC, [(None, reaction(i)) for i in range(3)]) == 3
+        assert len(calls) == 3 and broker.lag() == 3
 
-    def test_produce_many_routes_keys_like_produce(self):
-        broker = MessageBroker(default_partitions=4)
-        broker.create_topic("t")
-        broker.produce_many("t", [(f"k{i % 3}", {"i": i}) for i in range(9)])
-        single = {key: broker.produce("t", {}, key=key).partition for key in ("k0", "k1", "k2")}
-        polled = broker.poll("g", "t", max_messages=100)
-        assert len(polled) == 12
-        for message in polled:
-            assert message.partition == single[message.key]
+    def test_produce_stamps_the_time_unless_given(self):
+        broker = MessageBroker(TOPICS)
+        given = datetime(2020, 2, 1, 12)
+        assert broker.produce(POSTINGS_TOPIC, {}, timestamp=given).timestamp == given
+        before = datetime.utcnow()
+        assert broker.produce(POSTINGS_TOPIC, {}).timestamp >= before
 
-    def test_topic_needs_a_partition_and_poll_a_budget(self):
-        broker = MessageBroker()
+    def test_a_message_carries_no_queue_position(self):
+        assert [f.name for f in dataclasses.fields(Message)] == ["topic", "value", "key", "timestamp"]
+
+    def test_one_producer_thread_beside_one_consumer_thread(self):
+        broker = MessageBroker(TOPICS)
+        n = 2000
+
+        def produce():
+            for seq in range(n):
+                broker.produce(TOPICS[seq % 2], {"seq": seq})
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        delivered: list[int] = []
+        while producer.is_alive() or broker.lag():
+            message = broker.poll()
+            if message is not None:
+                delivered.append(message.value["seq"])
+                broker.ack()
+        producer.join()
+        assert delivered == list(range(n))
+
+
+class TestDrain:
+    def test_an_empty_queue_drains_nothing(self):
+        pipeline = pipeline_over(MessageBroker(TOPICS), on_reaction=None)
+        assert pipeline.process_available() == 0 and pipeline.lag() == 0
+
+    def test_an_event_no_handler_knows_stays_at_the_head(self):
+        broker = MessageBroker((*TOPICS, "other"))
+        broker.produce(REACTIONS_TOPIC, reaction(0))
+        broker.produce("other", {})
+        broker.produce(REACTIONS_TOPIC, reaction(1))
+        handled = []
+        pipeline = pipeline_over(broker, lambda item: handled.append(item.reaction_id))
         with pytest.raises(StreamingError):
-            broker.create_topic("t", partitions=0)
-        assert not broker.has_topic("t")
-        broker.create_topic("u")
-        with pytest.raises(StreamingError):
-            broker.poll("g", "u", max_messages=0)
+            pipeline.process_available()
+        assert handled == ["r0"] and broker.poll().topic == "other" and pipeline.lag() == 2
 
+    def test_a_raising_handler_leaves_its_event_at_the_head(self):
+        broker = MessageBroker(TOPICS)
+        broker.produce_many(REACTIONS_TOPIC, [(None, reaction(i)) for i in range(5)])
+        handled: list[str] = []
+        failed = []
 
-class TestProducerConsumer:
-    def test_consumer_process_is_at_least_once(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("t")
-        for i in range(5):
-            broker.produce("t", {"i": i})
-        consumer = Consumer(broker, "g", ["t"])
-        seen: list[int] = []
-        failed_once = {"done": False}
-
-        def failing_handler(message):
-            if message.value["i"] == 3 and not failed_once["done"]:
-                failed_once["done"] = True
+        def on_reaction(item):
+            if item.reaction_id == "r3" and not failed:
+                failed.append(item.reaction_id)
                 raise RuntimeError("transient failure")
-            seen.append(message.value["i"])
+            handled.append(item.reaction_id)
 
+        pipeline = pipeline_over(broker, on_reaction)
         with pytest.raises(RuntimeError):
-            consumer.process(failing_handler, max_messages=10)
-        # Nothing was committed, so the batch is redelivered and reprocessed.
-        processed = consumer.process(failing_handler, max_messages=10)
-        assert processed == 5
-        assert consumer.lag() == 0
+            pipeline.process_available()
+        assert handled == ["r0", "r1", "r2"]
+        assert pipeline.lag() == 2 and broker.poll().value["reaction_id"] == "r3"
+        # The next drain handles the failed event once and nothing before it.
+        assert pipeline.process_available() == 2
+        assert handled == ["r0", "r1", "r2", "r3", "r4"]
+        assert pipeline.lag() == 0
 
-    def test_consumer_requires_topics(self):
-        with pytest.raises(StreamingError):
-            Consumer(MessageBroker(), "g", [])
+    def test_the_queue_is_empty_after_process_stream(self):
+        platform = SciLensPlatform()
+        platform.ingest_posting_events([(None, {"bogus": True})] * 3)
+        platform.ingest_reaction_events([("p0", reaction(0))])
+        assert platform.extraction.lag() == 4
+        stats = platform.process_stream()
+        assert platform.extraction.lag() == 0 and platform.broker.lag() == 0
+        assert stats["malformed_events"] == 3 and stats["reactions_seen"] == 1
+        assert platform.status()["stream_lag"] == 0
 
-    def test_drain_processes_everything(self):
-        broker = MessageBroker(default_partitions=2)
-        broker.create_topic("t")
-        for i in range(25):
-            broker.produce("t", {"i": i}, key=str(i))
-        consumer = Consumer(broker, "g", ["t"])
-        count = consumer.drain(lambda m: None, batch_size=7)
-        assert count == 25
-        assert consumer.lag() == 0
+    def test_a_poll_fault_in_process_stream_delays_but_loses_nothing(self):
+        platform = SciLensPlatform()
+        platform.ingest_reaction_events([(None, reaction(i)) for i in range(3)])
+        platform.fault_injector.inject("broker.poll", count=1)
+        with pytest.raises(TransientFaultError):
+            platform.process_stream()
+        assert platform.extraction.lag() == 3
+        assert platform.process_stream()["reactions_seen"] == 3
+        assert platform.database.table("reactions").row_count() == 3
 
-    def test_consumer_can_subscribe_before_topic_exists(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("early")
-        broker.produce("early", {"i": 0})
-        consumer = Consumer(broker, "g", ["early", "later"])
-        # The existing topic drains even while the other is still missing.
-        batch = consumer.poll(10)
-        assert [m.value["i"] for m in batch] == [0]
-        consumer.commit(batch)
-        assert consumer.lag() == 0
-        broker.create_topic("later")
-        broker.produce("later", {"i": 1})
-        assert [m.value["i"] for m in consumer.poll(10)] == [1]
-
-    def test_poll_budget_is_shared_across_topics(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("busy")
-        broker.create_topic("quiet")
-        for i in range(100):
-            broker.produce("busy", {"i": i})
-        for i in range(3):
-            broker.produce("quiet", {"i": i})
-        consumer = Consumer(broker, "g", ["busy", "quiet"])
-        batch = consumer.poll(max_messages=10)
-        topics = {m.topic for m in batch}
-        # The old code filled the whole budget from the first topic.
-        assert topics == {"busy", "quiet"}
-        assert len(batch) == 10
-        # The quiet topic's unused share flows back to the busy one.
-        assert sum(1 for m in batch if m.topic == "busy") == 7
-        assert sum(1 for m in batch if m.topic == "quiet") == 3
-
-    def test_no_topic_starves_under_sustained_load(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("a")
-        broker.create_topic("b")
-        broker.create_topic("c")
-        for i in range(500):
-            broker.produce("a", {"i": i})
-        for i in range(5):
-            broker.produce("b", {"i": i})
-            broker.produce("c", {"i": i})
-        consumer = Consumer(broker, "g", ["a", "b", "c"])
-
-        # Sustained load: topic "a" keeps receiving more than one batch can
-        # hold.  Every subscribed topic must still drain within a few cycles.
-        drained_at: dict[str, int] = {}
-        for cycle in range(1, 5):
-            consumer.commit(consumer.poll(max_messages=12))
-            broker.produce("a", {"refill": cycle})
-            for topic in ("b", "c"):
-                if topic not in drained_at and broker.lag("g", topic) == 0:
-                    drained_at[topic] = cycle
-        assert drained_at.get("b") is not None, "topic b starved"
-        assert drained_at.get("c") is not None, "topic c starved"
-
-    def test_poll_budget_never_exceeded_and_order_preserved_per_topic(self):
-        broker = MessageBroker(default_partitions=1)
-        broker.create_topic("x")
-        broker.create_topic("y")
-        for i in range(20):
-            broker.produce("x", {"i": i})
-            broker.produce("y", {"i": i})
-        consumer = Consumer(broker, "g", ["x", "y"])
-        seen: dict[str, list[int]] = {"x": [], "y": []}
-        while True:
-            batch = consumer.poll(max_messages=7)
-            if not batch:
-                break
-            assert len(batch) <= 7
-            for message in batch:
-                seen[message.topic].append(message.value["i"])
-            consumer.commit(batch)
-        assert seen["x"] == list(range(20))
-        assert seen["y"] == list(range(20))
-
+    def test_monitoring_stream_reports_the_queue_length_and_the_pipeline_counters(self):
+        platform = SciLensPlatform()
+        platform.ingest_reaction_events([(None, reaction(i)) for i in range(3)])
+        gateway = build_gateway(platform)
+        assert gateway.handle("monitoring.stream").payload["pipeline"]["lag"] == 3
+        platform.process_stream()
+        assert gateway.handle("monitoring.stream").payload == {
+            "pipeline": {
+                "postings_seen": 0, "reactions_seen": 3, "articles_extracted": 0,
+                "scrape_failures": 0, "malformed_events": 0, "lag": 0,
+            }
+        }

@@ -5,7 +5,13 @@ from datetime import datetime
 from repro.models import Article, Reaction, SocialPost
 from repro.social.accounts import AccountRegistry, SocialAccount
 from repro.streaming.broker import MessageBroker
-from repro.streaming.pipeline import ArticleExtractionPipeline, article_id_for, scraped_to_article
+from repro.streaming.pipeline import (
+    POSTINGS_TOPIC,
+    REACTIONS_TOPIC,
+    ArticleExtractionPipeline,
+    article_id_for,
+    scraped_to_article,
+)
 from repro.web.scraper import ArticleScraper
 from repro.web.sitestore import SiteStore
 
@@ -19,9 +25,7 @@ HTML = (
 
 
 def build_pipeline(collect):
-    broker = MessageBroker(default_partitions=2)
-    broker.create_topic("postings")
-    broker.create_topic("reactions")
+    broker = MessageBroker((POSTINGS_TOPIC, REACTIONS_TOPIC))
     store = SiteStore()
     store.register(ARTICLE_URL, HTML)
     accounts = AccountRegistry([
@@ -56,9 +60,9 @@ def test_pipeline_extracts_articles_posts_and_reactions():
     collected = {"articles": [], "posts": [], "reactions": []}
     broker, pipeline = build_pipeline(collected)
 
-    broker.produce("postings", posting_event("p1"), key="@dailyscience")
-    broker.produce("postings", posting_event("p2"), key="@user")
-    broker.produce("reactions", {"reaction_id": "r1", "post_id": "p1", "kind": "share",
+    broker.produce(POSTINGS_TOPIC, posting_event("p1"), key="@dailyscience")
+    broker.produce(POSTINGS_TOPIC, posting_event("p2"), key="@user")
+    broker.produce(REACTIONS_TOPIC, {"reaction_id": "r1", "post_id": "p1", "kind": "share",
                                  "created_at": "2020-02-10T13:00:00"}, key="p1")
 
     processed = pipeline.process_available()
@@ -92,9 +96,9 @@ def test_pipeline_counts_scrape_failures_and_malformed_events():
     collected = {"articles": [], "posts": [], "reactions": []}
     broker, pipeline = build_pipeline(collected)
 
-    broker.produce("postings", posting_event("p1", url=f"https://{OUTLET}/missing-page"))
-    broker.produce("postings", {"bogus": True})
-    broker.produce("reactions", {"reaction_id": "r1", "post_id": "p1", "kind": "unknown-kind"})
+    broker.produce(POSTINGS_TOPIC, posting_event("p1", url=f"https://{OUTLET}/missing-page"))
+    broker.produce(POSTINGS_TOPIC, {"bogus": True})
+    broker.produce(REACTIONS_TOPIC, {"reaction_id": "r1", "post_id": "p1", "kind": "unknown-kind"})
 
     pipeline.process_available()
     stats = pipeline.stats.as_dict()
