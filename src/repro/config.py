@@ -4,7 +4,7 @@ The configuration holds the deployment settings of the operational SciLens
 platform: where the data layer keeps its files, how the serving tier is
 sharded and rate-limited, and how the indicator fusion weighs each indicator
 family.  The ingestion queue has no settings: its two topics are constants of
-:mod:`repro.streaming.pipeline`, and the extraction pipeline drains it whole.
+:mod:`repro.streaming.broker`, and the extraction pipeline drains it whole.
 
 The platform runs in one storage mode — write-ahead log on, continuous
 change-data capture into the warehouse, segment-backed full-text search,

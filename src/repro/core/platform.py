@@ -47,13 +47,8 @@ from ..storage.rdbms.expressions import col
 from ..storage.sync import StorageSync
 from ..storage.warehouse.dfs import DistributedFileSystem
 from ..storage.warehouse.warehouse import Warehouse
-from ..streaming.broker import MessageBroker
-from ..streaming.pipeline import (
-    POSTINGS_TOPIC,
-    REACTIONS_TOPIC,
-    ArticleExtractionPipeline,
-    article_id_for,
-)
+from ..streaming.broker import POSTINGS_TOPIC, REACTIONS_TOPIC, MessageBroker
+from ..streaming.pipeline import ArticleExtractionPipeline, article_id_for
 from ..web.references import ReferenceProfile
 from ..web.scraper import ArticleScraper
 from ..web.sitestore import SiteStore
@@ -110,9 +105,7 @@ class SciLensPlatform:
         self.site_store = site_store if site_store is not None else SiteStore()
         self.scraper = ArticleScraper(self.site_store)
         self.accounts = account_registry if account_registry is not None else AccountRegistry()
-        self.broker = MessageBroker(
-            (POSTINGS_TOPIC, REACTIONS_TOPIC), fault_injector=self.fault_injector
-        )
+        self.broker = MessageBroker(fault_injector=self.fault_injector)
 
         # --- data layer -----------------------------------------------------
         # Without a data directory the WAL runs in memory: no durability, but

@@ -19,9 +19,13 @@ from typing import Any, Iterable
 from ..errors import StreamingError
 from .message import Message
 
+#: The two ingestion topics: outlet postings and the reactions to them.
+POSTINGS_TOPIC = "postings"
+REACTIONS_TOPIC = "reactions"
+
 
 class MessageBroker:
-    """One in-memory FIFO of the messages produced to a fixed set of topics.
+    """One in-memory FIFO of the messages produced to the two ingestion topics.
 
     An optional :class:`repro.storage.faults.FaultInjector` exercises the
     ``broker.publish`` / ``broker.poll`` fault sites: an armed fault raises
@@ -29,13 +33,12 @@ class MessageBroker:
     modelling a broker round-trip that failed without side effects.
     """
 
-    def __init__(self, topics: Iterable[str], fault_injector=None) -> None:
-        self._topics = frozenset(topics)
+    def __init__(self, fault_injector=None) -> None:
         self.fault_injector = fault_injector
         self._queue: deque[Message] = deque()
 
     def topics(self) -> list[str]:
-        return sorted(self._topics)
+        return sorted((POSTINGS_TOPIC, REACTIONS_TOPIC))
 
     def produce(
         self,
@@ -51,7 +54,7 @@ class MessageBroker:
         """
         if self.fault_injector is not None:
             self.fault_injector.check("broker.publish", topic)
-        if topic not in self._topics:
+        if topic not in (POSTINGS_TOPIC, REACTIONS_TOPIC):
             raise StreamingError(f"unknown topic {topic!r}")
         message = Message(
             topic=topic, value=value, key=key, timestamp=timestamp or datetime.utcnow()

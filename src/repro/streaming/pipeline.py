@@ -20,18 +20,13 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable
 
-from ..errors import StreamingError
 from ..models import Article, Reaction, ReactionKind, SocialPost
 from ..social.accounts import AccountRegistry
 from ..web.references import ReferenceClassifier
 from ..web.scraper import ArticleScraper, ScrapedArticle
 from ..web.urls import domain_of, normalize_url
-from .broker import MessageBroker
+from .broker import POSTINGS_TOPIC, MessageBroker
 from .message import Message
-
-#: The two ingestion topics: outlet postings and the reactions to them.
-POSTINGS_TOPIC = "postings"
-REACTIONS_TOPIC = "reactions"
 
 #: Classifies the links the scraper already extracted (the §3.1 shortlist).
 _REFERENCE_CLASSIFIER = ReferenceClassifier()
@@ -109,10 +104,8 @@ class ArticleExtractionPipeline:
     def _handle_message(self, message: Message) -> None:
         if message.topic == POSTINGS_TOPIC:
             self._handle_posting(message)
-        elif message.topic == REACTIONS_TOPIC:
-            self._handle_reaction(message)
         else:
-            raise StreamingError(f"unexpected topic {message.topic!r}")
+            self._handle_reaction(message)
 
     def _handle_posting(self, message: Message) -> None:
         value = message.value

@@ -221,6 +221,16 @@ class TestTheWindowApplies:
         assert all(len(series) == len(payload["days"]) for series in payload["series"].values())
 
 
+    def test_a_window_without_articles_yields_empty_axes(self, loaded_platform):
+        insights = loaded_platform.topic_insights(
+            "covid19", window_start=datetime(2021, 1, 1), window_end=datetime(2021, 1, 3)
+        )
+        assert insights.newsroom_activity.days == (datetime(2021, 1, 1).date(), datetime(2021, 1, 2).date())
+        assert insights.metadata == {"n_articles": 0.0, "n_topic_articles": 0.0}
+        for comparison in (insights.social_engagement, insights.evidence_seeking):
+            assert comparison.low_quality_samples == () and comparison.high_quality_samples == ()
+
+
 class TestStorageOrder:
     def test_payloads_do_not_depend_on_the_order_articles_were_stored_in(
         self, loaded_platform, small_scenario

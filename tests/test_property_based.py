@@ -19,8 +19,8 @@ from repro.storage.rdbms.schema import Column, TableSchema
 from repro.storage.rdbms.table import Table
 from repro.storage.rdbms.types import ColumnType
 from repro.storage.warehouse.blocks import ColumnarBlock
-from repro.streaming.broker import MessageBroker
-from repro.streaming.pipeline import POSTINGS_TOPIC, REACTIONS_TOPIC, ArticleExtractionPipeline
+from repro.streaming.broker import POSTINGS_TOPIC, REACTIONS_TOPIC, MessageBroker
+from repro.streaming.pipeline import ArticleExtractionPipeline
 from repro.web.scraper import ArticleScraper
 from repro.web.sitestore import SiteStore
 
@@ -121,7 +121,7 @@ class TestStreamingProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_queue_delivers_every_event_once_in_production_order(self, events):
-        broker = MessageBroker(TOPICS)
+        broker = MessageBroker()
         for seq, (topic, key) in enumerate(events):
             broker.produce(topic, {"seq": seq}, key=key)
         delivered = []
@@ -137,7 +137,7 @@ class TestStreamingProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_a_raising_handler_sees_its_event_again_and_nothing_before_it(self, n, failing):
-        broker = MessageBroker(TOPICS)
+        broker = MessageBroker()
         for seq in range(n):
             broker.produce(REACTIONS_TOPIC, {"reaction_id": str(seq), "post_id": "p"})
         handled: list[int] = []

@@ -41,7 +41,7 @@ from repro.storage.rdbms.schema import Column, ColumnType, TableSchema
 from repro.storage.rdbms.wal import WriteAheadLog
 from repro.storage.warehouse import Warehouse
 from repro.storage.warehouse.dfs import DistributedFileSystem
-from repro.streaming.pipeline import POSTINGS_TOPIC, REACTIONS_TOPIC
+from repro.streaming.broker import POSTINGS_TOPIC, REACTIONS_TOPIC
 
 T0 = datetime(2020, 3, 1, 9)
 

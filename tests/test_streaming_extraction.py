@@ -4,14 +4,8 @@ from datetime import datetime
 
 from repro.models import Article, Reaction, SocialPost
 from repro.social.accounts import AccountRegistry, SocialAccount
-from repro.streaming.broker import MessageBroker
-from repro.streaming.pipeline import (
-    POSTINGS_TOPIC,
-    REACTIONS_TOPIC,
-    ArticleExtractionPipeline,
-    article_id_for,
-    scraped_to_article,
-)
+from repro.streaming.broker import POSTINGS_TOPIC, REACTIONS_TOPIC, MessageBroker
+from repro.streaming.pipeline import ArticleExtractionPipeline, article_id_for, scraped_to_article
 from repro.web.scraper import ArticleScraper
 from repro.web.sitestore import SiteStore
 
@@ -25,7 +19,7 @@ HTML = (
 
 
 def build_pipeline(collect):
-    broker = MessageBroker((POSTINGS_TOPIC, REACTIONS_TOPIC))
+    broker = MessageBroker()
     store = SiteStore()
     store.register(ARTICLE_URL, HTML)
     accounts = AccountRegistry([
